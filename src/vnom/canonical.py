@@ -10,7 +10,13 @@ from itertools import islice
 import numpy as np
 from scipy.special import logsumexp
 
-from vnom.core import PROB_EPS, BlockAssignment, LabeledGraph, edge_counts
+from vnom.core import (
+    PROB_EPS,
+    BlockAssignment,
+    LabeledGraph,
+    block_edge_counts,
+    edge_counts,
+)
 from vnom.metrics import NominationList
 
 DEFAULT_GUARD = 10**8
@@ -136,13 +142,10 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
                 + seed_counts.c[mask] * log_1m[:k_used, :k_used][mask]
             )
         )
-        # Edges from each ambiguous vertex to the seeds of each block.
-        seed_onehot = np.zeros((m, K))
-        seed_onehot[np.arange(m), graph.seed_labels - 1] = 1.0
-        edges_to_seeds = graph.adjacency[m:, :m].astype(float) @ seed_onehot
     else:
         seed_const = 0.0
-        edges_to_seeds = np.zeros((n, K))
+    # Edges from each ambiguous vertex to the seeds of each block.
+    edges_to_seeds = block_edge_counts(graph.adjacency[m:, :m], graph.seed_labels, K)
     nonedges_to_seeds = np.asarray(model.m_sizes, dtype=float)[None, :] - edges_to_seeds
     # seed_terms[v, k] = log-weight of v's seed-incident pairs if b(v) = k+1
     seed_terms = edges_to_seeds @ log_lam.T + nonedges_to_seeds @ log_1m.T

@@ -240,20 +240,33 @@ def sample_sbm_blockwise(model, membership, rng_seed):
     )
 
 
+def block_edge_counts(adjacency, labels, K):
+    """E = A·H, the edge counts from each row vertex to each block.
+
+    adjacency is a boolean matrix whose columns carry the 1-based block
+    labels in `labels`; E[v, k] counts the edges from row v to the columns
+    labeled k+1. The N x K matrix E is the one kernel behind the block edge
+    counts (H^T·E) and the likelihood scheme's swap ratios.
+    """
+    labels0 = np.asarray(labels) - 1
+    counts = np.zeros((adjacency.shape[0], K), dtype=np.int64)
+    for k in range(K):
+        counts[:, k] = np.count_nonzero(adjacency[:, labels0 == k], axis=1)
+    return counts
+
+
 def edge_counts(graph, assignment):
     """Exact per-block-pair edge and nonedge counts for an assignment."""
     if len(assignment.labels) != graph.num_vertices:
         raise SizeMismatchError("assignment must cover all vertices")
     labels0 = assignment.labels - 1
     K = int(labels0.max()) + 1
-    onehot = np.zeros((graph.num_vertices, K))
-    onehot[np.arange(graph.num_vertices), labels0] = 1.0
-    raw = onehot.T @ graph.adjacency @ onehot
-    e = np.triu(raw, k=1) + np.diag(np.diag(raw) / 2)
+    onehot = np.eye(K, dtype=np.int64)[labels0]
+    raw = onehot.T @ block_edge_counts(graph.adjacency, assignment.labels, K)
+    e = np.triu(raw, k=1) + np.diag(np.diag(raw) // 2)
     sizes = onehot.sum(axis=0)
-    pair_counts = np.triu(np.outer(sizes, sizes), k=1) + np.diag(sizes * (sizes - 1) / 2)
-    c = pair_counts - e
-    return EdgeCounts(e=np.rint(e).astype(np.int64), c=np.rint(c).astype(np.int64))
+    pair_counts = np.triu(np.outer(sizes, sizes), k=1) + np.diag(sizes * (sizes - 1) // 2)
+    return EdgeCounts(e=e, c=pair_counts - e)
 
 
 def log_likelihood(graph, assignment, model, eps=PROB_EPS):

@@ -217,19 +217,25 @@ def _simulation_replicate(config, replicate):
     return _nominate_all(graph, model, config, replicate)
 
 
-def _shuffle_ambiguous(graph, config, replicate):
-    """Relabel the ambiguous vertices by a random permutation.
+def _ambiguous_permutation(config, replicate, n):
+    """The seeded order in which a replicate lists its n ambiguous vertices.
 
     Distributionally a no-op (the SBM is exchangeable given block sizes),
     but it keeps deterministic vertex-id tie-breaks from aligning with the
-    contiguous planted membership, which would fake signal in models where
-    schemes produce tied scores.
+    contiguous planted membership, or with a class-sorted labels file,
+    which would fake signal where schemes produce tied scores (isolated
+    vertices, for one).
     """
-    m, n = graph.seed_count, graph.ambiguous_count
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, replicate, 3))
     )
-    perm = rng.permutation(n)
+    return rng.permutation(n)
+
+
+def _shuffle_ambiguous(graph, config, replicate):
+    """Relabel the ambiguous vertices by _ambiguous_permutation."""
+    m, n = graph.seed_count, graph.ambiguous_count
+    perm = _ambiguous_permutation(config, replicate, n)
     order = np.concatenate([np.arange(m), m + perm])
     return LabeledGraph(
         adjacency=graph.adjacency[np.ix_(order, order)],
@@ -351,18 +357,21 @@ def _load_dataset(config):
     return _dataset_cache[key]
 
 
-def _reorder_instance(adjacency, truth, seed_ids, ambiguous_ids, lam, eps):
-    """Build a LabeledGraph with the sampled seeds occupying the vertex
-    prefix, plus the matching BlockModel."""
+def _data_instance(adjacency, truth, K, seed_ids, ambiguous_ids, eps):
+    """The LabeledGraph with the sampled seeds occupying the vertex prefix
+    and the ambiguous vertices after them in the given order, plus its
+    BlockModel with Lambda-hat estimated from the seed-induced subgraph."""
     order = np.concatenate([seed_ids, ambiguous_ids])
-    adj = adjacency[np.ix_(order, order)]
-    seed_labels = truth[seed_ids]
-    true_labels = truth[ambiguous_ids]
-    graph = LabeledGraph(adjacency=adj, seed_labels=seed_labels, true_labels=true_labels)
-    K = int(truth.max())
-    m_sizes = [int((seed_labels == k).sum()) for k in range(1, K + 1)]
-    n_sizes = [int((true_labels == k).sum()) for k in range(1, K + 1)]
-    model = BlockModel(m_sizes=m_sizes, n_sizes=n_sizes, lam=lam)
+    graph = LabeledGraph(
+        adjacency=adjacency[np.ix_(order, order)],
+        seed_labels=truth[seed_ids],
+        true_labels=truth[ambiguous_ids],
+    )
+    model = BlockModel(
+        m_sizes=np.bincount(graph.seed_labels, minlength=K + 1)[1:],
+        n_sizes=np.bincount(graph.true_labels, minlength=K + 1)[1:],
+        lam=estimate_lambda(graph, K, eps=eps),
+    )
     return graph, model
 
 
@@ -386,18 +395,11 @@ def _realdata_instance(config, replicate):
         seed_ids.append(np.sort(picked))
     seed_ids = np.concatenate(seed_ids)
     ambiguous_ids = np.setdiff1d(np.arange(len(truth)), seed_ids)
-    # estimate Lambda from the seed-induced subgraph of this split
-    tmp = LabeledGraph(
-        adjacency=adjacency[np.ix_(
-            np.concatenate([seed_ids, ambiguous_ids]),
-            np.concatenate([seed_ids, ambiguous_ids]),
-        )],
-        seed_labels=truth[seed_ids],
-        true_labels=truth[ambiguous_ids],
-    )
-    lam_hat = estimate_lambda(tmp, K, eps=config.hyper.eps)
-    return _reorder_instance(adjacency, truth, seed_ids, ambiguous_ids, lam_hat,
-                             config.hyper.eps)
+    ambiguous_ids = ambiguous_ids[
+        _ambiguous_permutation(config, replicate, len(ambiguous_ids))
+    ]
+    return _data_instance(adjacency, truth, K, seed_ids, ambiguous_ids,
+                          config.hyper.eps)
 
 
 def run_realdata(config, workers=1, log_raw=False):
@@ -406,13 +408,16 @@ def run_realdata(config, workers=1, log_raw=False):
     induced densities, nominate, and score against the held-out labels."""
     _, truth, K = _load_dataset(config)
     per_replicate = _run_replicates(config, _realdata_replicate, workers)
-    graph0, model0 = _realdata_instance(config, 0)
-    schemes, raw = _aggregate(config, per_replicate, model0.n, model0.n_sizes[0])
+    # every replicate seeds the same number of vertices per block
+    seed_counts = config.data["seed_counts"]
+    n = len(truth) - sum(int(c) for c in seed_counts)
+    n1 = int((truth == 1).sum()) - int(seed_counts[0])
+    schemes, raw = _aggregate(config, per_replicate, n, n1)
     return ExperimentResult(
         name=config.name,
-        n=model0.n,
-        n1=model0.n_sizes[0],
-        chance=model0.n_sizes[0] / model0.n,
+        n=n,
+        n1=n1,
+        chance=n1 / n,
         replicates=config.replicates,
         master_seed=config.master_seed,
         schemes=schemes,
@@ -454,8 +459,11 @@ def run_subsample_average(config, workers=1):
             ambiguous_ids.append(np.sort(np.setdiff1d(chosen, seeds)))
         seed_ids = np.concatenate(seed_ids)
         ambiguous_ids = np.concatenate(ambiguous_ids)
-        graph, model = _subsample_instance(
-            adjacency, truth, seed_ids, ambiguous_ids, config.hyper.eps
+        ambiguous_ids = ambiguous_ids[
+            _ambiguous_permutation(config, r, len(ambiguous_ids))
+        ]
+        graph, model = _data_instance(
+            adjacency, truth, K, seed_ids, ambiguous_ids, config.hyper.eps
         )
         nomination = likelihood_nominate(
             graph, model, eps=config.hyper.eps,
@@ -463,6 +471,7 @@ def run_subsample_average(config, workers=1):
             restarts=config.hyper.sgm_restarts,
             rng_seed=_replicate_seed(config.master_seed, r, 1),
         )
+        # ambiguous_ids holds the shuffled order, so this maps back through it
         for pos, local_v in enumerate(nomination.order, start=1):
             original = ambiguous_ids[local_v - graph.seed_count]
             position_sum[original] += pos
@@ -475,20 +484,6 @@ def run_subsample_average(config, workers=1):
         "times_selected": selected,
         "mean_position": mean_position,
     }
-
-
-def _subsample_instance(adjacency, truth, seed_ids, ambiguous_ids, eps):
-    order = np.concatenate([seed_ids, ambiguous_ids])
-    adj = adjacency[np.ix_(order, order)]
-    graph = LabeledGraph(
-        adjacency=adj, seed_labels=truth[seed_ids], true_labels=truth[ambiguous_ids]
-    )
-    lam_hat = estimate_lambda(graph, int(truth.max()), eps=eps)
-    K = int(truth.max())
-    m_sizes = [int((truth[seed_ids] == k).sum()) for k in range(1, K + 1)]
-    n_sizes = [int((truth[ambiguous_ids] == k).sum()) for k in range(1, K + 1)]
-    model = BlockModel(m_sizes=m_sizes, n_sizes=n_sizes, lam=lam_hat)
-    return graph, model
 
 
 def _format_float(x):

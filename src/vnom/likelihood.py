@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from vnom.core import PROB_EPS, BlockAssignment
+from vnom.core import PROB_EPS, BlockAssignment, block_edge_counts
 from vnom.metrics import NominationList
 from vnom.sgm import build_logodds_matrix, sgm_match
+
+# Relative tolerance under which two sorted scores of a segment are tied.
+TIE_RTOL = 1e-9
 
 
 def mle_block_assignment(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
@@ -59,35 +62,73 @@ def swap_log_ratio(graph, bhat, model, v, v_prime, eps=PROB_EPS):
 
 
 def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
-    """Log geometric-mean swap ratios for both segments of the list."""
-    m = graph.seed_count
-    labels = bhat.labels
-    in1 = np.flatnonzero(labels == 1)
-    in1 = in1[in1 >= m]
-    out1 = np.flatnonzero(labels != 1)
-    out1 = out1[out1 >= m]
-    ratios = np.zeros((len(in1), len(out1)))
-    for i, v in enumerate(in1):
-        for j, vp in enumerate(out1):
-            ratios[i, j] = swap_log_ratio(graph, bhat, model, v, vp, eps=eps)
+    """Log geometric-mean swap ratios for both segments of the list.
+
+    Every swap ratio comes from one N x K matrix of block edge counts.
+    With E = A·H the edge counts from each vertex to each block (H one-hot
+    in b-hat), S = E log(Lambda)^T + (sizes - H - E) log(1-Lambda)^T holds
+    in S[w, k] the log-likelihood of w's incident pairs if w were in block
+    k+1. For v in block 1 and v' in block k+1,
+
+        swap_log_ratio(v, v') = S[v, k] - S[v, 0] + S[v', 0] - S[v', k] - c,
+
+    where c corrects for the (v, v') pair, which S counts on both sides:
+    log Lambda[k, k] + log Lambda[0, 0] - 2 log Lambda[0, k] if v ~ v', and
+    the same in log(1-Lambda) if not. Cost: one A·H product and
+    O(N·K + n1·n2) arithmetic, against n1·n2 swap_log_ratio calls of O(N)
+    each.
+    """
+    m, K = graph.seed_count, model.K
+    labels0 = bhat.labels - 1
+    lam = model.clamped_lam(eps)
+    log_lam = np.log(lam)
+    log_1m = np.log1p(-lam)
+    E = block_edge_counts(graph.adjacency, bhat.labels, K)
+    sizes = np.bincount(labels0, minlength=K)
+    S = E @ log_lam.T + (sizes - np.eye(K, dtype=np.int64)[labels0] - E) @ log_1m.T
+    ambiguous = graph.ambiguous_vertices()
+    in1 = ambiguous[labels0[m:] == 0]
+    out1 = ambiguous[labels0[m:] != 0]
+    k = labels0[out1]
+    pair_edge = log_lam.diagonal() + log_lam[0, 0] - 2 * log_lam[0]
+    pair_non = log_1m.diagonal() + log_1m[0, 0] - 2 * log_1m[0]
+    ratios = (S[in1][:, k] - S[in1, :1] + (S[out1, 0] - S[out1, k])
+              - np.where(graph.adjacency[np.ix_(in1, out1)], pair_edge[k], pair_non[k]))
     # empty-mean convention: a mean over no swaps is 0 (ratio 1)
     score_in = ratios.mean(axis=1) if len(out1) else np.zeros(len(in1))
     score_out = ratios.mean(axis=0) if len(in1) else np.zeros(len(out1))
     return in1, score_in, out1, score_out
 
 
+def _rank(vertices, keys):
+    """`vertices` by ascending key, each tie group by ascending vertex id.
+
+    A key within TIE_RTOL * (1 + |key|) of its predecessor in sorted order
+    joins the predecessor's tie group.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked, sorted_keys = vertices[order], keys[order]
+    gaps = np.diff(sorted_keys, prepend=sorted_keys[:1])
+    group = np.cumsum(gaps > TIE_RTOL * (1.0 + np.abs(sorted_keys)))
+    return ranked[np.lexsort((ranked, group))]
+
+
 def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
                         restarts=1, rng_seed=0, bhat=None):
     """Two-stage nomination: b-hat from seeded graph matching, then the
     estimated block-1 vertices in increasing order of their geometric-mean
-    swap ratio, followed by the rest in decreasing order of theirs. Ties
-    break by ascending vertex id."""
+    swap ratio, followed by the rest in decreasing order of theirs.
+
+    Ties are explicit: in each segment's sorted scores, a score within
+    1e-9 * (1 + |s|) (TIE_RTOL) of its predecessor joins that predecessor's
+    tie group, and a tie group is ordered by ascending vertex id. Scores
+    that are equal in exact arithmetic (structurally equivalent vertices)
+    so keep id order whatever rounding separates them. Scoring costs one
+    N x K edge-count product plus O(N·K + n1·n2); see _geo_mean_scores.
+    """
     if bhat is None:
         bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,
                                     tol=tol, restarts=restarts, rng_seed=rng_seed)
     in1, score_in, out1, score_out = _geo_mean_scores(graph, bhat, model, eps=eps)
-    # in1/out1 are ascending by construction, so stable sorts break ties by id
-    head = in1[np.argsort(score_in, kind="stable")]
-    tail = out1[np.argsort(-score_out, kind="stable")]
-    order = np.concatenate([head, tail])
+    order = np.concatenate([_rank(in1, score_in), _rank(out1, -score_out)])
     return NominationList(order=order, seed_count=graph.seed_count)

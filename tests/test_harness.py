@@ -38,20 +38,38 @@ TINY_CONFIG = {
 }
 
 
-def write_sbm_dataset(tmp_path, model, rng_seed):
-    """Realize a graph and write edge-list and full-labels files."""
-    graph = sample_sbm(model, contiguous_assignment(model), rng_seed)
-    labels = np.concatenate([graph.seed_labels, graph.true_labels])
-    edges_path = tmp_path / "edges.txt"
-    labels_path = tmp_path / "labels.txt"
+def write_dataset(tmp_path, adjacency, labels, tag=""):
+    """Write edge-list and full-labels files for a graph."""
+    edges_path = tmp_path / f"edges{tag}.txt"
+    labels_path = tmp_path / f"labels{tag}.txt"
     with open(edges_path, "w", encoding="utf-8") as fh:
-        fh.write(f"#vertices {graph.num_vertices}\n")
-        for a, b in np.argwhere(np.triu(graph.adjacency, k=1)):
+        fh.write(f"#vertices {len(labels)}\n")
+        for a, b in np.argwhere(np.triu(adjacency, k=1)):
             fh.write(f"{a + 1} {b + 1}\n")
     with open(labels_path, "w", encoding="utf-8") as fh:
         for v, blk in enumerate(labels, start=1):
             fh.write(f"{v} {blk}\n")
     return str(edges_path), str(labels_path)
+
+
+def write_sbm_dataset(tmp_path, model, rng_seed):
+    """Realize a graph and write edge-list and full-labels files."""
+    graph = sample_sbm(model, contiguous_assignment(model), rng_seed)
+    labels = np.concatenate([graph.seed_labels, graph.true_labels])
+    return write_dataset(tmp_path, graph.adjacency, labels)
+
+
+def null_graph_with_isolates(rng_seed, N=300, p=0.06, isolated_share=0.4):
+    """An Erdos-Renyi graph with a share of its vertices isolated, and
+    class-sorted labels (the first half of the ids in class 1). Labels
+    carry no signal, but the isolated vertices tie under every scheme."""
+    rng = np.random.default_rng(rng_seed)
+    upper = np.triu(rng.random((N, N)) < p, k=1)
+    isolated = rng.choice(N, size=int(isolated_share * N), replace=False)
+    upper[isolated, :] = False
+    upper[:, isolated] = False
+    labels = np.where(np.arange(N) < N // 2, 1, 2)
+    return upper | upper.T, labels
 
 
 class TestConfigParsing:
@@ -197,6 +215,40 @@ class TestRunRealdata:
         assert result.schemes["likelihood"].map > 0.6
         assert result.schemes["spectral"].map > 0.6
 
+    def test_vertex_ids_do_not_leak_into_null_map(self, tmp_path):
+        # Isolated vertices tie, so a tie-break by file id would list the
+        # class-sorted file's class-1 vertices first. The same graph with
+        # randomly permuted ids must score the same within Monte-Carlo
+        # error. (Each graph's MAP sits off 0.5 by a graph-level amount
+        # that the replicate SE does not cover, so the two files are
+        # compared with each other, not with chance.)
+        adjacency, labels = null_graph_with_isolates(2024)
+        perm = np.random.default_rng(7).permutation(len(labels))
+        inverse = np.argsort(perm)
+        files = {
+            "sorted": write_dataset(tmp_path, adjacency, labels),
+            "permuted": write_dataset(
+                tmp_path, adjacency[np.ix_(inverse, inverse)], labels[inverse], "_p"
+            ),
+        }
+        results = {}
+        for name, (edges, labels_path) in files.items():
+            config = parse_config({
+                "name": f"null-{name}",
+                "mode": "realdata",
+                "schemes": ["likelihood", "spectral"],
+                "replicates": 20,
+                "master_seed": 1,
+                "data": {"edges": edges, "labels": labels_path, "K": 2,
+                         "seed_counts": [20, 20]},
+            })
+            results[name] = run_realdata(config)
+        assert results["sorted"].chance == pytest.approx(0.5)
+        for scheme in ("likelihood", "spectral"):
+            a = results["sorted"].schemes[scheme]
+            b = results["permuted"].schemes[scheme]
+            assert abs(a.map - b.map) <= 3 * np.hypot(a.se, b.se), scheme
+
     def test_oversized_seed_request_rejected(self, tmp_path):
         lam = np.array([[0.7, 0.2], [0.2, 0.7]])
         model = BlockModel(m_sizes=(0, 0), n_sizes=(10, 10), lam=lam)
@@ -239,6 +291,29 @@ class TestRunSubsampleAverage:
         csv_text = subsample_table_csv(table)
         assert csv_text.startswith("vertex,class,times_selected,mean_position")
         assert len(csv_text.strip().split("\n")) == 81
+
+    def test_classes_do_not_separate_on_null_graph(self, tmp_path):
+        # with class-sorted ids and tied isolated vertices, an id tie-break
+        # would give class 1 the earlier positions
+        adjacency, labels = null_graph_with_isolates(2024)
+        edges, labels_path = write_dataset(tmp_path, adjacency, labels)
+        config = parse_config({
+            "name": "subsample-null",
+            "mode": "subsample",
+            "schemes": [],
+            "replicates": 20,
+            "master_seed": 1,
+            "data": {"edges": edges, "labels": labels_path, "K": 2,
+                     "subsample_sizes": [50, 50], "seeds_per_class": [10, 10]},
+        })
+        table = run_subsample_average(config)
+        picked = table["times_selected"] > 0
+        by_class = [
+            table["mean_position"][picked & (table["vertex_class"] == k)]
+            for k in (1, 2)
+        ]
+        se = np.hypot(*(np.std(x, ddof=1) / np.sqrt(len(x)) for x in by_class))
+        assert abs(by_class[0].mean() - by_class[1].mean()) <= 3 * se
 
     def test_oversized_subsample_rejected(self, tmp_path):
         lam = np.array([[0.8, 0.1], [0.1, 0.8]])

@@ -13,6 +13,7 @@ from vnom.core import (
     sample_sbm,
 )
 from vnom.likelihood import (
+    _geo_mean_scores,
     likelihood_nominate,
     mle_block_assignment,
     swap_log_ratio,
@@ -96,6 +97,95 @@ class TestSwapLogRatio:
             swap_log_ratio(graph, bhat, model, 0, 3)  # v is a seed
         with pytest.raises(ValueError):
             swap_log_ratio(graph, bhat, model, 3, 2)  # v not in block 1
+
+
+def per_pair_scores(graph, bhat, model):
+    """Segment scores as plain means of per-pair swap_log_ratio calls."""
+    m = graph.seed_count
+    labels = bhat.labels
+    in1 = [v for v in range(m, graph.num_vertices) if labels[v] == 1]
+    out1 = [v for v in range(m, graph.num_vertices) if labels[v] != 1]
+    ratios = np.array(
+        [[swap_log_ratio(graph, bhat, model, v, vp) for vp in out1] for v in in1]
+    ).reshape(len(in1), len(out1))
+    score_in = ratios.mean(axis=1) if out1 else np.zeros(len(in1))
+    score_out = ratios.mean(axis=0) if in1 else np.zeros(len(out1))
+    return in1, score_in, out1, score_out
+
+
+class TestGeoMeanScores:
+    def assert_matches_per_pair(self, graph, bhat, model):
+        got = _geo_mean_scores(graph, bhat, model)
+        want = per_pair_scores(graph, bhat, model)
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
+
+    def test_random_instances(self, rng):
+        for _ in range(40):
+            graph, model = random_instance(rng, max_n=9, max_k=3)
+            self.assert_matches_per_pair(graph, random_bhat(rng, graph, model), model)
+
+    def test_clamped_lambda(self, rng):
+        # entries 0 and 1 are clamped; a random b-hat then puts edges where
+        # Lambda forbids them, so log(eps) terms enter the ratios
+        lam = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.5], [0.3, 0.5, 0.0]])
+        model = BlockModel(m_sizes=(2, 1, 1), n_sizes=(3, 3, 2), lam=lam)
+        for seed in range(5):
+            graph = sample_sbm(model, contiguous_assignment(model), seed)
+            self.assert_matches_per_pair(graph, random_bhat(rng, graph, model), model)
+
+    def test_empty_out_segment(self):
+        lam = np.array([[0.7, 0.3], [0.3, 0.7]])
+        model = BlockModel(m_sizes=(1, 1), n_sizes=(3, 0), lam=lam)
+        graph = sample_sbm(model, contiguous_assignment(model), 2)
+        bhat = contiguous_assignment(model)
+        self.assert_matches_per_pair(graph, bhat, model)
+        in1, score_in, out1, score_out = _geo_mean_scores(graph, bhat, model)
+        assert in1.tolist() == [2, 3, 4] and out1.tolist() == []
+        assert score_in.tolist() == [0.0, 0.0, 0.0] and score_out.size == 0
+
+
+class TestTieRule:
+    def test_isolated_vertices_in_id_order(self, rng):
+        lam = np.array([[0.6, 0.2], [0.2, 0.5]])
+        model = BlockModel(m_sizes=(2, 2), n_sizes=(4, 4), lam=lam)
+        for seed in range(5):
+            graph = sample_sbm(model, contiguous_assignment(model), seed)
+            bhat = random_bhat(rng, graph, model)
+            # isolate two ambiguous vertices of the same b-hat segment
+            segment = [v for v in range(model.m, model.num_vertices)
+                       if bhat.labels[v] == bhat.labels[model.m]]
+            pair = sorted(rng.choice(segment, size=2, replace=False).tolist())
+            adj = graph.adjacency.copy()
+            adj[pair, :] = False
+            adj[:, pair] = False
+            isolated = LabeledGraph(adjacency=adj, seed_labels=graph.seed_labels)
+            order = likelihood_nominate(isolated, model, bhat=bhat).order.tolist()
+            first, second = order.index(pair[0]), order.index(pair[1])
+            assert second == first + 1
+
+    def test_symmetric_blocks_in_id_order(self):
+        # Lambda and the block sizes are symmetric under swapping blocks 2
+        # and 3, and only block-1 vertices have edges, so every estimated
+        # block-2 or block-3 vertex has the same score in exact arithmetic.
+        # Computed, the two blocks' scores differ in the last bits for
+        # about half of these Lambdas; that must not reorder them.
+        ambiguous = [3, 1, 2, 3, 2, 1, 3, 2]
+        bhat = BlockAssignment([1, 1, 2, 3] + ambiguous)
+        block1 = [0, 1, 5, 9]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p00, p01, p11, p12 = rng.uniform(0.05, 0.95, size=4)
+            lam = np.array([[p00, p01, p01], [p01, p11, p12], [p01, p12, p11]])
+            model = BlockModel(m_sizes=(2, 1, 1), n_sizes=(2, 3, 3), lam=lam)
+            adj = np.zeros((12, 12), dtype=bool)
+            for i, a in enumerate(block1):
+                for b in block1[i + 1:]:
+                    adj[a, b] = adj[b, a] = rng.random() < 0.7
+            graph = LabeledGraph(adjacency=adj, seed_labels=[1, 1, 2, 3])
+            order = likelihood_nominate(graph, model, bhat=bhat).order.tolist()
+            assert order[2:] == [4 + i for i, k in enumerate(ambiguous) if k != 1]
 
 
 class TestLikelihoodNominate:
