@@ -33,7 +33,7 @@ from vnom.canonical import (
     conditional_block1_probability,
     enumerate_partitions,
 )
-from vnom.sgm import build_logodds_matrix, sgm_match, solve_lap
+from vnom.sgm import sgm_match, solve_lap, solve_transport
 from vnom.likelihood import (
     likelihood_nominate,
     mle_block_assignment,
@@ -52,7 +52,6 @@ __all__ = [
     "NominationList",
     "alpha_weights",
     "average_precision",
-    "build_logodds_matrix",
     "canonical_nominate",
     "clamp_probabilities",
     "conditional_block1_probability",
@@ -73,6 +72,7 @@ __all__ = [
     "sample_sbm",
     "sgm_match",
     "solve_lap",
+    "solve_transport",
     "spectral_nominate",
     "swap_log_ratio",
 ]

@@ -78,7 +78,11 @@ def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
 
 
 def _partition_matrix(n_sizes, guard):
-    """All partitions as a (count, n) int8 matrix, cached for small counts."""
+    """All partitions as a (count, n) int8 matrix, cached for small counts.
+
+    The cache keeps only the most recent n_sizes, so it holds at most one
+    matrix of up to _CACHE_LIMIT rows.
+    """
     key = tuple(int(s) for s in n_sizes)
     if key in _partition_cache:
         return _partition_cache[key]
@@ -90,6 +94,7 @@ def _partition_matrix(n_sizes, guard):
         )
     if count <= _CACHE_LIMIT:
         mat = np.array(list(enumerate_partitions(key, guard)), dtype=np.int8)
+        _partition_cache.clear()
         _partition_cache[key] = mat
         return mat
     return None

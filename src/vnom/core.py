@@ -86,6 +86,11 @@ class BlockModel:
     def clamped_lam(self, eps=PROB_EPS):
         return clamp_probabilities(self.lam, eps)
 
+    def log_odds(self, eps=PROB_EPS):
+        """The K x K matrix log(Lambda / (1 - Lambda)) of the clamped Lambda."""
+        lam = self.clamped_lam(eps)
+        return np.log(lam) - np.log1p(-lam)
+
 
 @dataclass(frozen=True)
 class LabeledGraph:

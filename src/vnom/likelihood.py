@@ -8,7 +8,7 @@ import numpy as np
 
 from vnom.core import PROB_EPS, BlockAssignment, block_edge_counts
 from vnom.metrics import NominationList
-from vnom.sgm import build_logodds_matrix, sgm_match
+from vnom.sgm import sgm_match
 
 # Relative tolerance under which two sorted scores of a segment are tied.
 TIE_RTOL = 1e-9
@@ -17,15 +17,15 @@ TIE_RTOL = 1e-9
 def mle_block_assignment(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
                          restarts=1, rng_seed=0):
     """Approximate argmax of p(b, G) over assignments agreeing with the
-    seeds, via seeded graph matching against the log-odds matrix."""
+    seeds, via seeded graph matching against the log-odds matrix: the
+    matching objective <A, H L H^T> is 2 log p(b, G) plus a constant of
+    the block sizes."""
     if graph.seed_count != model.m or graph.ambiguous_count != model.n:
         raise ValueError("graph does not match the model's seed/ambiguous sizes")
-    B, bprime = build_logodds_matrix(model, graph.seed_labels, eps=eps)
-    A = graph.adjacency.astype(float)
-    result = sgm_match(A, B, model.m, max_iter=max_iter, tol=tol,
+    result = sgm_match(graph.adjacency, model.log_odds(eps), graph.seed_labels,
+                       model.n_sizes, max_iter=max_iter, tol=tol,
                        restarts=restarts, rng_seed=rng_seed)
-    labels = bprime[result.perm]
-    bhat = BlockAssignment(labels)
+    bhat = BlockAssignment(result.labels)
     bhat.check_membership(model, graph.seed_labels)
     return bhat
 

@@ -1,6 +1,16 @@
-"""Seeded graph matching: maximize <A, P B P^T> over permutations fixing
-the seed prefix, by Frank-Wolfe iteration over the Birkhoff polytope with
-an exact linear-assignment step."""
+"""Seeded graph matching on block memberships.
+
+The likelihood scheme matches the graph against the block-constant matrix
+B = H L H^T, where L is the K x K log-odds matrix and H one-hot labels,
+maximizing <A, P B P^T> over permutations P that fix the seeds. With
+P = diag(I, Q), a doubly stochastic Q enters only through the n x K block
+memberships Y = Q S (S one-hot in the ambiguous block labels), so
+Frank-Wolfe runs on Y over the transportation polytope: rows sum to 1 and
+column k sums to n_k. Its vertices are the labelings with block sizes n_k
+(the polytope is integral by total unimodularity), and its linear step is
+an exact K-block transportation solve (the FAQ relaxation of Vogelstein et
+al. applied to seeded graph matching as in Fishkind et al.).
+"""
 
 from __future__ import annotations
 
@@ -9,9 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from vnom.core import PROB_EPS
+from vnom.core import block_edge_counts
 
 LEX_TIEBREAK_MAX = 30
+# Coordinate passes that set the block potentials before the exact
+# successive-shortest-path repair in solve_transport.
+TRANSPORT_PASSES = 2
 
 
 def solve_lap(cost, maximize=False):
@@ -62,147 +75,273 @@ def _lexicographic_assignment(cost, maximize, value):
     return chosen
 
 
-def build_logodds_matrix(model, seed_labels=None, eps=PROB_EPS):
-    """The matrix B with B[i, j] = log(lam/(1-lam)) indexed by the
-    contiguous canonical assignment: seed rows carry their given labels,
-    ambiguous rows are block 1 first, then block 2, and so on."""
-    lam = model.clamped_lam(eps)
-    logodds = np.log(lam) - np.log1p(-lam)
-    if seed_labels is None:
-        labels = []
-        for k, cnt in enumerate(model.m_sizes, start=1):
-            labels.extend([k] * cnt)
-        seed_labels = np.array(labels, dtype=int)
-    else:
-        seed_labels = np.asarray(seed_labels, dtype=int)
-        if len(seed_labels) != model.m:
-            raise ValueError("seed_labels must have length m")
-    amb = []
-    for k, cnt in enumerate(model.n_sizes, start=1):
-        amb.extend([k] * cnt)
-    bprime = np.concatenate([seed_labels, np.array(amb, dtype=int)]) - 1
-    return logodds[bprime[:, None], bprime[None, :]], bprime + 1
+def solve_transport(cost, sizes):
+    """Exactly optimal assignment of the rows of an n x K cost matrix to K
+    blocks of fixed sizes.
+
+    Maximizes sum_i cost[i, labels[i]] subject to exactly sizes[k] rows
+    taking label k, and returns (labels, value) with 0-based labels. Block
+    potentials u from a few coordinate passes on the dual put each row at
+    its best reduced cost cost[i, k] - u[k], which is optimal for the block
+    counts that produces; successive shortest paths on the K-node graph of
+    row moves then bring the counts to `sizes` while every row stays at its
+    best reduced cost. The result is deterministic.
+    """
+    cost = np.asarray(cost, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if cost.ndim != 2 or sizes.shape != (cost.shape[1],):
+        raise ValueError("cost must be n x K with one size per column")
+    if cost.shape[0] == 0:
+        raise ValueError("cost must have at least one row")
+    if (sizes < 0).any() or sizes.sum() != cost.shape[0]:
+        raise ValueError("sizes must be nonnegative and sum to the number of rows")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost entries must be finite")
+    blocks = np.flatnonzero(sizes)
+    sub, need = cost[:, blocks], sizes[blocks]
+    u = _block_potentials(sub, need)
+    labels = blocks[_balance(sub, need, np.argmax(sub - u, axis=1), u)]
+    return labels, float(cost[np.arange(len(labels)), labels].sum())
+
+
+def _block_potentials(cost, sizes):
+    """Coordinate passes on the transportation dual: with the other
+    potentials fixed, u[k] is set between the sizes[k]-th and the next
+    largest lead of block k over each row's best other block, so that
+    sizes[k] rows prefer block k (up to ties at the threshold)."""
+    n, K = cost.shape
+    u = np.zeros(K)
+    if K == 1:
+        return u
+    for _ in range(TRANSPORT_PASSES):
+        for k in range(K):
+            reduced = cost - u
+            reduced[:, k] = -np.inf
+            lead = cost[:, k] - reduced.max(axis=1)
+            cut = n - sizes[k]
+            # a full stable sort, not np.partition: its library code is
+            # already resident for the rankings, which keeps peak RSS down
+            low, high = np.sort(lead, kind="stable")[cut - 1 : cut + 1]
+            u[k] = 0.5 * (low + high)
+    return u
+
+
+def _balance(cost, sizes, labels, u):
+    """Successive shortest paths from over-full to under-full blocks.
+
+    Every row sits at its best reduced cost cost[i, k] - u[k], so moving a
+    row from block a to block b loses a margin >= 0 of reduced cost. On the
+    K-node graph whose edge a -> b carries the smallest such loss over a's
+    rows, one row moves along each edge of a shortest path from an
+    over-full to an under-full block, and u drops by the path distances
+    (capped at the target's), which keeps every row at its best reduced
+    cost. Each round moves one unit of excess; labels and u are updated in
+    place.
+    """
+    n, K = cost.shape
+    rows, cols = np.arange(n), np.arange(K)
+    counts = np.bincount(labels, minlength=K)
+    while (counts != sizes).any():
+        reduced = cost - u
+        margin = np.maximum(reduced[rows, labels][:, None] - reduced, 0.0)
+        weight = np.full((K, K), np.inf)
+        mover = np.zeros((K, K), dtype=np.intp)
+        for a in np.flatnonzero(counts):
+            members = np.flatnonzero(labels == a)
+            mover[a] = members[np.argmin(margin[members], axis=0)]
+            weight[a] = margin[mover[a], cols]
+        np.fill_diagonal(weight, np.inf)
+        # Bellman-Ford from every over-full block; weights are nonnegative,
+        # so strict improvements keep the predecessor graph a forest
+        dist = np.where(counts > sizes, 0.0, np.inf)
+        pred = np.full(K, -1)
+        for _ in range(K - 1):
+            through = dist[:, None] + weight
+            via = np.argmin(through, axis=0)
+            best = through[via, cols]
+            shorter = best < dist
+            if not shorter.any():
+                break
+            dist[shorter] = best[shorter]
+            pred[shorter] = via[shorter]
+        target = int(np.argmin(np.where(counts < sizes, dist, np.inf)))
+        b = target
+        while pred[b] >= 0:
+            a = pred[b]
+            labels[mover[a, b]] = b
+            counts[a] -= 1
+            counts[b] += 1
+            b = a
+        u -= np.minimum(dist, dist[target])
+    return labels
 
 
 @dataclass
 class SgmResult:
-    """Outcome of one seeded-graph-matching solve."""
+    """Outcome of one seeded-graph-matching solve.
 
-    perm: np.ndarray
+    labels holds the 1-based block of every vertex, seeds first; objective
+    is <A, H L H^T> at those labels; relaxed_objectives is the Frank-Wolfe
+    history of the winning start.
+    """
+
+    labels: np.ndarray
     objective: float
     relaxed_objectives: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
 
 
-def _relaxed_terms(A, B, m):
-    N = A.shape[0]
-    A12, A21, A22 = A[:m, m:], A[m:, :m], A[m:, m:]
-    B12, B21, B22 = B[:m, m:], B[m:, :m], B[m:, m:]
-    const = float(np.sum(A[:m, :m] * B[:m, :m]))
-    linear = A21 @ B21.T + A12.T @ B12
-    return const, linear, A22, B22
+def _relaxation(adjacency, logodds, seed_labels):
+    """(const, C, A22) of the relaxed objective on block memberships,
 
+        f(Y) = const + <C, Y> + <Y, A22 Y L^T>,
 
-def sgm_match(A, B, m, max_iter=20, tol=1e-6, restarts=1, rng_seed=0, polish=True):
-    """Approximately maximize <A, P B P^T> over permutations whose upper
-    left m x m corner is the identity.
-
-    Frank-Wolfe from the flat doubly stochastic start, with the ascent
-    direction from an exact LAP on the gradient and exact line search on
-    the 1-D quadratic. Extra restarts begin at random permutations; each
-    projected candidate gets a 2-swap hill climb (polish) and the best
-    true objective wins, earliest start on ties.
+    which is <A, P B P^T> at P = diag(I, Q) for Y = Q S. With H_s the
+    seeds' one-hot labels, const = <A11, H_s L H_s^T> and
+    C = (A21 H_s) L^T + (A12^T H_s) L = (A21 H_s)(L^T + L), as A is
+    symmetric.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    N = A.shape[0]
-    if A.shape != (N, N) or B.shape != (N, N):
-        raise ValueError("A and B must be square and of equal size")
-    if not 0 <= m < N:
-        raise ValueError("need 0 <= m < number of vertices")
-    n = N - m
-    const, linear, A22, B22 = _relaxed_terms(A, B, m)
+    m, K = len(seed_labels), len(logodds)
+    to_seeds = block_edge_counts(adjacency[:, :m], seed_labels, K)
+    seed_blocks = np.eye(K, dtype=np.int64)[np.asarray(seed_labels, dtype=int) - 1]
+    const = float(np.sum((seed_blocks.T @ to_seeds[:m]) * logodds))
+    C = to_seeds[m:] @ (logodds.T + logodds)
+    return const, C, adjacency[m:, m:].astype(float)
 
-    starts = [np.full((n, n), 1.0 / n)]
+
+def _objective(Y, AY, const, C, L):
+    """f(Y) given AY = A22 Y."""
+    return const + float(np.sum(C * Y)) + float(np.sum(Y * (AY @ L.T)))
+
+
+def _gradient(AY, C, L):
+    """grad f(Y) = C + A22 Y L^T + A22^T Y L given AY = A22 Y, with A22
+    symmetric."""
+    return C + AY @ (L.T + L)
+
+
+def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
+              restarts=1, rng_seed=0):
+    """Approximately maximize <A, H L H^T> over block labelings H that keep
+    the seeds' labels and put n_sizes[k] ambiguous vertices in block k+1.
+
+    adjacency is the symmetric N x N adjacency with the m = len(seed_labels)
+    seeds first; logodds is the symmetric K x K matrix L. Frank-Wolfe on
+    the n x K block memberships starts at the flat point (every row equal
+    to n_sizes / n) and runs until the relaxed objective changes by at
+    most tol (relative) or max_iter steps; each step's direction is an
+    exact transportation solve on the gradient, followed by exact line
+    search on the 1-D quadratic. Extra restarts begin at the one-hot
+    labels of random permutations of the contiguous slot labels; each
+    iterate is projected by one more transportation solve and then
+    polished by steepest-ascent label swaps. The best objective wins,
+    earliest start on ties.
+    """
+    adjacency = np.asarray(adjacency)
+    logodds = np.asarray(logodds, dtype=float)
+    seed_labels = np.asarray(seed_labels, dtype=int)
+    sizes = np.asarray(n_sizes, dtype=np.int64)
+    N, m, K = adjacency.shape[0], len(seed_labels), len(logodds)
+    if adjacency.shape != (N, N) or not (adjacency == adjacency.T).all():
+        raise ValueError("adjacency must be square and symmetric")
+    if logodds.shape != (K, K) or sizes.shape != (K,):
+        raise ValueError("logodds must be K x K with one size per block")
+    if (sizes < 0).any() or m + sizes.sum() != N or m == N:
+        raise ValueError("need nonnegative n_sizes covering the N - m >= 1 ambiguous vertices")
+    if m and not (1 <= seed_labels.min() and seed_labels.max() <= K):
+        raise ValueError("seed labels must lie in 1..K")
+    n = N - m
+    const, C, A22 = _relaxation(adjacency, logodds, seed_labels)
+
+    onehot = np.eye(K)
+    slots = np.repeat(np.arange(K), sizes)
+    starts = [np.tile(sizes / n, (n, 1))]
     if restarts > 1:
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, 0x5367)))
         for _ in range(restarts - 1):
-            starts.append(np.eye(n)[rng.permutation(n)])
+            starts.append(onehot[slots[rng.permutation(n)]])
 
     best = None
-    for Q0 in starts:
-        Q, _, history, iters, converged = _frank_wolfe(
-            Q0, const, linear, A22, B22, max_iter, tol
+    for Y0 in starts:
+        Y, history, iters, converged = _frank_wolfe(
+            Y0, sizes, const, C, A22, logodds, max_iter, tol
         )
-        col, _ = solve_lap(Q, maximize=True)
-        perm = np.concatenate([np.arange(m), m + col])
-        if polish:
-            perm, objective = _two_swap_polish(A, B, perm, m)
-        else:
-            objective = float(np.sum(A * B[perm[:, None], perm[None, :]]))
-        if best is None or objective > best[1] + 1e-12:
-            best = (perm, objective, history, iters, converged)
-    perm, objective, history, iters, converged = best
-    return SgmResult(
-        perm=perm,
-        objective=objective,
-        relaxed_objectives=history,
-        iterations=iters,
-        converged=converged,
-    )
+        ambiguous, _ = solve_transport(Y, sizes)
+        R = onehot[ambiguous]
+        objective = _objective(R, A22 @ R, const, C, logodds)
+        labels = np.concatenate([seed_labels, ambiguous + 1])
+        labels, objective, _ = _polish(adjacency, labels, m, logodds, objective)
+        if best is None or objective > best.objective + 1e-12:
+            best = SgmResult(labels=labels, objective=objective,
+                             relaxed_objectives=history, iterations=iters,
+                             converged=converged)
+    return best
 
 
-def _two_swap_polish(A, B, perm, m, max_sweeps=None):
-    """Steepest-ascent hill climb over pairwise swaps of the ambiguous
-    positions of perm; returns the polished permutation and its
-    objective."""
-    N = len(perm)
-    n = N - m
-    perm = perm.copy()
-    objective = float(np.sum(A * B[perm[:, None], perm[None, :]]))
-    if n < 2:
-        return perm, objective
-    if max_sweeps is None:
-        max_sweeps = max(100, 2 * n)
-    A_amb = A[m:, :]
-    for _ in range(max_sweeps):
-        Bp = B[perm[:, None], perm[None, :]]
-        G = A_amb @ Bp[m:, :].T
-        g = np.diag(G)
-        bdiag = np.diag(Bp[m:, m:])
-        # unordered-pair gain of swapping ambiguous positions i and j
-        delta = (
-            G + G.T - g[:, None] - g[None, :]
-            - A[m:, m:] * (bdiag[:, None] + bdiag[None, :] - 2.0 * Bp[m:, m:])
-        )
-        np.fill_diagonal(delta, -np.inf)
-        i, j = np.unravel_index(np.argmax(delta), delta.shape)
-        gain = 2.0 * delta[i, j]
-        if gain <= 1e-10 * max(1.0, abs(objective)):
+def _polish(adjacency, labels, m, L, objective):
+    """Steepest-ascent hill climb over label swaps of ambiguous vertices.
+
+    labels holds the 1-based labels of all vertices, the m seeds first.
+    With E the block edge counts (core.block_edge_counts) of the ambiguous
+    vertices and F = E L, swapping ambiguous v in block a and v' in block c
+    changes the objective by
+
+        2 (F[v, c] - F[v, a] + F[v', a] - F[v', c]
+           - A[v, v'] (L[a, a] + L[c, c] - 2 L[a, c])),
+
+    twice their swap log-likelihood ratio, since the objective is
+    2 log p(b, G) less a constant of the block sizes. A swap changes F by
+    the rank-one (A[:, v] - A[:, v']) (L[c] - L[a]). Returns the polished
+    labels, their objective and the swaps made as (v, v', gain), with v and
+    v' indexing the ambiguous vertices.
+    """
+    K = len(L)
+    labels = np.array(labels)
+    amb = labels[m:]  # a view: swaps write through to labels
+    A = adjacency[m:]
+    F = block_edge_counts(A, labels, K) @ L
+    kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
+    swaps = []
+    for _ in range(max(100, 2 * len(amb))):
+        members = [np.flatnonzero(amb == k + 1) for k in range(K)]
+        half, pick = -np.inf, None
+        for a in range(K):
+            for c in range(a + 1, K):
+                Ia, Ic = members[a], members[c]
+                if not len(Ia) or not len(Ic):
+                    continue
+                gains = ((F[Ia, c] - F[Ia, a])[:, None] + (F[Ic, a] - F[Ic, c])[None, :]
+                         - kappa[a, c] * A[np.ix_(Ia, m + Ic)])
+                flat = int(np.argmax(gains))
+                if gains.flat[flat] > half:
+                    half = gains.flat[flat]
+                    pick = (Ia[flat // len(Ic)], Ic[flat % len(Ic)], a, c)
+        gain = 2.0 * half
+        if pick is None or gain <= 1e-10 * max(1.0, abs(objective)):
             break
-        perm[m + i], perm[m + j] = perm[m + j], perm[m + i]
+        v, w, a, c = pick
+        amb[v], amb[w] = c + 1, a + 1
+        F += np.subtract(A[:, m + v], A[:, m + w], dtype=float)[:, None] * (L[c] - L[a])
         objective += gain
-    return perm, objective
+        swaps.append((int(v), int(w), float(gain)))
+    return labels, objective, swaps
 
 
-def _relaxed_objective(Q, const, linear, A22, B22):
-    return const + float(np.sum(Q * linear)) + float(np.sum(A22 * (Q @ B22 @ Q.T)))
-
-
-def _frank_wolfe(Q, const, linear, A22, B22, max_iter, tol):
-    f = _relaxed_objective(Q, const, linear, A22, B22)
+def _frank_wolfe(Y, sizes, const, C, A22, L, max_iter, tol):
+    onehot = np.eye(len(L))
+    AY = A22 @ Y
+    f = _objective(Y, AY, const, C, L)
     history = [f]
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        grad = linear + A22 @ Q @ B22.T + A22.T @ Q @ B22
-        col, _ = solve_lap(grad, maximize=True)
-        R = np.zeros_like(Q)
-        R[np.arange(len(col)), col] = 1.0
-        D = R - Q
-        a = float(np.sum(A22 * (D @ B22 @ D.T)))
-        b = float(np.sum(D * linear)) + float(np.sum(A22 * (Q @ B22 @ D.T + D @ B22 @ Q.T)))
+        labels, _ = solve_transport(_gradient(AY, C, L), sizes)
+        D = onehot[labels] - Y
+        AD = A22 @ D
+        ADL = AD @ L.T
+        a = float(np.sum(D * ADL))
+        b = float(np.sum(D * C)) + float(np.sum(Y * ADL)) + float(np.sum(D * (AY @ L.T)))
         if a < -1e-12:
             alpha = min(1.0, max(0.0, -b / (2.0 * a)))
         elif a > 1e-12:
@@ -211,12 +350,13 @@ def _frank_wolfe(Q, const, linear, A22, B22, max_iter, tol):
         else:
             alpha = 1.0 if b > 0.0 else 0.0
         if alpha > 0.0:
-            Q = Q + alpha * D
-        f_new = _relaxed_objective(Q, const, linear, A22, B22)
+            Y = Y + alpha * D
+            AY = AY + alpha * AD
+        f_new = _objective(Y, AY, const, C, L)
         history.append(f_new)
         if abs(f_new - f) <= tol * max(1.0, abs(f)):
             f = f_new
             converged = True
             break
         f = f_new
-    return Q, f, history, iters, converged
+    return Y, history, iters, converged

@@ -36,7 +36,7 @@ from vnom.core import (
 )
 from vnom.harness import emit_results, load_config, parse_config, run_simulation
 from vnom.metrics import NominationList, alpha_weights, average_precision
-from vnom.sgm import build_logodds_matrix, sgm_match, solve_lap
+from vnom.sgm import sgm_match, solve_lap
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -126,26 +126,41 @@ def test_canonical_oracle_equivalence():
         assert scores.prob.sum() == pytest.approx(model.n_sizes[0], abs=1e-9)
 
 
+def partition_log_likelihoods(graph, model, partitions):
+    """log p(b, G) for every row of a partition matrix, in one pass: a
+    direct sum over all vertex pairs of log Lambda or log(1 - Lambda)."""
+    lam = clamp_probabilities(model.lam)
+    labels0 = np.concatenate(
+        [np.broadcast_to(graph.seed_labels, (len(partitions), model.m)), partitions], axis=1
+    ) - 1
+    iu, ju = np.triu_indices(model.num_vertices, k=1)
+    table = np.where(graph.adjacency[iu, ju], np.log(lam)[..., None], np.log1p(-lam)[..., None])
+    return table[labels0[:, iu], labels0[:, ju], np.arange(len(iu))].sum(axis=1)
+
+
 def test_sgm_quality():
     model = BlockModel(m_sizes=(4, 0, 0), n_sizes=(4, 3, 3), lam=BASE_LAMBDA)
-    partitions = [p.copy() for p in enumerate_partitions(model.n_sizes)]
+    partitions = np.array([p.copy() for p in enumerate_partitions(model.n_sizes)])
+    logodds = model.log_odds()
     hits = 0
     trials = 200
     for trial in range(trials):
         graph = sample_sbm(model, contiguous_assignment(model), 50_000 + trial)
-        B, bprime = build_logodds_matrix(model, graph.seed_labels)
-        A = graph.adjacency.astype(float)
-        result = sgm_match(A, B, model.m, restarts=20, rng_seed=trial)
+        result = sgm_match(graph.adjacency, logodds, graph.seed_labels, model.n_sizes,
+                           restarts=20, rng_seed=trial)
         # the relaxed objective must never decrease across iterations
         hist = result.relaxed_objectives
         for prev, nxt in zip(hist, hist[1:]):
             assert nxt >= prev - 1e-8 * max(1.0, abs(prev))
-        bhat = BlockAssignment(bprime[result.perm])
+        bhat = BlockAssignment(result.labels)
         achieved = log_likelihood(graph, bhat, model)
-        best = -np.inf
-        for part in partitions:
-            full = BlockAssignment(np.concatenate([graph.seed_labels, part]))
-            best = max(best, log_likelihood(graph, full, model))
+        everything = partition_log_likelihoods(graph, model, partitions)
+        # the vectorised oracle agrees with log_likelihood on its maximum
+        # and on a few fixed partitions
+        for row in (int(np.argmax(everything)), 0, trial % len(partitions), len(partitions) - 1):
+            full = BlockAssignment(np.concatenate([graph.seed_labels, partitions[row]]))
+            assert everything[row] == pytest.approx(log_likelihood(graph, full, model), abs=1e-9)
+        best = float(everything.max())
         if achieved >= best - 1e-9:
             hits += 1
     assert hits >= 0.95 * trials, f"exhaustive maximum attained in {hits}/{trials}"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_symmetric_lambda
+from vnom import canonical
 from vnom.canonical import (
+    DEFAULT_GUARD,
     InfeasibleEnumerationError,
     canonical_nominate,
     conditional_block1_probability,
@@ -61,6 +63,13 @@ class TestEnumeratePartitions:
     def test_guard(self):
         with pytest.raises(InfeasibleEnumerationError):
             list(enumerate_partitions((10, 10, 10), guard=100))
+
+    def test_cache_keeps_only_latest_sizes(self):
+        first = canonical._partition_matrix((2, 1), DEFAULT_GUARD)
+        assert list(canonical._partition_cache) == [(2, 1)]
+        second = canonical._partition_matrix((1, 2, 1), DEFAULT_GUARD)
+        assert list(canonical._partition_cache) == [(1, 2, 1)]
+        assert first.shape == (3, 3) and second.shape == (12, 4)
 
 
 class TestConditionalProbability:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import BASE_LAMBDA, random_instance
+from vnom.canonical import enumerate_partitions
 from vnom.core import (
     BlockAssignment,
     BlockModel,
@@ -18,6 +19,7 @@ from vnom.likelihood import (
     mle_block_assignment,
     swap_log_ratio,
 )
+from vnom.sgm import sgm_match
 
 
 def random_bhat(rng, graph, model):
@@ -51,6 +53,62 @@ class TestMleBlockAssignment:
             graph, model = random_instance(rng, max_n=6, max_k=3)
             bhat = mle_block_assignment(graph, model)
             bhat.check_membership(model, graph.seed_labels)
+
+
+    def test_unconverged_matcher_still_swap_optimal(self):
+        # one Frank-Wolfe step cannot converge from the flat start, but the
+        # polish still leaves no block-1 swap that raises the likelihood
+        model = BlockModel(m_sizes=(4, 2, 2), n_sizes=(20, 20, 20), lam=BASE_LAMBDA)
+        graph = sample_sbm(model, contiguous_assignment(model), 5)
+        result = sgm_match(graph.adjacency, model.log_odds(), graph.seed_labels,
+                           model.n_sizes, max_iter=1)
+        assert result.iterations == 1 and not result.converged
+        bhat = mle_block_assignment(graph, model, max_iter=1)
+        assert bhat.labels.tolist() == result.labels.tolist()
+        assert_no_positive_swap(graph, bhat, model)
+
+    def test_clamped_lambda(self):
+        # entries 0 and 1 are clamped to eps and 1 - eps before the log-odds
+        lam = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.5], [0.3, 0.5, 0.0]])
+        model = BlockModel(m_sizes=(2, 1, 1), n_sizes=(3, 3, 2), lam=lam)
+        for seed in range(5):
+            graph = sample_sbm(model, contiguous_assignment(model), seed)
+            bhat = mle_block_assignment(graph, model, restarts=10)
+            bhat.check_membership(model, graph.seed_labels)
+            assert np.isfinite(log_likelihood(graph, bhat, model))
+            assert_no_positive_swap(graph, bhat, model)
+            assert log_likelihood(graph, bhat, model) == pytest.approx(
+                exhaustive_log_likelihood(graph, model), abs=1e-9)
+
+    def test_empty_middle_block(self):
+        lam = np.array([[0.7, 0.2, 0.3], [0.2, 0.6, 0.1], [0.3, 0.1, 0.5]])
+        model = BlockModel(m_sizes=(2, 1, 1), n_sizes=(3, 0, 2), lam=lam)
+        for seed in range(5):
+            graph = sample_sbm(model, contiguous_assignment(model), seed)
+            bhat = mle_block_assignment(graph, model, restarts=5)
+            assert 2 not in bhat.labels[model.m:].tolist()
+            bhat.check_membership(model, graph.seed_labels)
+            assert_no_positive_swap(graph, bhat, model)
+            assert log_likelihood(graph, bhat, model) == pytest.approx(
+                exhaustive_log_likelihood(graph, model), abs=1e-9)
+
+
+def assert_no_positive_swap(graph, bhat, model):
+    """No swap of an estimated block-1 vertex with an ambiguous vertex
+    outside block 1 raises log p(b-hat, G)."""
+    labels, m = bhat.labels, graph.seed_count
+    tol = 1e-9 * max(1.0, abs(log_likelihood(graph, bhat, model)))
+    for v in range(m, graph.num_vertices):
+        for vp in range(m, graph.num_vertices):
+            if labels[v] == 1 and labels[vp] != 1:
+                assert swap_log_ratio(graph, bhat, model, v, vp) <= tol
+
+
+def exhaustive_log_likelihood(graph, model):
+    return max(
+        log_likelihood(graph, BlockAssignment(np.concatenate([graph.seed_labels, part])), model)
+        for part in enumerate_partitions(model.n_sizes)
+    )
 
 
 class TestSwapLogRatio:
