@@ -7,12 +7,23 @@ Block labels are 1..K everywhere (matching the 1-based file formats).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PROB_EPS = 1e-6
+
+# Rows of the boolean adjacency converted per tile by adjacency_product. With
+# the bundled OpenBLAS (one thread), tile heights that are multiples of 16 gave
+# every entry of a matrix-vector product the same bits as one dgemv over the
+# whole float64 matrix at N = 2,041, 3,001, 5,002 and 10,040; heights 1, 3, 5,
+# 13 and 17 changed the last bits (up to 1.6e-13) at some of those N. A
+# 16 x 10,040 float64 tile is 1.25 MiB and stays in L2, and at N = 10,040 one
+# product took 65 ms against 75 ms for dgemv over the float64 copy (32 to 256
+# rows: 79 to 86 ms). Products with several columns (dgemm) in 16-row tiles
+# changed the last bits (up to 8e-13 for N x 3 at N = 2,041 and 5,002); they
+# are exact for integer-valued X.
+_TILE_ROWS = 16
 
 
 class SizeMismatchError(ValueError):
@@ -92,6 +103,24 @@ class BlockModel:
         return np.log(lam) - np.log1p(-lam)
 
 
+# Rows per strip of the symmetry check. One strip's temporary is 128 x N
+# booleans (1.3 MB at N = 10,040). 128 rows were no slower than the whole-matrix
+# comparison at N = 14 to 520 and took half its time at N = 2,040 and 10,040;
+# 16 rows took 2 to 3 times as long at N = 300 and 520.
+_SYMMETRY_ROWS = 128
+
+
+def _is_symmetric(adj):
+    """Compare each strip of rows on and right of the diagonal with the
+    matching strip of columns, so no N x N temporary is allocated."""
+    N = adj.shape[0]
+    for start in range(0, N, _SYMMETRY_ROWS):
+        stop = min(start + _SYMMETRY_ROWS, N)
+        if not np.array_equal(adj[start:stop, start:], adj[start:, start:stop].T):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple undirected graph with seed labels and optional hidden truth.
@@ -121,7 +150,7 @@ class LabeledGraph:
             raise SizeMismatchError("adjacency must be square")
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed (simple graph)")
-        if not (adj == adj.T).all():
+        if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         if seed.ndim != 1 or len(seed) > N:
             raise SizeMismatchError("seed_labels must cover a prefix of the vertices")
@@ -245,19 +274,37 @@ def sample_sbm_blockwise(model, membership, rng_seed):
     )
 
 
+def adjacency_product(adjacency, X):
+    """A·X in float64 for a boolean N x M matrix A and a float X of shape M
+    or M x K, without a float copy of A.
+
+    adjacency may be any 2-D view. Its rows are converted _TILE_ROWS at a
+    time into one reused float64 buffer, and each tile is multiplied by X
+    into its rows of the result.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    N, M = adjacency.shape
+    out = np.empty((N,) + X.shape[1:])
+    buf = np.empty((min(_TILE_ROWS, N), M))
+    for start in range(0, N, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, N)
+        tile = buf[: stop - start]
+        np.copyto(tile, adjacency[start:stop])
+        np.dot(tile, X, out=out[start:stop])
+    return out
+
+
 def block_edge_counts(adjacency, labels, K):
     """E = A·H, the edge counts from each row vertex to each block.
 
     adjacency is a boolean matrix whose columns carry the 1-based block
     labels in `labels`; E[v, k] counts the edges from row v to the columns
     labeled k+1. The N x K matrix E is the one kernel behind the block edge
-    counts (H^T·E) and the likelihood scheme's swap ratios.
+    counts (H^T·E) and the likelihood scheme's swap ratios. The float
+    product is exact, because it sums 0/1 values.
     """
-    labels0 = np.asarray(labels) - 1
-    counts = np.zeros((adjacency.shape[0], K), dtype=np.int64)
-    for k in range(K):
-        counts[:, k] = np.count_nonzero(adjacency[:, labels0 == k], axis=1)
-    return counts
+    onehot = np.eye(K)[np.asarray(labels) - 1]
+    return adjacency_product(adjacency, onehot).astype(np.int64)
 
 
 def edge_counts(graph, assignment):
@@ -302,30 +349,30 @@ def estimate_lambda(graph, K, seeds_only=True, eps=PROB_EPS):
     graph is censused.
     """
     if seeds_only:
-        seed = graph.seed_labels
-        adj = graph.adjacency[: graph.seed_count, : graph.seed_count]
+        labels = graph.seed_labels
+        graph = LabeledGraph(
+            adjacency=graph.adjacency[: graph.seed_count, : graph.seed_count],
+            seed_labels=labels,
+        )
     else:
         if graph.true_labels is None:
             raise ValueError("full-census estimation requires true_labels")
-        seed = np.concatenate([graph.seed_labels, graph.true_labels])
-        adj = graph.adjacency
-    lam = np.zeros((K, K))
-    for k in range(1, K + 1):
-        ik = np.flatnonzero(seed == k)
-        if len(ik) < 2:
+        labels = np.concatenate([graph.seed_labels, graph.true_labels])
+    sizes = np.bincount(labels[labels <= K], minlength=K + 1)[1:]
+    for k in range(K):
+        if sizes[k] < 2:
             raise ValueError(
-                f"block {k} has {len(ik)} seed(s); need at least 2 to estimate "
+                f"block {k + 1} has {sizes[k]} seed(s); need at least 2 to estimate "
                 "the within-block density"
             )
-        sub = adj[np.ix_(ik, ik)]
-        lam[k - 1, k - 1] = np.triu(sub, k=1).sum() / math.comb(len(ik), 2)
-        for l in range(k + 1, K + 1):
-            il = np.flatnonzero(seed == l)
-            if len(il) == 0:
-                raise ValueError(f"block {l} has no seeds")
-            dens = adj[np.ix_(ik, il)].sum() / (len(ik) * len(il))
-            lam[k - 1, l - 1] = lam[l - 1, k - 1] = dens
-    return clamp_probabilities(lam, eps)
+        empty = np.flatnonzero(sizes[k + 1 :] == 0)
+        if len(empty):
+            raise ValueError(f"block {k + empty[0] + 2} has no seeds")
+    counts = edge_counts(graph, BlockAssignment(labels))
+    # both counts are upper triangular; mirror them before dividing
+    e = counts.e[:K, :K]
+    edges, pairs = (t + np.triu(t, k=1).T for t in (e, e + counts.c[:K, :K]))
+    return clamp_probabilities(edges / pairs, eps)
 
 
 def mix_lambda(base, theta):
@@ -416,9 +463,9 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
             f"{labels_path}: seed vertices must be exactly 1..{m} (got {seed_ids})"
         )
     adj = np.zeros((N, N), dtype=bool)
-    for a, b in edges:
-        adj[a - 1, b - 1] = True
-        adj[b - 1, a - 1] = True
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
+    adj[ends[:, 0], ends[:, 1]] = True
+    adj[ends[:, 1], ends[:, 0]] = True
     return LabeledGraph(
         adjacency=adj,
         seed_labels=np.array([blk for _, blk in seed_pairs], dtype=int),

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE_LAMBDA, random_symmetric_lambda
+from vnom import core
 from vnom.core import (
     PROB_EPS,
     BlockAssignment,
     BlockModel,
     LabeledGraph,
     ParseError,
+    adjacency_product,
+    block_edge_counts,
     contiguous_assignment,
     edge_counts,
     estimate_lambda,
@@ -120,10 +123,68 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
 
+    @pytest.mark.parametrize("pair", [(-2, -1), (-1, 3)])
+    def test_asymmetry_in_last_partial_strip_rejected(self, rng, pair):
+        N = 2 * core._SYMMETRY_ROWS + 5
+        upper = np.triu(rng.random((N, N)) < 0.3, k=1)
+        adj = upper | upper.T
+        LabeledGraph(adjacency=adj.copy(), seed_labels=np.array([1]))
+        i, j = pair
+        adj[i, j] = not adj[j, i]
+        with pytest.raises(ValueError, match="symmetric"):
+            LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
+
     def test_ambiguous_vertices(self):
         adj = np.zeros((4, 4), dtype=bool)
         graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
         assert graph.ambiguous_vertices().tolist() == [1, 2, 3]
+
+
+def random_adjacency(rng, N, p=0.3):
+    upper = np.triu(rng.random((N, N)) < p, k=1)
+    return upper | upper.T
+
+
+class TestAdjacencyProduct:
+    @pytest.mark.parametrize("N", [0, 1, 5, 16, 37, 100])
+    @pytest.mark.parametrize("view", ["whole", "rows_past_m", "first_m_columns"])
+    @pytest.mark.parametrize("cols", [None, 1, 3])
+    def test_matches_dense_product(self, rng, N, view, cols):
+        adj = random_adjacency(rng, N)
+        m = N // 3
+        A = {"whole": adj, "rows_past_m": adj[m:, :m], "first_m_columns": adj[:, :m]}[view]
+        shape = (A.shape[1],) if cols is None else (A.shape[1], cols)
+        dense = A.astype(float)
+        counts = rng.integers(0, 2, size=shape).astype(float)
+        assert np.array_equal(adjacency_product(A, counts), dense @ counts)
+        X = rng.normal(size=shape)
+        result = adjacency_product(A, X)
+        assert result.dtype == np.float64 and result.shape == (A.shape[0],) + shape[1:]
+        assert np.allclose(result, dense @ X, rtol=0.0, atol=1e-12)
+
+    def test_no_columns(self, rng):
+        A = random_adjacency(rng, 20)[:, :0]
+        assert np.array_equal(adjacency_product(A, np.zeros(0)), np.zeros(20))
+        assert np.array_equal(adjacency_product(A, np.zeros((0, 2))), np.zeros((20, 2)))
+
+
+class TestBlockEdgeCounts:
+    @pytest.mark.parametrize("N", [1, 14, 37, 300])
+    def test_matches_count_nonzero(self, rng, N):
+        adj = random_adjacency(rng, N)
+        K = 4
+        labels = rng.integers(1, K, size=N)  # block 4 is empty
+        m = N // 3
+        for rows, columns in [(slice(None), slice(None)), (slice(m, None), slice(None, m))]:
+            A = adj[rows, columns]
+            labels0 = labels[columns] - 1
+            expected = np.zeros((A.shape[0], K), dtype=np.int64)
+            for k in range(K):
+                expected[:, k] = np.count_nonzero(A[:, labels0 == k], axis=1)
+            counts = block_edge_counts(A, labels[columns], K)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected)
+            assert not counts[:, K - 1].any()
 
 
 class TestEdgeCounts:
@@ -242,6 +303,31 @@ class TestEstimateLambda:
         lam = estimate_lambda(graph, 2)
         assert lam[0, 0] == pytest.approx(2 / 3)
 
+    def test_empty_later_block_named(self):
+        graph = self._graph(np.zeros((5, 5), dtype=bool), [1, 1, 2, 1, 2])
+        with pytest.raises(ValueError, match="block 3 has no seeds"):
+            estimate_lambda(graph, 3)
+
+    @pytest.mark.parametrize("seeds_only", [True, False])
+    def test_matches_pairwise_densities(self, rng, seeds_only):
+        N, m, K = 60, 30, 3
+        adj = random_adjacency(rng, N)
+        labels = np.concatenate([np.repeat([1, 2, 3], 10), rng.integers(1, K + 1, N - m)])
+        graph = LabeledGraph(adjacency=adj, seed_labels=labels[:m], true_labels=labels[m:])
+        if seeds_only:
+            adj, labels = adj[:m, :m], labels[:m]
+        expected = np.zeros((K, K))
+        for k in range(1, K + 1):
+            ik = np.flatnonzero(labels == k)
+            sub = adj[np.ix_(ik, ik)]
+            expected[k - 1, k - 1] = np.triu(sub, k=1).sum() / math.comb(len(ik), 2)
+            for l in range(k + 1, K + 1):
+                il = np.flatnonzero(labels == l)
+                dens = adj[np.ix_(ik, il)].sum() / (len(ik) * len(il))
+                expected[k - 1, l - 1] = expected[l - 1, k - 1] = dens
+        lam = estimate_lambda(graph, K, seeds_only=seeds_only, eps=0.0)
+        assert np.array_equal(lam, expected)
+
 
 class TestMixLambda:
     def test_identity_at_one(self):
@@ -289,6 +375,13 @@ class TestLoadEdgeList:
         graph = load_edge_list(edges)
         assert graph.num_vertices == 5
         assert not graph.adjacency[4].any()
+
+    def test_header_only_gives_empty_graph(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("#vertices 3\n")
+        graph = load_edge_list(edges)
+        assert graph.num_vertices == 3
+        assert not graph.adjacency.any()
 
     def test_header_smaller_than_max_id_rejected(self, tmp_path):
         edges = tmp_path / "edges.txt"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vnom import spectral
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, sample_sbm
 from vnom.spectral import (
     choose_block1_centroid,
@@ -81,6 +82,29 @@ class TestEmbed:
         recon = (emb.X * signs) @ emb.X.T
         assert np.allclose(recon, adj.astype(float), atol=1e-6)
 
+    def test_tiled_eigsh_matches_dense_solvers(self, monkeypatch):
+        lam = np.array([[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]])
+        model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(110, 90, 90), lam=lam)
+        graph = sample_sbm(model, contiguous_assignment(model), 17)
+        dense = embed(graph, 2)  # eigh: N <= _DENSE_LIMIT
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", 100)
+        copied = embed(graph, 2)  # eigsh on the float64 copy
+        products = []
+        product = spectral.adjacency_product
+
+        def counted(adjacency, X):
+            products.append(X.shape)
+            return product(adjacency, X)
+
+        monkeypatch.setattr(spectral, "adjacency_product", counted)
+        monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
+        tiled = embed(graph, 2)
+        assert products
+        assert np.allclose(tiled.X, copied.X, rtol=0.0, atol=1e-10)
+        assert np.allclose(tiled.eigenvalues, copied.eigenvalues, rtol=0.0, atol=1e-10)
+        assert np.allclose(tiled.X, dense.X, rtol=0.0, atol=1e-8)
+        assert np.allclose(tiled.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
+
     def test_d_out_of_range(self):
         graph = graph_from_adjacency(np.zeros((4, 4)), [1])
         with pytest.raises(ValueError):
@@ -111,6 +135,18 @@ class TestKmeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
+
+    def test_empty_cluster_repaired(self):
+        # two locations, three clusters: seeding duplicates a center and a
+        # cluster comes up empty until the repair moves a point into it
+        X = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 5)
+        for seed in range(3):
+            clustering = kmeans(X, 3, rng_seed=seed)
+            assert np.array_equal(np.unique(clustering.labels), [1, 2, 3])
+            assert clustering.objective == 0.0
+            again = kmeans(X, 3, rng_seed=seed)
+            assert np.array_equal(again.labels, clustering.labels)
+            assert np.array_equal(again.centroids, clustering.centroids)
 
     def test_deterministic_given_seed(self, rng):
         X = rng.normal(size=(30, 2))
