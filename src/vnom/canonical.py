@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import logsumexp
 
 from vnom.core import (
     PROB_EPS,
@@ -17,11 +16,13 @@ from vnom.core import (
     block_edge_counts,
     edge_counts,
 )
-from vnom.metrics import NominationList
+from vnom.metrics import NominationList, rank_with_ties
 
 DEFAULT_GUARD = 10**8
 _CACHE_LIMIT = 10**6
 _CHUNK = 200_000
+# Partitions scored per X·Q product; two float64 buffers of _BLOCK x n·K.
+_BLOCK = 1024
 
 _partition_cache = {}
 
@@ -78,7 +79,8 @@ def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
 
 
 def _partition_matrix(n_sizes, guard):
-    """All partitions as a (count, n) int8 matrix, cached for small counts.
+    """All partitions as a (count, n·K) boolean one-hot matrix, cached for
+    small counts: column i·K + k is set when vertex i has label k+1.
 
     The cache keeps only the most recent n_sizes, so it holds at most one
     matrix of up to _CACHE_LIMIT rows.
@@ -93,11 +95,32 @@ def _partition_matrix(n_sizes, guard):
             "use the likelihood maximization scheme at this scale"
         )
     if count <= _CACHE_LIMIT:
-        mat = np.array(list(enumerate_partitions(key, guard)), dtype=np.int8)
+        mat = _one_hot(_label_matrix(key), len(key))
         _partition_cache.clear()
         _partition_cache[key] = mat
         return mat
     return None
+
+
+def _label_matrix(n_sizes):
+    """All partitions as a (count, n) int8 matrix of 1-based labels, in the
+    order of enumerate_partitions, built one column at a time: each prefix
+    is extended by every label with room left, prefix-major and label-minor,
+    so the rows stay in lexicographic order."""
+    labels = np.zeros((1, 0), dtype=np.int8)
+    remaining = np.array([n_sizes], dtype=np.int32)
+    for _ in range(sum(n_sizes)):
+        rows, ks = np.nonzero(remaining > 0)
+        labels = np.column_stack([labels[rows], (ks + 1).astype(np.int8)])
+        remaining = remaining[rows]
+        remaining[np.arange(len(rows)), ks] -= 1
+    return labels
+
+
+def _one_hot(partitions, K):
+    """Rows of 1-based labels as a (count, n·K) boolean one-hot matrix."""
+    labels = np.asarray(partitions, dtype=np.int8)
+    return (labels[:, :, None] == np.arange(1, K + 1, dtype=np.int8)).reshape(len(labels), -1)
 
 
 def _chunked_partitions(n_sizes, guard):
@@ -110,22 +133,27 @@ def _chunked_partitions(n_sizes, guard):
         chunk = list(islice(gen, _CHUNK))
         if not chunk:
             return
-        yield np.array(chunk, dtype=np.int8)
-
-
-def _chunk_log_weights(labels0, adj_vv, pair_index, seed_terms, log_lam, log_1m):
-    """Log-weight of each partition in a chunk, up to the seed-seed
-    constant shared by every partition."""
-    logw = seed_terms[np.arange(seed_terms.shape[0])[None, :], labels0].sum(axis=1)
-    for i, j in pair_index:
-        w = log_lam if adj_vv[i, j] else log_1m
-        logw += w[labels0[:, i], labels0[:, j]]
-    return logw
+        yield _one_hot(chunk, len(n_sizes))
 
 
 def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_EPS):
     """P[b(v) = 1 | observed graph class] for every ambiguous vertex, via
-    the ratio of partition-restricted to total weighted sums."""
+    the ratio of partition-restricted to total weighted sums.
+
+    With x the one-hot vector of a partition (x[i·K + k] = 1 iff vertex i
+    is in block k+1), its log-weight log p(b, G) is
+
+        x^T Q x + c,   Q = (A_VV ⊗ L) / 2 + diag(seed_terms),
+
+    where L = log Lambda - log(1 - Lambda), A_VV is the ambiguous-ambiguous
+    adjacency and seed_terms[i, k] is the log-likelihood of i's pairs with
+    the seeds if i is in block k+1 (the diagonal carries it because
+    x_i^2 = x_i). The constant c holds the seed-seed pairs and the sum of
+    log(1 - Lambda) over the ambiguous pairs, which depends only on
+    n_sizes. The partitions are scored _BLOCK rows at a time through two
+    reused float buffers, one X·Q product and a row-wise dot each, and
+    summed as exp(log-weight - running maximum).
+    """
     m, n, K = model.m, model.n, model.K
     if graph.seed_count != m or graph.ambiguous_count != n:
         raise ValueError("graph does not match the model's seed/ambiguous sizes")
@@ -149,41 +177,51 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
         )
     else:
         seed_const = 0.0
+    # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
+    sizes = np.asarray(model.n_sizes, dtype=float)
+    pair_const = 0.5 * float(sizes @ log_1m @ sizes - sizes @ log_1m.diagonal())
     # Edges from each ambiguous vertex to the seeds of each block.
     edges_to_seeds = block_edge_counts(graph.adjacency[m:, :m], graph.seed_labels, K)
     nonedges_to_seeds = np.asarray(model.m_sizes, dtype=float)[None, :] - edges_to_seeds
     # seed_terms[v, k] = log-weight of v's seed-incident pairs if b(v) = k+1
     seed_terms = edges_to_seeds @ log_lam.T + nonedges_to_seeds @ log_1m.T
 
-    adj_vv = graph.adjacency[m:, m:]
-    pair_index = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    Q = 0.5 * np.kron(graph.adjacency[m:, m:], log_lam - log_1m)
+    Q[np.diag_indices_from(Q)] += seed_terms.ravel()
 
-    chunk_totals = []
-    chunk_numerators = []
+    x_buf = np.empty((_BLOCK, n * K))
+    xq_buf = np.empty((_BLOCK, n * K))
+    shift, total, numer = -np.inf, 0.0, np.zeros(n * K)
     for chunk in _chunked_partitions(model.n_sizes, guard):
-        labels0 = chunk.astype(np.intp) - 1
-        logw = _chunk_log_weights(labels0, adj_vv, pair_index, seed_terms, log_lam, log_1m)
-        chunk_totals.append(logsumexp(logw))
-        numer = np.full(n, -np.inf)
-        in_block1 = labels0 == 0
-        for v in range(n):
-            sel = logw[in_block1[:, v]]
-            if sel.size:
-                numer[v] = logsumexp(sel)
-        chunk_numerators.append(numer)
-
-    log_total = logsumexp(np.array(chunk_totals))
-    log_numer = logsumexp(np.stack(chunk_numerators, axis=0), axis=0)
-    prob = np.exp(log_numer - log_total)
-    return CanonicalScores(prob=prob, log_denominator=float(log_total + seed_const))
+        for start in range(0, len(chunk), _BLOCK):
+            x = x_buf[: min(_BLOCK, len(chunk) - start)]
+            np.copyto(x, chunk[start : start + len(x)])
+            xq = np.dot(x, Q, out=xq_buf[: len(x)])
+            logw = np.einsum("pj,pj->p", xq, x)
+            top = logw.max()
+            if top > shift:
+                scale = math.exp(shift - top)
+                total *= scale
+                numer *= scale
+                shift = top
+            w = np.exp(logw - shift)
+            total += w.sum()
+            numer += w @ x
+    prob = numer[::K] / total
+    log_denominator = shift + math.log(total) + pair_const + seed_const
+    return CanonicalScores(prob=prob, log_denominator=float(log_denominator))
 
 
 def canonical_nominate(graph, model, guard=DEFAULT_GUARD, eps=PROB_EPS):
     """Order the ambiguous vertices by decreasing conditional block-1
-    probability; ties break by ascending vertex id."""
+    probability.
+
+    Ties are explicit, as in likelihood_nominate: a probability within
+    TIE_RTOL * (1 + p) of its predecessor in sorted order joins that
+    predecessor's tie group, and a tie group is ordered by ascending vertex
+    id. Structurally equivalent vertices, whose probabilities are equal in
+    exact arithmetic, so keep id order whatever rounding separates them.
+    """
     scores = conditional_block1_probability(graph, model, guard=guard, eps=eps)
-    n = model.n
-    # stable sort on -prob keeps ascending vertex id within ties
-    order = np.argsort(-scores.prob, kind="stable") + model.m
-    assert len(order) == n
+    order = rank_with_ties(graph.ambiguous_vertices(), -scores.prob)
     return NominationList(order=order, seed_count=model.m)

@@ -135,14 +135,15 @@ class LabeledGraph:
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        # Freeze views, not the caller's own arrays, which stay writeable.
+        adj = np.asarray(self.adjacency, dtype=bool).view()
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        seed = np.asarray(self.seed_labels, dtype=int)
+        seed = np.asarray(self.seed_labels, dtype=int).view()
         seed.setflags(write=False)
         object.__setattr__(self, "seed_labels", seed)
         if self.true_labels is not None:
-            truth = np.asarray(self.true_labels, dtype=int)
+            truth = np.asarray(self.true_labels, dtype=int).view()
             truth.setflags(write=False)
             object.__setattr__(self, "true_labels", truth)
         N = adj.shape[0]
@@ -180,7 +181,8 @@ class BlockAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        # Freeze a view, not the caller's own array.
+        labels = np.asarray(self.labels, dtype=int).view()
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or len(labels) == 0:

@@ -7,11 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from vnom.core import PROB_EPS, BlockAssignment, block_edge_counts
-from vnom.metrics import NominationList
+from vnom.metrics import NominationList, rank_with_ties
 from vnom.sgm import sgm_match
-
-# Relative tolerance under which two sorted scores of a segment are tied.
-TIE_RTOL = 1e-9
 
 
 def mle_block_assignment(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
@@ -100,19 +97,6 @@ def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
     return in1, score_in, out1, score_out
 
 
-def _rank(vertices, keys):
-    """`vertices` by ascending key, each tie group by ascending vertex id.
-
-    A key within TIE_RTOL * (1 + |key|) of its predecessor in sorted order
-    joins the predecessor's tie group.
-    """
-    order = np.argsort(keys, kind="stable")
-    ranked, sorted_keys = vertices[order], keys[order]
-    gaps = np.diff(sorted_keys, prepend=sorted_keys[:1])
-    group = np.cumsum(gaps > TIE_RTOL * (1.0 + np.abs(sorted_keys)))
-    return ranked[np.lexsort((ranked, group))]
-
-
 def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
                         restarts=1, rng_seed=0, bhat=None):
     """Two-stage nomination: b-hat from seeded graph matching, then the
@@ -130,5 +114,6 @@ def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
         bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,
                                     tol=tol, restarts=restarts, rng_seed=rng_seed)
     in1, score_in, out1, score_out = _geo_mean_scores(graph, bhat, model, eps=eps)
-    order = np.concatenate([_rank(in1, score_in), _rank(out1, -score_out)])
+    order = np.concatenate([rank_with_ties(in1, score_in),
+                            rank_with_ties(out1, -score_out)])
     return NominationList(order=order, seed_count=graph.seed_count)

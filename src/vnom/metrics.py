@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Relative tolerance under which two sorted nomination keys are tied.
+TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class NominationList:
@@ -18,7 +21,8 @@ class NominationList:
     seed_count: int
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=int)
+        # Freeze a view, not the caller's own array.
+        order = np.asarray(self.order, dtype=int).view()
         order.setflags(write=False)
         object.__setattr__(self, "order", order)
         n = len(order)
@@ -32,6 +36,20 @@ class NominationList:
     def positions(self):
         """Ambiguous-relative indices (0..n-1) in nomination order."""
         return self.order - self.seed_count
+
+
+def rank_with_ties(vertices, keys):
+    """`vertices` by ascending key, each tie group by ascending vertex id.
+
+    A key within TIE_RTOL * (1 + |key|) of its predecessor in sorted order
+    joins the predecessor's tie group. Both the canonical and the
+    likelihood scheme order their lists with it.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked, sorted_keys = vertices[order], keys[order]
+    gaps = np.diff(sorted_keys, prepend=sorted_keys[:1])
+    group = np.cumsum(gaps > TIE_RTOL * (1.0 + np.abs(sorted_keys)))
+    return ranked[np.lexsort((ranked, group))]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import random_instance, random_symmetric_lambda
 from vnom import canonical
@@ -43,6 +44,30 @@ def oracle_block1_probability(graph, model):
     return np.array([float(nu / total) for nu in numer])
 
 
+def brute_log_weights(graph, model):
+    """log p(b, G) of every partition, in enumeration order, summed over
+    all vertex pairs including the seed-seed pairs."""
+    lam = clamp_probabilities(model.lam)
+    iu, ju = np.triu_indices(model.num_vertices, k=1)
+    edge = graph.adjacency[iu, ju]
+    weights = []
+    for part in enumerate_partitions(model.n_sizes):
+        labels = np.concatenate([graph.seed_labels, part]) - 1
+        p = lam[labels[iu], labels[ju]]
+        weights.append(np.sum(np.log(np.where(edge, p, 1 - p))))
+    return np.array(weights)
+
+
+def block_graph(model, ambiguous_labels):
+    """Seeds in block order, then the ambiguous vertices with the given
+    labels; an edge joins exactly the vertices of one block."""
+    seeds = np.repeat(np.arange(1, model.K + 1), model.m_sizes)
+    labels = np.concatenate([seeds, ambiguous_labels])
+    adj = labels[:, None] == labels[None, :]
+    np.fill_diagonal(adj, False)
+    return LabeledGraph(adjacency=adj, seed_labels=seeds)
+
+
 class TestEnumeratePartitions:
     def test_counts(self):
         assert partition_count((1, 1)) == 2
@@ -64,12 +89,23 @@ class TestEnumeratePartitions:
         with pytest.raises(InfeasibleEnumerationError):
             list(enumerate_partitions((10, 10, 10), guard=100))
 
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 1, 1), (0, 2, 1),
+                                       (2, 0, 2, 1), (3, 2, 2), (4, 3, 3)])
+    def test_cached_matrix_matches_generator(self, sizes):
+        mat = canonical._partition_matrix(sizes, DEFAULT_GUARD)
+        labels = np.array(list(enumerate_partitions(sizes)))
+        K = len(sizes)
+        assert mat.dtype == bool
+        assert np.array_equal(mat.reshape(len(labels), -1, K).argmax(axis=2) + 1, labels)
+        assert np.array_equal(mat.sum(axis=1), np.full(len(labels), labels.shape[1]))
+
     def test_cache_keeps_only_latest_sizes(self):
         first = canonical._partition_matrix((2, 1), DEFAULT_GUARD)
         assert list(canonical._partition_cache) == [(2, 1)]
         second = canonical._partition_matrix((1, 2, 1), DEFAULT_GUARD)
         assert list(canonical._partition_cache) == [(1, 2, 1)]
-        assert first.shape == (3, 3) and second.shape == (12, 4)
+        # one-hot rows: n vertices x K blocks
+        assert first.shape == (3, 3 * 2) and second.shape == (12, 4 * 3)
 
 
 class TestConditionalProbability:
@@ -109,6 +145,48 @@ class TestConditionalProbability:
             oracle = oracle_block1_probability(graph, model)
             assert np.allclose(scores.prob, oracle, atol=1e-12, rtol=0)
 
+    def test_clamped_lambda_matches_rational_oracle(self, rng):
+        # Lambda with exact 0 and 1 entries: every log is taken of the
+        # clamped matrix, so the impossible partitions keep tiny weights
+        for _ in range(20):
+            graph, model = random_instance(rng, max_n=4, max_k=3)
+            lam = np.where(model.lam < 0.3, 0.0, np.where(model.lam > 0.7, 1.0, model.lam))
+            lam[0, 0] = 1.0
+            model = BlockModel(m_sizes=model.m_sizes, n_sizes=model.n_sizes, lam=lam)
+            scores = conditional_block1_probability(graph, model)
+            oracle = oracle_block1_probability(graph, model)
+            assert np.allclose(scores.prob, oracle, atol=1e-12, rtol=0)
+
+    def test_log_denominator_is_log_graph_probability(self, rng):
+        # log of the sum over all partitions of p(b, G), seed-seed pairs included
+        for _ in range(20):
+            graph, model = random_instance(rng, max_n=5, max_k=3)
+            scores = conditional_block1_probability(graph, model)
+            expected = logsumexp(brute_log_weights(graph, model))
+            assert scores.log_denominator == pytest.approx(expected, abs=1e-9, rel=0)
+
+    @pytest.mark.parametrize("patch", [
+        {"_CACHE_LIMIT": 0, "_CHUNK": 32},
+        {"_BLOCK": 16},
+        {"_CACHE_LIMIT": 0, "_CHUNK": 50, "_BLOCK": 16},
+    ])
+    def test_chunks_and_blocks_match_single_pass(self, monkeypatch, patch):
+        # the truth, labels (3, 3, 2, 2, 1, 1, 1), is the heaviest partition
+        # and the last in enumeration order, so the running maximum grows in
+        # a later chunk or block and the earlier sums are rescaled
+        lam = np.array([[0.8, 0.1, 0.2], [0.1, 0.7, 0.1], [0.2, 0.1, 0.9]])
+        model = BlockModel(m_sizes=(1, 1, 1), n_sizes=(3, 2, 2), lam=lam)
+        graph = block_graph(model, np.array([3, 3, 2, 2, 1, 1, 1]))
+        heaviest = int(np.argmax(brute_log_weights(graph, model)))
+        assert heaviest == partition_count(model.n_sizes) - 1
+        expected = conditional_block1_probability(graph, model)
+        monkeypatch.setattr(canonical, "_partition_cache", {})
+        for name, value in patch.items():
+            monkeypatch.setattr(canonical, name, value)
+        got = conditional_block1_probability(graph, model)
+        assert np.allclose(got.prob, expected.prob, atol=1e-12, rtol=0)
+        assert got.log_denominator == pytest.approx(expected.log_denominator, abs=1e-12)
+
 
 class TestCanonicalNominate:
     def test_hand_example_orders_by_probability(self):
@@ -128,6 +206,29 @@ class TestCanonicalNominate:
         graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1, 2]))
         nomination = canonical_nominate(graph, model)
         assert nomination.order.tolist() == [2, 3, 4]
+
+    def test_structural_twins_listed_by_id(self, rng):
+        # vertices with the same neighbourhoods have equal probabilities in
+        # exact arithmetic; whatever rounding separates them, the tie rule
+        # lists them in ascending id order
+        for _ in range(60):
+            graph, model = random_instance(rng, max_n=7, max_k=3)
+            m, n = model.m, model.n
+            if n < 3:
+                continue
+            adj = graph.adjacency.copy()
+            twins = m + np.sort(rng.choice(n, size=3, replace=False))
+            for b in twins[1:]:
+                adj[b, :] = adj[twins[0], :]
+                adj[:, b] = adj[:, twins[0]]
+            adj[np.ix_(twins, twins)] = rng.random() < 0.5
+            np.fill_diagonal(adj, False)
+            graph = LabeledGraph(adjacency=adj, seed_labels=graph.seed_labels)
+            probs = conditional_block1_probability(graph, model).prob[twins - m]
+            assert np.allclose(probs, probs[0], atol=1e-12, rtol=0)
+            order = canonical_nominate(graph, model).order.tolist()
+            positions = [order.index(v) for v in twins]
+            assert positions == sorted(positions)
 
     def test_relabeling_equivariance(self, rng):
         # permuting the ambiguous vertices permutes the list identically

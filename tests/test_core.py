@@ -139,6 +139,20 @@ class TestLabeledGraph:
         graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
         assert graph.ambiguous_vertices().tolist() == [1, 2, 3]
 
+    def test_caller_arrays_stay_writeable(self):
+        adj = np.zeros((4, 4), dtype=bool)
+        seeds, truth = np.array([1]), np.array([1, 2, 2])
+        graph = LabeledGraph(adjacency=adj, seed_labels=seeds, true_labels=truth)
+        assert adj.flags.writeable and seeds.flags.writeable and truth.flags.writeable
+        for frozen in (graph.adjacency, graph.seed_labels, graph.true_labels):
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0
+        adj[1, 2] = adj[2, 1] = True  # the caller may still edit its own array
+        labels = np.array([1, 2, 2])
+        assignment = BlockAssignment(labels)
+        assert labels.flags.writeable and not assignment.labels.flags.writeable
+
 
 def random_adjacency(rng, N, p=0.3):
     upper = np.triu(rng.random((N, N)) < p, k=1)

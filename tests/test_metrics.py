@@ -11,6 +11,7 @@ from vnom.metrics import (
     average_precision,
     mean_average_precision,
     precision_at_depth,
+    rank_with_ties,
 )
 
 
@@ -27,7 +28,25 @@ def random_list_and_truth(rng, max_n=12):
     return make_list(order), truth, n1
 
 
+class TestRankWithTies:
+    def test_rounding_does_not_order_a_tie_group(self):
+        # 0.3 and 0.1 + 0.2 differ in the last bit; ids 7, 3, 5 tie
+        vertices = np.array([7, 3, 5, 9, 4])
+        keys = np.array([0.3, 0.1 + 0.2, 0.3, 0.25, 0.3 + 1e-6])
+        assert rank_with_ties(vertices, keys).tolist() == [9, 3, 5, 7, 4]
+
+    def test_chained_gaps_join_one_group(self):
+        vertices = np.array([2, 1, 0])
+        keys = np.array([0.0, 0.6e-9, 1.2e-9])
+        assert rank_with_ties(vertices, keys).tolist() == [0, 1, 2]
+
+
 class TestNominationList:
+    def test_caller_order_stays_writeable(self):
+        order = np.array([2, 0, 1])
+        nomination = NominationList(order=order, seed_count=0)
+        assert order.flags.writeable and not nomination.order.flags.writeable
+
     def test_must_be_permutation(self):
         with pytest.raises(ValueError):
             make_list([0, 0, 1])
