@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -102,19 +101,58 @@ def _partition_matrix(n_sizes, guard):
     return None
 
 
+def _extend(labels, remaining):
+    """Extend every label prefix by each label with room left in
+    `remaining`, prefix-major and label-minor, so rows in lexicographic
+    order stay in that order. Returns the new prefixes, their remaining
+    block sizes, and the parent row and block index of each new row."""
+    rows, ks = np.nonzero(remaining > 0)
+    labels = np.column_stack([labels[rows], (ks + 1).astype(np.int8)])
+    remaining = remaining[rows]
+    remaining[np.arange(len(rows)), ks] -= 1
+    return labels, remaining, rows, ks
+
+
 def _label_matrix(n_sizes):
     """All partitions as a (count, n) int8 matrix of 1-based labels, in the
-    order of enumerate_partitions, built one column at a time: each prefix
-    is extended by every label with room left, prefix-major and label-minor,
-    so the rows stay in lexicographic order."""
+    order of enumerate_partitions, built one column at a time by _extend."""
     labels = np.zeros((1, 0), dtype=np.int8)
     remaining = np.array([n_sizes], dtype=np.int32)
     for _ in range(sum(n_sizes)):
-        rows, ks = np.nonzero(remaining > 0)
-        labels = np.column_stack([labels[rows], (ks + 1).astype(np.int8)])
-        remaining = remaining[rows]
-        remaining[np.arange(len(rows)), ks] -= 1
+        labels, remaining, _, _ = _extend(labels, remaining)
     return labels
+
+
+def _label_chunks(n_sizes):
+    """The rows of _label_matrix(n_sizes), in order, as int8 matrices of at
+    most _CHUNK rows.
+
+    Prefixes are extended until none has more than _CHUNK completions. Each
+    run of consecutive prefixes whose completions fit in one chunk is then
+    extended to full length together.
+    """
+    n = sum(n_sizes)
+    labels = np.zeros((1, 0), dtype=np.int8)
+    remaining = np.array([n_sizes], dtype=np.int32)
+    # completions per prefix, as exact Python integers
+    counts = np.array([partition_count(n_sizes)], dtype=object)
+    while counts.max() > _CHUNK:
+        depth = labels.shape[1]
+        labels, remaining, rows, ks = _extend(labels, remaining)
+        # a child takes the share r_k / (n - depth) of its parent's
+        # completions, r_k being the room its label had before it was placed
+        room = remaining[np.arange(len(rows)), ks] + 1
+        counts = counts[rows] * room.astype(object) // (n - depth)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(labels):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _CHUNK, side="right"))
+        chunk, left = labels[start:stop], remaining[start:stop]
+        for _ in range(n - labels.shape[1]):
+            chunk, left, _, _ = _extend(chunk, left)
+        yield chunk
+        start = stop
 
 
 def _one_hot(partitions, K):
@@ -128,12 +166,8 @@ def _chunked_partitions(n_sizes, guard):
     if mat is not None:
         yield mat
         return
-    gen = enumerate_partitions(n_sizes, guard)
-    while True:
-        chunk = list(islice(gen, _CHUNK))
-        if not chunk:
-            return
-        yield _one_hot(chunk, len(n_sizes))
+    for labels in _label_chunks(n_sizes):
+        yield _one_hot(labels, len(n_sizes))
 
 
 def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_EPS):

@@ -221,9 +221,26 @@ def contiguous_assignment(model):
     return BlockAssignment(np.array(labels, dtype=int))
 
 
-def sample_sbm(model, membership, rng_seed):
+def _checked_order(order, N, m):
+    """order as an index array, after checking that it is a permutation of
+    the N vertices that keeps the m seeds in the first m positions."""
+    order = np.asarray(order, dtype=np.intp)
+    if order.shape != (N,) or not np.array_equal(np.sort(order), np.arange(N)):
+        raise ValueError("order must be a permutation of the vertices")
+    if not (order[:m] < m).all():
+        raise ValueError("order must keep the seeds in the first m positions")
+    return order
+
+
+def sample_sbm(model, membership, rng_seed, order=None):
     """Realize a graph: each pair {w, w'} is an independent Bernoulli edge
-    with parameter Lambda[b(w), b(w')]. Deterministic given rng_seed."""
+    with parameter Lambda[b(w), b(w')]. Deterministic given rng_seed.
+
+    With an order (a permutation of the vertices that keeps the seeds
+    first), vertex order[i] of the drawn graph becomes vertex i of the
+    result, and the labels follow: the result is the order-free graph
+    gathered once through np.ix_(order, order).
+    """
     membership.check_membership(model, membership.labels[: model.m])
     N = model.num_vertices
     labels0 = membership.labels - 1
@@ -231,49 +248,68 @@ def sample_sbm(model, membership, rng_seed):
     probs = model.lam[labels0[:, None], labels0[None, :]]
     upper = np.triu(rng.random((N, N)) < probs, k=1)
     adj = upper | upper.T
-    return LabeledGraph(
-        adjacency=adj,
-        seed_labels=membership.labels[: model.m],
-        true_labels=membership.labels[model.m :],
-    )
+    labels = membership.labels
+    if order is not None:
+        order = _checked_order(order, N, model.m)
+        adj = adj[np.ix_(order, order)]
+        labels = labels[order]
+    return LabeledGraph(adjacency=adj, seed_labels=labels[: model.m],
+                        true_labels=labels[model.m :])
 
 
-def sample_sbm_blockwise(model, membership, rng_seed):
+# Rows per strip of sample_sbm_blockwise. A strip of uniforms for a block of
+# 4,040 columns is 256 x 4,040 float64 (8 MB), against 130 MB for the whole
+# block at N = 10,040.
+_STRIP_ROWS = 256
+
+
+def sample_sbm_blockwise(model, membership, rng_seed, order=None):
     """Memory-lean sampler for large graphs: draws each block pair
-    separately instead of materializing an N x N float matrix.
+    separately, in strips of _STRIP_ROWS = 256 rows, instead of
+    materializing an N x N float matrix. Any membership works; a block's
+    vertices are taken in ascending id order.
 
-    Requires a contiguous membership (labels nondecreasing within U and
-    within V per block). Produces the same distribution as sample_sbm but
-    not the same bits for a given seed.
+    The block pairs k <= l are drawn in that order, each as
+    rng.random((rows, n_l)) strips of its rows; the generator returns the
+    same doubles as one draw of the whole block, so the strip height does
+    not change a bit. A diagonal block keeps only its pairs above the
+    diagonal. Produces the same distribution as sample_sbm but not the same
+    bits for a given seed.
+
+    With an order (a permutation of the vertices that keeps the seeds
+    first), each strip is written straight to the positions the order
+    gives its vertices, and the labels follow: the result equals the
+    order-free graph gathered through np.ix_(order, order), without that
+    N x N copy.
     """
     membership.check_membership(model, membership.labels[: model.m])
     N = model.num_vertices
-    labels0 = membership.labels - 1
+    labels = membership.labels
+    if order is None:
+        order = np.arange(N)
+    else:
+        order = _checked_order(order, N, model.m)
+        labels = labels[order]
+    pos = np.empty(N, dtype=np.intp)
+    pos[order] = np.arange(N)
+    members = [pos[membership.labels == k] for k in range(1, model.K + 1)]
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    # Each vertex pair is written once, on the row of its earlier vertex in
+    # block-pair order; the mirror half is filled in afterwards.
     adj = np.zeros((N, N), dtype=bool)
-    starts = {}
     for k in range(model.K):
-        idx = np.flatnonzero(labels0 == k)
-        starts[k] = idx
-    for k in range(model.K):
-        ik = starts[k]
-        if len(ik) == 0:
-            continue
-        block = rng.random((len(ik), len(ik))) < model.lam[k, k]
-        block = np.triu(block, k=1)
-        adj[np.ix_(ik, ik)] |= block | block.T
-        for l in range(k + 1, model.K):
-            il = starts[l]
-            if len(il) == 0:
-                continue
-            cross = rng.random((len(ik), len(il))) < model.lam[k, l]
-            adj[np.ix_(ik, il)] = cross
-            adj[np.ix_(il, ik)] = cross.T
-    return LabeledGraph(
-        adjacency=adj,
-        seed_labels=membership.labels[: model.m],
-        true_labels=membership.labels[model.m :],
-    )
+        for l in range(k, model.K):
+            for start in range(0, len(members[k]), _STRIP_ROWS):
+                rows = members[k][start : start + _STRIP_ROWS]
+                strip = rng.random((len(rows), len(members[l]))) < model.lam[k, l]
+                if l == k:
+                    strip = np.triu(strip, k=start + 1)
+                adj[np.ix_(rows, members[l])] = strip
+    for start in range(0, N, _STRIP_ROWS):
+        stop = start + _STRIP_ROWS
+        adj[start:stop] |= adj[:, start:stop].T
+    return LabeledGraph(adjacency=adj, seed_labels=labels[: model.m],
+                        true_labels=labels[model.m :])
 
 
 def adjacency_product(adjacency, X):

@@ -209,11 +209,16 @@ def _simulation_replicate(config, replicate):
     model = build_model(config)
     membership = contiguous_assignment(model)
     seed = _replicate_seed(config.master_seed, replicate, 0)
+    # The sampler draws the graph straight into this vertex order: the
+    # seeds, then the ambiguous vertices in their shuffled order.
+    order = np.concatenate([
+        np.arange(model.m),
+        model.m + _ambiguous_permutation(config, replicate, model.n),
+    ])
     if model.num_vertices > _BLOCKWISE_LIMIT:
-        graph = sample_sbm_blockwise(model, membership, seed)
+        graph = sample_sbm_blockwise(model, membership, seed, order=order)
     else:
-        graph = sample_sbm(model, membership, seed)
-    graph = _shuffle_ambiguous(graph, config, replicate)
+        graph = sample_sbm(model, membership, seed, order=order)
     return _nominate_all(graph, model, config, replicate)
 
 
@@ -230,18 +235,6 @@ def _ambiguous_permutation(config, replicate, n):
         np.random.SeedSequence((config.master_seed, replicate, 3))
     )
     return rng.permutation(n)
-
-
-def _shuffle_ambiguous(graph, config, replicate):
-    """Relabel the ambiguous vertices by _ambiguous_permutation."""
-    m, n = graph.seed_count, graph.ambiguous_count
-    perm = _ambiguous_permutation(config, replicate, n)
-    order = np.concatenate([np.arange(m), m + perm])
-    return LabeledGraph(
-        adjacency=graph.adjacency[np.ix_(order, order)],
-        seed_labels=graph.seed_labels,
-        true_labels=graph.true_labels[perm],
-    )
 
 
 def _realdata_replicate(config, replicate):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from vnom.core import block_edge_counts
+from vnom.core import _is_symmetric, block_edge_counts
 
 LEX_TIEBREAK_MAX = 30
 # Coordinate passes that set the block potentials before the exact
@@ -243,7 +243,7 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     seed_labels = np.asarray(seed_labels, dtype=int)
     sizes = np.asarray(n_sizes, dtype=np.int64)
     N, m, K = adjacency.shape[0], len(seed_labels), len(logodds)
-    if adjacency.shape != (N, N) or not (adjacency == adjacency.T).all():
+    if adjacency.shape != (N, N) or not _is_symmetric(adjacency):
         raise ValueError("adjacency must be square and symmetric")
     if logodds.shape != (K, K) or sizes.shape != (K,):
         raise ValueError("logodds must be K x K with one size per block")

@@ -1,6 +1,7 @@
 """Graph core: models, sampling, edge counts, likelihoods, file I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,97 @@ class TestSampleSbm:
         graph = sample_sbm(model, contiguous_assignment(model), 3)
         assert graph.seed_labels.tolist() == [1, 2]
         assert graph.true_labels.tolist() == [1, 2]
+
+
+def full_block_sample(model, membership, rng_seed):
+    """Reference blockwise draw: each block pair k <= l as one whole-block
+    array of uniforms, in the same order as sample_sbm_blockwise."""
+    N = model.num_vertices
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    adj = np.zeros((N, N), dtype=bool)
+    members = [np.flatnonzero(membership.labels == k) for k in range(1, model.K + 1)]
+    for k in range(model.K):
+        for l in range(k, model.K):
+            if len(members[k]) == 0 or len(members[l]) == 0:
+                continue
+            draw = rng.random((len(members[k]), len(members[l]))) < model.lam[k, l]
+            if l == k:
+                draw = np.triu(draw, k=1)
+            adj[np.ix_(members[k], members[l])] = draw
+    return adj | adj.T
+
+
+def seeds_first_order(rng, model):
+    """A random vertex order that permutes the seeds among themselves and
+    the ambiguous vertices among themselves."""
+    return np.concatenate([rng.permutation(model.m), model.m + rng.permutation(model.n)])
+
+
+# seeds in two blocks, an empty third block, and blocks of 3 + 301 and
+# 2 + 40 vertices, none a multiple of the strip heights below
+ORDER_MODELS = [
+    BlockModel(m_sizes=(3, 0, 2), n_sizes=(301, 0, 40), lam=BASE_LAMBDA),
+    BlockModel(m_sizes=(2, 1, 0, 4), n_sizes=(5, 7, 0, 3),
+               lam=random_symmetric_lambda(np.random.default_rng(8), 4)),
+]
+
+
+class TestSampleOrder:
+    @pytest.mark.parametrize("strip_rows", [1, 3, None])
+    @pytest.mark.parametrize("model", ORDER_MODELS)
+    @pytest.mark.parametrize("sampler", [sample_sbm, sample_sbm_blockwise])
+    def test_order_equals_permuted_order_free_sample(self, monkeypatch, rng, sampler,
+                                                     model, strip_rows):
+        if strip_rows is not None:
+            monkeypatch.setattr(core, "_STRIP_ROWS", strip_rows)
+        membership = contiguous_assignment(model)
+        order = seeds_first_order(rng, model)
+        free = sampler(model, membership, 5)
+        graph = sampler(model, membership, 5, order=order)
+        labels = np.concatenate([free.seed_labels, free.true_labels])
+        assert np.array_equal(graph.adjacency, free.adjacency[np.ix_(order, order)])
+        assert np.array_equal(graph.seed_labels, labels[order][: model.m])
+        assert np.array_equal(graph.true_labels, labels[order][model.m :])
+
+    @pytest.mark.parametrize("strip_rows", [1, 3, None])
+    @pytest.mark.parametrize("model", ORDER_MODELS)
+    def test_strips_draw_the_whole_block_bits(self, monkeypatch, model, strip_rows):
+        if strip_rows is not None:
+            monkeypatch.setattr(core, "_STRIP_ROWS", strip_rows)
+        membership = contiguous_assignment(model)
+        graph = sample_sbm_blockwise(model, membership, 9)
+        assert np.array_equal(graph.adjacency, full_block_sample(model, membership, 9))
+
+    @pytest.mark.parametrize("sampler", [sample_sbm, sample_sbm_blockwise])
+    def test_bad_order_rejected(self, sampler):
+        model = ORDER_MODELS[1]
+        membership = contiguous_assignment(model)
+        N = model.num_vertices
+        with pytest.raises(ValueError, match="permutation"):
+            sampler(model, membership, 0, order=np.zeros(N, dtype=int))
+        with pytest.raises(ValueError, match="permutation"):
+            sampler(model, membership, 0, order=np.arange(N - 1))
+        swapped = np.arange(N)
+        swapped[[0, N - 1]] = swapped[[N - 1, 0]]
+        with pytest.raises(ValueError, match="seeds"):
+            sampler(model, membership, 0, order=swapped)
+
+    def test_blockwise_peak_memory_is_bounded(self, rng):
+        # The boolean graph is N^2 bytes. A float64 draw of a whole block
+        # (8 N^2 / 9 bytes here) or an N x N copy for the vertex order would
+        # push the traced peak past 2 N^2.
+        model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
+        membership = contiguous_assignment(model)
+        order = seeds_first_order(rng, model)
+        N = model.num_vertices
+        tracemalloc.start()
+        try:
+            graph = sample_sbm_blockwise(model, membership, 3, order=order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_vertices == N
+        assert peak < 2 * N * N
 
 
 class TestLabeledGraph:

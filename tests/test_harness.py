@@ -9,7 +9,8 @@ import pytest
 
 from conftest import BASE_LAMBDA
 from vnom.canonical import InfeasibleEnumerationError
-from vnom.core import BlockModel, contiguous_assignment, sample_sbm
+from vnom import harness
+from vnom.core import BlockModel, contiguous_assignment, sample_sbm, sample_sbm_blockwise
 from vnom.harness import (
     ConfigError,
     build_model,
@@ -149,6 +150,30 @@ class TestRunSimulation:
             assert np.array_equal(
                 serial.schemes[scheme].curve, parallel.schemes[scheme].curve
             )
+
+    @pytest.mark.parametrize("limit, sampler", [(0, sample_sbm_blockwise),
+                                                (10**9, sample_sbm)])
+    def test_replicate_graph_is_sample_then_shuffle(self, monkeypatch, limit, sampler):
+        # seeds in two blocks, so the seed prefix is not one block
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"]["m_sizes"] = [4, 0, 3]
+        cfg["model"]["n_sizes"] = [30, 20, 25]
+        config = parse_config(cfg)
+        monkeypatch.setattr(harness, "_BLOCKWISE_LIMIT", limit)
+        seen = []
+        monkeypatch.setattr(harness, "_nominate_all",
+                            lambda graph, *args: seen.append(graph))
+        model = build_model(config)
+        m = model.m
+        for r in range(3):
+            harness._simulation_replicate(config, r)
+            free = sampler(model, contiguous_assignment(model),
+                           harness._replicate_seed(config.master_seed, r, 0))
+            perm = harness._ambiguous_permutation(config, r, model.n)
+            order = np.concatenate([np.arange(m), m + perm])
+            assert np.array_equal(seen[r].adjacency, free.adjacency[np.ix_(order, order)])
+            assert np.array_equal(seen[r].seed_labels, free.seed_labels)
+            assert np.array_equal(seen[r].true_labels, free.true_labels[perm])
 
     def test_canonical_guard(self):
         cfg = json.loads(json.dumps(TINY_CONFIG))

@@ -310,6 +310,12 @@ class TestSgmMatch:
             sgm_match(np.zeros((3, 4), dtype=bool), np.zeros((2, 2)), [1], (1, 1))
 
 
+    def test_asymmetric_adjacency_rejected(self):
+        adjacency = np.zeros((4, 4), dtype=bool)
+        adjacency[0, 3] = True
+        with pytest.raises(ValueError, match="square and symmetric"):
+            sgm_match(adjacency, np.zeros((2, 2)), [1], (2, 1))
+
 class TestPolish:
     def test_gains_are_twice_log_likelihood_differences(self, rng):
         made = 0
