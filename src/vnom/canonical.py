@@ -94,7 +94,7 @@ def _partition_matrix(n_sizes, guard):
             "use the likelihood maximization scheme at this scale"
         )
     if count <= _CACHE_LIMIT:
-        mat = _one_hot(_label_matrix(key), len(key))
+        mat = _one_hot(np.concatenate(list(_label_chunks(key))), len(key))
         _partition_cache.clear()
         _partition_cache[key] = mat
         return mat
@@ -113,19 +113,10 @@ def _extend(labels, remaining):
     return labels, remaining, rows, ks
 
 
-def _label_matrix(n_sizes):
-    """All partitions as a (count, n) int8 matrix of 1-based labels, in the
-    order of enumerate_partitions, built one column at a time by _extend."""
-    labels = np.zeros((1, 0), dtype=np.int8)
-    remaining = np.array([n_sizes], dtype=np.int32)
-    for _ in range(sum(n_sizes)):
-        labels, remaining, _, _ = _extend(labels, remaining)
-    return labels
-
-
 def _label_chunks(n_sizes):
-    """The rows of _label_matrix(n_sizes), in order, as int8 matrices of at
-    most _CHUNK rows.
+    """All partitions as rows of 1-based labels, in the order of
+    enumerate_partitions, in int8 matrices of at most _CHUNK rows built one
+    column at a time by _extend.
 
     Prefixes are extended until none has more than _CHUNK completions. Each
     run of consecutive prefixes whose completions fit in one chunk is then

@@ -232,55 +232,29 @@ def _checked_order(order, N, m):
     return order
 
 
+# Rows per strip of sample_sbm. A strip holds its uniforms and their
+# probabilities in float64 arrays of up to _STRIP_ROWS x N (5 MB each at
+# N = 10,040). Drawing configs/large.json's second graph while holding the
+# first peaked at 283 MB RSS with 64-row strips and 316 MB with 256-row
+# strips; symmetrising in strips of 64, 128 or 256 rows took the same time.
+_STRIP_ROWS = 64
+
+
 def sample_sbm(model, membership, rng_seed, order=None):
     """Realize a graph: each pair {w, w'} is an independent Bernoulli edge
     with parameter Lambda[b(w), b(w')]. Deterministic given rng_seed.
 
+    Pair {i, j} with i < j is an edge when the uniform at (i, j) of one
+    row-major N x N draw falls below its probability. The draw is taken
+    _STRIP_ROWS rows at a time; the generator returns the same doubles as
+    one whole-matrix draw, so the strip height does not change a bit, and
+    no N x N float array is made.
+
     With an order (a permutation of the vertices that keeps the seeds
     first), vertex order[i] of the drawn graph becomes vertex i of the
-    result, and the labels follow: the result is the order-free graph
-    gathered once through np.ix_(order, order).
-    """
-    membership.check_membership(model, membership.labels[: model.m])
-    N = model.num_vertices
-    labels0 = membership.labels - 1
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    probs = model.lam[labels0[:, None], labels0[None, :]]
-    upper = np.triu(rng.random((N, N)) < probs, k=1)
-    adj = upper | upper.T
-    labels = membership.labels
-    if order is not None:
-        order = _checked_order(order, N, model.m)
-        adj = adj[np.ix_(order, order)]
-        labels = labels[order]
-    return LabeledGraph(adjacency=adj, seed_labels=labels[: model.m],
-                        true_labels=labels[model.m :])
-
-
-# Rows per strip of sample_sbm_blockwise. A strip of uniforms for a block of
-# 4,040 columns is 256 x 4,040 float64 (8 MB), against 130 MB for the whole
-# block at N = 10,040.
-_STRIP_ROWS = 256
-
-
-def sample_sbm_blockwise(model, membership, rng_seed, order=None):
-    """Memory-lean sampler for large graphs: draws each block pair
-    separately, in strips of _STRIP_ROWS = 256 rows, instead of
-    materializing an N x N float matrix. Any membership works; a block's
-    vertices are taken in ascending id order.
-
-    The block pairs k <= l are drawn in that order, each as
-    rng.random((rows, n_l)) strips of its rows; the generator returns the
-    same doubles as one draw of the whole block, so the strip height does
-    not change a bit. A diagonal block keeps only its pairs above the
-    diagonal. Produces the same distribution as sample_sbm but not the same
-    bits for a given seed.
-
-    With an order (a permutation of the vertices that keeps the seeds
-    first), each strip is written straight to the positions the order
-    gives its vertices, and the labels follow: the result equals the
-    order-free graph gathered through np.ix_(order, order), without that
-    N x N copy.
+    result, and the labels follow: the result equals the order-free graph
+    gathered through np.ix_(order, order). Each strip is written straight
+    to its rows in that order, so no N x N copy is made.
     """
     membership.check_membership(model, membership.labels[: model.m])
     N = model.num_vertices
@@ -292,19 +266,19 @@ def sample_sbm_blockwise(model, membership, rng_seed, order=None):
         labels = labels[order]
     pos = np.empty(N, dtype=np.intp)
     pos[order] = np.arange(N)
-    members = [pos[membership.labels == k] for k in range(1, model.K + 1)]
+    labels0 = membership.labels - 1
+    col_probs = model.lam[:, labels0]
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     # Each vertex pair is written once, on the row of its earlier vertex in
-    # block-pair order; the mirror half is filled in afterwards.
+    # drawn order; the mirror half is filled in afterwards. The uniforms
+    # left of a strip's diagonal are drawn only to keep the stream.
     adj = np.zeros((N, N), dtype=bool)
-    for k in range(model.K):
-        for l in range(k, model.K):
-            for start in range(0, len(members[k]), _STRIP_ROWS):
-                rows = members[k][start : start + _STRIP_ROWS]
-                strip = rng.random((len(rows), len(members[l]))) < model.lam[k, l]
-                if l == k:
-                    strip = np.triu(strip, k=start + 1)
-                adj[np.ix_(rows, members[l])] = strip
+    for start in range(0, N, _STRIP_ROWS):
+        stop = min(start + _STRIP_ROWS, N)
+        draw = rng.random((stop - start, N))[:, start:]
+        strip = np.zeros((stop - start, N), dtype=bool)
+        strip[:, start:] = np.triu(draw < col_probs[labels0[start:stop], start:], k=1)
+        adj[pos[start:stop]] = strip[:, order]
     for start in range(0, N, _STRIP_ROWS):
         stop = start + _STRIP_ROWS
         adj[start:stop] |= adj[:, start:stop].T

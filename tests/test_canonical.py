@@ -102,14 +102,14 @@ class TestEnumeratePartitions:
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     @pytest.mark.parametrize("sizes", [(1,), (5,), (2, 1), (0, 2, 1), (2, 0, 2, 1),
                                        (3, 2, 2), (4, 3, 3)])
-    def test_chunks_past_cache_concatenate_to_label_matrix(self, monkeypatch, sizes, chunk):
+    def test_chunks_past_cache_concatenate_to_generator(self, monkeypatch, sizes, chunk):
         monkeypatch.setattr(canonical, "_partition_cache", {})
         monkeypatch.setattr(canonical, "_CACHE_LIMIT", 0)
         monkeypatch.setattr(canonical, "_CHUNK", chunk)
         chunks = list(canonical._chunked_partitions(sizes, DEFAULT_GUARD))
         assert canonical._partition_cache == {}
         assert all(0 < len(c) <= chunk for c in chunks)
-        expected = canonical._one_hot(canonical._label_matrix(sizes), len(sizes))
+        expected = canonical._one_hot(np.array(list(enumerate_partitions(sizes))), len(sizes))
         assert np.array_equal(np.concatenate(chunks), expected)
 
     def test_cache_keeps_only_latest_sizes(self):

@@ -26,7 +26,6 @@ from vnom.core import (
     log_likelihood,
     mix_lambda,
     sample_sbm,
-    sample_sbm_blockwise,
 )
 
 
@@ -96,15 +95,6 @@ class TestSampleSbm:
         density = np.triu(sub, k=1).sum() / math.comb(200, 2)
         assert abs(density - 0.8) < 0.01
 
-    def test_blockwise_sampler_matches_distribution(self):
-        model = BlockModel(m_sizes=(0, 200, 0), n_sizes=(1, 0, 0), lam=BASE_LAMBDA)
-        graph = sample_sbm_blockwise(model, contiguous_assignment(model), 11)
-        sub = graph.adjacency[:200, :200]
-        density = np.triu(sub, k=1).sum() / math.comb(200, 2)
-        assert abs(density - 0.8) < 0.01
-        assert not graph.adjacency.diagonal().any()
-        assert (graph.adjacency == graph.adjacency.T).all()
-
     def test_labels_carried_through(self):
         model = two_block_model()
         graph = sample_sbm(model, contiguous_assignment(model), 3)
@@ -112,22 +102,15 @@ class TestSampleSbm:
         assert graph.true_labels.tolist() == [1, 2]
 
 
-def full_block_sample(model, membership, rng_seed):
-    """Reference blockwise draw: each block pair k <= l as one whole-block
-    array of uniforms, in the same order as sample_sbm_blockwise."""
+def whole_matrix_sample(model, membership, rng_seed):
+    """Reference draw: one N x N array of uniforms, compared above the
+    diagonal with each pair's probability."""
     N = model.num_vertices
+    labels0 = membership.labels - 1
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    adj = np.zeros((N, N), dtype=bool)
-    members = [np.flatnonzero(membership.labels == k) for k in range(1, model.K + 1)]
-    for k in range(model.K):
-        for l in range(k, model.K):
-            if len(members[k]) == 0 or len(members[l]) == 0:
-                continue
-            draw = rng.random((len(members[k]), len(members[l]))) < model.lam[k, l]
-            if l == k:
-                draw = np.triu(draw, k=1)
-            adj[np.ix_(members[k], members[l])] = draw
-    return adj | adj.T
+    probs = model.lam[labels0[:, None], labels0[None, :]]
+    upper = np.triu(rng.random((N, N)) < probs, k=1)
+    return upper | upper.T
 
 
 def seeds_first_order(rng, model):
@@ -143,59 +126,62 @@ ORDER_MODELS = [
     BlockModel(m_sizes=(2, 1, 0, 4), n_sizes=(5, 7, 0, 3),
                lam=random_symmetric_lambda(np.random.default_rng(8), 4)),
 ]
+# N = 2,011: past several 64-row strips, and a multiple of no strip height
+LARGE_MODEL = BlockModel(m_sizes=(5, 5, 0), n_sizes=(1203, 700, 98), lam=BASE_LAMBDA)
 
 
 class TestSampleOrder:
     @pytest.mark.parametrize("strip_rows", [1, 3, None])
     @pytest.mark.parametrize("model", ORDER_MODELS)
-    @pytest.mark.parametrize("sampler", [sample_sbm, sample_sbm_blockwise])
-    def test_order_equals_permuted_order_free_sample(self, monkeypatch, rng, sampler,
-                                                     model, strip_rows):
+    def test_order_equals_permuted_order_free_sample(self, monkeypatch, rng, model,
+                                                     strip_rows):
         if strip_rows is not None:
             monkeypatch.setattr(core, "_STRIP_ROWS", strip_rows)
         membership = contiguous_assignment(model)
         order = seeds_first_order(rng, model)
-        free = sampler(model, membership, 5)
-        graph = sampler(model, membership, 5, order=order)
+        free = sample_sbm(model, membership, 5)
+        graph = sample_sbm(model, membership, 5, order=order)
         labels = np.concatenate([free.seed_labels, free.true_labels])
         assert np.array_equal(graph.adjacency, free.adjacency[np.ix_(order, order)])
         assert np.array_equal(graph.seed_labels, labels[order][: model.m])
         assert np.array_equal(graph.true_labels, labels[order][model.m :])
 
     @pytest.mark.parametrize("strip_rows", [1, 3, None])
-    @pytest.mark.parametrize("model", ORDER_MODELS)
-    def test_strips_draw_the_whole_block_bits(self, monkeypatch, model, strip_rows):
+    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL])
+    def test_strips_draw_the_whole_matrix_bits(self, monkeypatch, rng, model, strip_rows):
         if strip_rows is not None:
             monkeypatch.setattr(core, "_STRIP_ROWS", strip_rows)
-        membership = contiguous_assignment(model)
-        graph = sample_sbm_blockwise(model, membership, 9)
-        assert np.array_equal(graph.adjacency, full_block_sample(model, membership, 9))
+        # ambiguous labels shuffled, so the blocks are not contiguous
+        labels = contiguous_assignment(model).labels
+        membership = BlockAssignment(np.concatenate(
+            [labels[: model.m], rng.permutation(labels[model.m :])]))
+        graph = sample_sbm(model, membership, 9)
+        assert np.array_equal(graph.adjacency, whole_matrix_sample(model, membership, 9))
 
-    @pytest.mark.parametrize("sampler", [sample_sbm, sample_sbm_blockwise])
-    def test_bad_order_rejected(self, sampler):
+    def test_bad_order_rejected(self):
         model = ORDER_MODELS[1]
         membership = contiguous_assignment(model)
         N = model.num_vertices
         with pytest.raises(ValueError, match="permutation"):
-            sampler(model, membership, 0, order=np.zeros(N, dtype=int))
+            sample_sbm(model, membership, 0, order=np.zeros(N, dtype=int))
         with pytest.raises(ValueError, match="permutation"):
-            sampler(model, membership, 0, order=np.arange(N - 1))
+            sample_sbm(model, membership, 0, order=np.arange(N - 1))
         swapped = np.arange(N)
         swapped[[0, N - 1]] = swapped[[N - 1, 0]]
         with pytest.raises(ValueError, match="seeds"):
-            sampler(model, membership, 0, order=swapped)
+            sample_sbm(model, membership, 0, order=swapped)
 
-    def test_blockwise_peak_memory_is_bounded(self, rng):
-        # The boolean graph is N^2 bytes. A float64 draw of a whole block
-        # (8 N^2 / 9 bytes here) or an N x N copy for the vertex order would
-        # push the traced peak past 2 N^2.
+    def test_peak_memory_is_bounded(self, rng):
+        # The boolean graph is N^2 bytes. A float64 draw of the whole matrix
+        # (8 N^2 bytes) or an N x N copy for the vertex order would push the
+        # traced peak past 2 N^2.
         model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
         membership = contiguous_assignment(model)
         order = seeds_first_order(rng, model)
         N = model.num_vertices
         tracemalloc.start()
         try:
-            graph = sample_sbm_blockwise(model, membership, 3, order=order)
+            graph = sample_sbm(model, membership, 3, order=order)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

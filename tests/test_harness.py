@@ -10,7 +10,7 @@ import pytest
 from conftest import BASE_LAMBDA
 from vnom.canonical import InfeasibleEnumerationError
 from vnom import harness
-from vnom.core import BlockModel, contiguous_assignment, sample_sbm, sample_sbm_blockwise
+from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 from vnom.harness import (
     ConfigError,
     build_model,
@@ -151,15 +151,12 @@ class TestRunSimulation:
                 serial.schemes[scheme].curve, parallel.schemes[scheme].curve
             )
 
-    @pytest.mark.parametrize("limit, sampler", [(0, sample_sbm_blockwise),
-                                                (10**9, sample_sbm)])
-    def test_replicate_graph_is_sample_then_shuffle(self, monkeypatch, limit, sampler):
+    def test_replicate_graph_is_sample_then_shuffle(self, monkeypatch):
         # seeds in two blocks, so the seed prefix is not one block
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["model"]["m_sizes"] = [4, 0, 3]
         cfg["model"]["n_sizes"] = [30, 20, 25]
         config = parse_config(cfg)
-        monkeypatch.setattr(harness, "_BLOCKWISE_LIMIT", limit)
         seen = []
         monkeypatch.setattr(harness, "_nominate_all",
                             lambda graph, *args: seen.append(graph))
@@ -167,8 +164,8 @@ class TestRunSimulation:
         m = model.m
         for r in range(3):
             harness._simulation_replicate(config, r)
-            free = sampler(model, contiguous_assignment(model),
-                           harness._replicate_seed(config.master_seed, r, 0))
+            free = sample_sbm(model, contiguous_assignment(model),
+                              harness._replicate_seed(config.master_seed, r, 0))
             perm = harness._ambiguous_permutation(config, r, model.n)
             order = np.concatenate([np.arange(m), m + perm])
             assert np.array_equal(seen[r].adjacency, free.adjacency[np.ix_(order, order)])
@@ -273,6 +270,12 @@ class TestRunRealdata:
             a = results["sorted"].schemes[scheme]
             b = results["permuted"].schemes[scheme]
             assert abs(a.map - b.map) <= 3 * np.hypot(a.se, b.se), scheme
+
+    def test_non_integer_label_field_rejected(self, tmp_path):
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("# vertex block\n1 1\n2 x\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"labels\.txt:3: non-integer field"):
+            harness._load_full_labels(str(labels_path), 2)
 
     def test_oversized_seed_request_rejected(self, tmp_path):
         lam = np.array([[0.7, 0.2], [0.2, 0.7]])
