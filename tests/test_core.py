@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE_LAMBDA, random_symmetric_lambda
-from vnom import core
+from vnom import core, harness
 from vnom.core import (
     PROB_EPS,
     BlockAssignment,
@@ -95,6 +95,18 @@ class TestSampleSbm:
         density = np.triu(sub, k=1).sum() / math.comb(200, 2)
         assert abs(density - 0.8) < 0.01
 
+    def test_blockwise_sampler_matches_distribution(self):
+        # perfbench wraps harness.sample_sbm_blockwise by name; it must stay
+        # bound to the one sampler and draw the model's distribution.
+        assert harness.sample_sbm_blockwise is sample_sbm
+        model = BlockModel(m_sizes=(0, 200, 0), n_sizes=(1, 0, 0), lam=BASE_LAMBDA)
+        graph = harness.sample_sbm_blockwise(model, contiguous_assignment(model), 11)
+        sub = graph.adjacency[:200, :200]
+        density = np.triu(sub, k=1).sum() / math.comb(200, 2)
+        assert abs(density - 0.8) < 0.01
+        assert not graph.adjacency.diagonal().any()
+        assert (graph.adjacency == graph.adjacency.T).all()
+
     def test_labels_carried_through(self):
         model = two_block_model()
         graph = sample_sbm(model, contiguous_assignment(model), 3)
@@ -132,7 +144,7 @@ LARGE_MODEL = BlockModel(m_sizes=(5, 5, 0), n_sizes=(1203, 700, 98), lam=BASE_LA
 
 class TestSampleOrder:
     @pytest.mark.parametrize("strip_rows", [1, 3, None])
-    @pytest.mark.parametrize("model", ORDER_MODELS)
+    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL])
     def test_order_equals_permuted_order_free_sample(self, monkeypatch, rng, model,
                                                      strip_rows):
         if strip_rows is not None:

@@ -151,11 +151,14 @@ class TestRunSimulation:
                 serial.schemes[scheme].curve, parallel.schemes[scheme].curve
             )
 
-    def test_replicate_graph_is_sample_then_shuffle(self, monkeypatch):
+    # N = 82, and N = 2,107, past the 2,000 vertices above which a second
+    # sampler was once used
+    @pytest.mark.parametrize("n_sizes", [[30, 20, 25], [900, 700, 500]])
+    def test_replicate_graph_is_sample_then_shuffle(self, monkeypatch, n_sizes):
         # seeds in two blocks, so the seed prefix is not one block
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["model"]["m_sizes"] = [4, 0, 3]
-        cfg["model"]["n_sizes"] = [30, 20, 25]
+        cfg["model"]["n_sizes"] = n_sizes
         config = parse_config(cfg)
         seen = []
         monkeypatch.setattr(harness, "_nominate_all",
@@ -275,6 +278,18 @@ class TestRunRealdata:
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("# vertex block\n1 1\n2 x\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r"labels\.txt:3: non-integer field"):
+            harness._load_full_labels(str(labels_path), 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1\n2 2 2\n", r"labels\.txt:2: expected 'vertex block'"),
+        ("1 1\n2 3\n", r"labels\.txt:2: block 3 outside 1\.\.2"),
+        ("# vertex block\n\n", r"labels\.txt: no labels found"),
+        ("1 1\n3 2\n", r"labels\.txt: labels must cover vertices 1\.\.3 exactly"),
+    ])
+    def test_malformed_labels_file_rejected(self, tmp_path, text, message):
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
             harness._load_full_labels(str(labels_path), 2)
 
     def test_oversized_seed_request_rejected(self, tmp_path):
