@@ -33,7 +33,7 @@ from vnom.canonical import (
     conditional_block1_probability,
     enumerate_partitions,
 )
-from vnom.sgm import sgm_match, solve_lap, solve_transport
+from vnom.sgm import sgm_match, solve_transport
 from vnom.likelihood import (
     likelihood_nominate,
     mle_block_assignment,
@@ -71,7 +71,6 @@ __all__ = [
     "precision_at_depth",
     "sample_sbm",
     "sgm_match",
-    "solve_lap",
     "solve_transport",
     "spectral_nominate",
     "swap_log_ratio",

@@ -13,7 +13,7 @@ from vnom.core import (
     BlockAssignment,
     LabeledGraph,
     block_edge_counts,
-    edge_counts,
+    log_likelihood,
 )
 from vnom.metrics import NominationList, rank_with_ties
 
@@ -187,21 +187,14 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     log_1m = np.log1p(-lam)
 
     # Seed-seed contribution, identical for every partition.
+    seed_const = 0.0
     if m > 0:
         seed_graph = LabeledGraph(
             adjacency=graph.adjacency[:m, :m], seed_labels=graph.seed_labels
         )
-        seed_counts = edge_counts(seed_graph, BlockAssignment(graph.seed_labels))
-        k_used = seed_counts.e.shape[0]
-        mask = np.triu(np.ones((k_used, k_used), dtype=bool))
-        seed_const = float(
-            np.sum(
-                seed_counts.e[mask] * log_lam[:k_used, :k_used][mask]
-                + seed_counts.c[mask] * log_1m[:k_used, :k_used][mask]
-            )
+        seed_const = log_likelihood(
+            seed_graph, BlockAssignment(graph.seed_labels), model, eps
         )
-    else:
-        seed_const = 0.0
     # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
     sizes = np.asarray(model.n_sizes, dtype=float)
     pair_const = 0.5 * float(sizes @ log_1m @ sizes - sizes @ log_1m.diagonal())

@@ -173,28 +173,34 @@ def _replicate_seed(master_seed, replicate, stream):
     return int(np.random.SeedSequence((master_seed, replicate, stream)).generate_state(1)[0])
 
 
+def _nominate(scheme, graph, model, config, replicate):
+    """Run one scheme on one realized graph with the config's
+    hyperparameters; likelihood and spectral draw from the replicate's rng
+    streams 1 and 2."""
+    hyper = config.hyper
+    if scheme == "canonical":
+        return canonical_nominate(
+            graph, model, guard=hyper.enumeration_guard, eps=hyper.eps
+        )
+    if scheme == "likelihood":
+        return likelihood_nominate(
+            graph, model, eps=hyper.eps, max_iter=hyper.sgm_max_iter,
+            tol=hyper.sgm_tol, restarts=hyper.sgm_restarts,
+            rng_seed=_replicate_seed(config.master_seed, replicate, 1),
+        )
+    d = hyper.d if hyper.d is not None else default_dimension(model.lam)
+    return spectral_nominate(
+        graph, model.K, d=d, restarts=hyper.kmeans_restarts,
+        rng_seed=_replicate_seed(config.master_seed, replicate, 2),
+    )
+
+
 def _nominate_all(graph, model, config, replicate):
     """Run every requested scheme on one realized graph."""
-    hyper = config.hyper
     results = {}
     for scheme in config.schemes:
         start = time.perf_counter()
-        if scheme == "canonical":
-            nomination = canonical_nominate(
-                graph, model, guard=hyper.enumeration_guard, eps=hyper.eps
-            )
-        elif scheme == "likelihood":
-            nomination = likelihood_nominate(
-                graph, model, eps=hyper.eps, max_iter=hyper.sgm_max_iter,
-                tol=hyper.sgm_tol, restarts=hyper.sgm_restarts,
-                rng_seed=_replicate_seed(config.master_seed, replicate, 1),
-            )
-        else:
-            d = hyper.d if hyper.d is not None else default_dimension(model.lam)
-            nomination = spectral_nominate(
-                graph, model.K, d=d, restarts=hyper.kmeans_restarts,
-                rng_seed=_replicate_seed(config.master_seed, replicate, 2),
-            )
+        nomination = _nominate(scheme, graph, model, config, replicate)
         elapsed = time.perf_counter() - start
         truth = graph.true_labels
         hits = (truth[nomination.positions()] == 1).astype(np.int64)
@@ -233,7 +239,7 @@ def _ambiguous_permutation(config, replicate, n):
 
 
 def _realdata_replicate(config, replicate):
-    graph, model = _realdata_instance(config, replicate)
+    _, graph, model = _labeled_instance(config, replicate, config.data["seed_counts"])
     return _nominate_all(graph, model, config, replicate)
 
 
@@ -246,20 +252,29 @@ def _run_replicates(config, replicate_fn, workers=1):
         return list(pool.map(replicate_fn, [config] * config.replicates, indices))
 
 
-def _aggregate(config, per_replicate, n, n1):
-    schemes = {}
+def _experiment_result(config, per_replicate, n, n1, log_raw):
+    """Per-position hit curves and MAP per scheme over the replicates."""
+    schemes, raw = {}, {}
     for scheme in config.schemes:
-        hit_matrix = np.stack([rep[scheme][0] for rep in per_replicate])
-        aps = [rep[scheme][1] for rep in per_replicate]
-        seconds = float(np.mean([rep[scheme][2] for rep in per_replicate]))
-        map_, se = mean_average_precision(aps)
+        raw[scheme] = np.stack([rep[scheme][0] for rep in per_replicate])
+        map_, se = mean_average_precision([rep[scheme][1] for rep in per_replicate])
         schemes[scheme] = SchemeOutcome(
-            curve=hit_matrix.mean(axis=0),
+            curve=raw[scheme].mean(axis=0),
             map=map_,
             se=se,
-            seconds_per_replicate=seconds,
+            seconds_per_replicate=float(np.mean([rep[scheme][2] for rep in per_replicate])),
         )
-    return schemes, {s: np.stack([rep[s][0] for rep in per_replicate]) for s in config.schemes}
+    return ExperimentResult(
+        name=config.name,
+        n=n,
+        n1=n1,
+        chance=n1 / n,
+        replicates=config.replicates,
+        master_seed=config.master_seed,
+        schemes=schemes,
+        config_echo=_config_echo(config),
+        raw_hits=raw if log_raw else None,
+    )
 
 
 def _config_echo(config):
@@ -292,18 +307,7 @@ def run_simulation(config, workers=1, log_raw=False):
                 "drop the canonical scheme at this scale"
             )
     per_replicate = _run_replicates(config, _simulation_replicate, workers)
-    schemes, raw = _aggregate(config, per_replicate, model.n, model.n_sizes[0])
-    return ExperimentResult(
-        name=config.name,
-        n=model.n,
-        n1=model.n_sizes[0],
-        chance=model.n_sizes[0] / model.n,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        schemes=schemes,
-        config_echo=_config_echo(config),
-        raw_hits=raw if log_raw else None,
-    )
+    return _experiment_result(config, per_replicate, model.n, model.n_sizes[0], log_raw)
 
 
 def _load_full_labels(path, K):
@@ -323,6 +327,8 @@ def _load_full_labels(path, K):
                 raise ConfigError(f"{path}:{lineno}: non-integer field") from None
             if not 1 <= blk <= K:
                 raise ConfigError(f"{path}:{lineno}: block {blk} outside 1..{K}")
+            if v in labels:
+                raise ConfigError(f"{path}:{lineno}: vertex {v} listed twice")
             labels[v] = blk
     if not labels:
         raise ConfigError(f"{path}: no labels found")
@@ -348,10 +354,33 @@ def _load_dataset(config):
     return _dataset_cache[key]
 
 
-def _data_instance(adjacency, truth, K, seed_ids, ambiguous_ids, eps):
-    """The LabeledGraph with the sampled seeds occupying the vertex prefix
-    and the ambiguous vertices after them in the given order, plus its
-    BlockModel with Lambda-hat estimated from the seed-induced subgraph."""
+def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
+    """One replicate's instance of the labeled graph.
+
+    Per block k, seed_counts[k-1] seeds are drawn from a pool: the whole
+    block, or pool_sizes[k-1] of its vertices drawn first. The ambiguous
+    vertices are the pools less the seeds, sorted by id and then shuffled
+    by _ambiguous_permutation. Returns their ids, the LabeledGraph with the
+    seeds first and the ambiguous vertices after them in that order, and
+    its BlockModel with Lambda-hat estimated from the seed-induced subgraph.
+    """
+    adjacency, truth, K = _load_dataset(config)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((config.master_seed, replicate, 0))
+    )
+    seed_ids, pools = [], []
+    for k in range(1, K + 1):
+        pool = np.flatnonzero(truth == k)
+        if pool_sizes is not None:
+            pool = rng.choice(pool, size=int(pool_sizes[k - 1]), replace=False)
+        seeds = rng.choice(pool, size=int(seed_counts[k - 1]), replace=False)
+        seed_ids.append(np.sort(seeds))
+        pools.append(pool)
+    seed_ids = np.concatenate(seed_ids)
+    ambiguous_ids = np.setdiff1d(np.concatenate(pools), seed_ids)
+    ambiguous_ids = ambiguous_ids[
+        _ambiguous_permutation(config, replicate, len(ambiguous_ids))
+    ]
     order = np.concatenate([seed_ids, ambiguous_ids])
     graph = LabeledGraph(
         adjacency=adjacency[np.ix_(order, order)],
@@ -361,36 +390,9 @@ def _data_instance(adjacency, truth, K, seed_ids, ambiguous_ids, eps):
     model = BlockModel(
         m_sizes=np.bincount(graph.seed_labels, minlength=K + 1)[1:],
         n_sizes=np.bincount(graph.true_labels, minlength=K + 1)[1:],
-        lam=estimate_lambda(graph, K, eps=eps),
+        lam=estimate_lambda(graph, K, eps=config.hyper.eps),
     )
-    return graph, model
-
-
-def _realdata_instance(config, replicate):
-    adjacency, truth, K = _load_dataset(config)
-    seed_counts = config.data.get("seed_counts")
-    if seed_counts is None or len(seed_counts) != K:
-        raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.master_seed, replicate, 0))
-    )
-    seed_ids = []
-    for k in range(1, K + 1):
-        members = np.flatnonzero(truth == k)
-        want = int(seed_counts[k - 1])
-        if want > len(members):
-            raise ConfigError(
-                f"block {k} has {len(members)} vertices; cannot seed {want}"
-            )
-        picked = rng.choice(members, size=want, replace=False)
-        seed_ids.append(np.sort(picked))
-    seed_ids = np.concatenate(seed_ids)
-    ambiguous_ids = np.setdiff1d(np.arange(len(truth)), seed_ids)
-    ambiguous_ids = ambiguous_ids[
-        _ambiguous_permutation(config, replicate, len(ambiguous_ids))
-    ]
-    return _data_instance(adjacency, truth, K, seed_ids, ambiguous_ids,
-                          config.hyper.eps)
+    return ambiguous_ids, graph, model
 
 
 def run_realdata(config, workers=1, log_raw=False):
@@ -398,30 +400,25 @@ def run_realdata(config, workers=1, log_raw=False):
     replicate, sample seeds per block, estimate Lambda-hat from their
     induced densities, nominate, and score against the held-out labels."""
     _, truth, K = _load_dataset(config)
+    seed_counts = config.data.get("seed_counts")
+    if seed_counts is None or len(seed_counts) != K:
+        raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
+    for k, want in enumerate(seed_counts, start=1):
+        have = int((truth == k).sum())
+        if int(want) > have:
+            raise ConfigError(f"block {k} has {have} vertices; cannot seed {int(want)}")
     per_replicate = _run_replicates(config, _realdata_replicate, workers)
     # every replicate seeds the same number of vertices per block
-    seed_counts = config.data["seed_counts"]
     n = len(truth) - sum(int(c) for c in seed_counts)
     n1 = int((truth == 1).sum()) - int(seed_counts[0])
-    schemes, raw = _aggregate(config, per_replicate, n, n1)
-    return ExperimentResult(
-        name=config.name,
-        n=n,
-        n1=n1,
-        chance=n1 / n,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        schemes=schemes,
-        config_echo=_config_echo(config),
-        raw_hits=raw if log_raw else None,
-    )
+    return _experiment_result(config, per_replicate, n, n1, log_raw)
 
 
-def run_subsample_average(config, workers=1):
+def run_subsample_average(config):
     """Subsample two classes repeatedly, nominate the ambiguous members
     with the likelihood scheme, and average each vertex's nomination
     position over its selections."""
-    adjacency, truth, K = _load_dataset(config)
+    _, truth, K = _load_dataset(config)
     if K != 2:
         raise ConfigError("subsample mode expects exactly two classes")
     sizes = config.data.get("subsample_sizes", [125, 125])
@@ -438,35 +435,11 @@ def run_subsample_average(config, workers=1):
     position_sum = np.zeros(len(truth))
     selected = np.zeros(len(truth), dtype=np.int64)
     for r in range(config.replicates):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.master_seed, r, 0))
-        )
-        seed_ids, ambiguous_ids = [], []
-        for k in (1, 2):
-            members = np.flatnonzero(truth == k)
-            chosen = rng.choice(members, size=int(sizes[k - 1]), replace=False)
-            seeds = rng.choice(chosen, size=int(seeds_per[k - 1]), replace=False)
-            seed_ids.append(np.sort(seeds))
-            ambiguous_ids.append(np.sort(np.setdiff1d(chosen, seeds)))
-        seed_ids = np.concatenate(seed_ids)
-        ambiguous_ids = np.concatenate(ambiguous_ids)
-        ambiguous_ids = ambiguous_ids[
-            _ambiguous_permutation(config, r, len(ambiguous_ids))
-        ]
-        graph, model = _data_instance(
-            adjacency, truth, K, seed_ids, ambiguous_ids, config.hyper.eps
-        )
-        nomination = likelihood_nominate(
-            graph, model, eps=config.hyper.eps,
-            max_iter=config.hyper.sgm_max_iter, tol=config.hyper.sgm_tol,
-            restarts=config.hyper.sgm_restarts,
-            rng_seed=_replicate_seed(config.master_seed, r, 1),
-        )
-        # ambiguous_ids holds the shuffled order, so this maps back through it
-        for pos, local_v in enumerate(nomination.order, start=1):
-            original = ambiguous_ids[local_v - graph.seed_count]
-            position_sum[original] += pos
-            selected[original] += 1
+        ambiguous_ids, graph, model = _labeled_instance(config, r, seeds_per, sizes)
+        nomination = _nominate("likelihood", graph, model, config, r)
+        picked = ambiguous_ids[nomination.positions()]
+        position_sum[picked] += np.arange(1, len(picked) + 1)
+        selected[picked] += 1
 
     with np.errstate(invalid="ignore"):
         mean_position = np.where(selected > 0, position_sum / np.maximum(selected, 1), np.nan)

@@ -21,58 +21,22 @@ from scipy.optimize import linear_sum_assignment
 
 from vnom.core import _is_symmetric, block_edge_counts
 
-LEX_TIEBREAK_MAX = 30
 # Coordinate passes that set the block potentials before the exact
 # successive-shortest-path repair in solve_transport.
 TRANSPORT_PASSES = 2
 
 
+# Kept only for perfbench's timing hook; it goes at the next benchmark change.
 def solve_lap(cost, maximize=False):
-    """Exactly optimal assignment for a square cost matrix.
-
-    Returns (col, value) where row i is assigned to column col[i]. For
-    small problems (n <= 30) co-optimal ties resolve to the
-    lexicographically smallest assignment; above that the underlying
-    solver's deterministic choice is kept.
-    """
+    """Exactly optimal assignment for a square cost matrix: returns
+    (col, value) where row i is assigned to column col[i]."""
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost must be square")
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
     _, col = linear_sum_assignment(cost, maximize=maximize)
-    value = float(cost[np.arange(len(col)), col].sum())
-    n = cost.shape[0]
-    if n <= LEX_TIEBREAK_MAX:
-        col = _lexicographic_assignment(cost, maximize, value)
-    return col, value
-
-
-def _lexicographic_assignment(cost, maximize, value):
-    """Lexicographically smallest assignment among the co-optimal ones."""
-    n = cost.shape[0]
-    tol = 1e-9 * (1.0 + abs(value))
-    avail = list(range(n))
-    chosen = np.empty(n, dtype=int)
-    fixed = 0.0
-    for i in range(n):
-        for j in avail:
-            rest_rows = np.arange(i + 1, n)
-            rest_cols = [c for c in avail if c != j]
-            rest = 0.0
-            if len(rest_cols):
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                r, c = linear_sum_assignment(sub, maximize=maximize)
-                rest = float(sub[r, c].sum())
-            total = fixed + cost[i, j] + rest
-            if abs(total - value) <= tol:
-                chosen[i] = j
-                fixed += cost[i, j]
-                avail.remove(j)
-                break
-        else:
-            raise AssertionError("no feasible completion found; numerical tolerance too tight")
-    return chosen
+    return col, float(cost[np.arange(len(col)), col].sum())
 
 
 def solve_transport(cost, sizes):

@@ -36,7 +36,7 @@ from vnom.core import (
 )
 from vnom.harness import emit_results, load_config, parse_config, run_simulation
 from vnom.metrics import NominationList, alpha_weights, average_precision
-from vnom.sgm import sgm_match, solve_lap
+from vnom.sgm import sgm_match, solve_lap, solve_transport
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -174,6 +174,22 @@ def test_sgm_quality():
         brute = max(
             sum(cost[i, p[i]] for i in range(n))
             for p in itertools.permutations(range(n))
+        )
+        assert value == pytest.approx(brute, abs=1e-9)
+
+    # the matcher's step and projection, solve_transport, against the same
+    # enumeration over block labelings of fixed sizes
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        K = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 8))
+        sizes = rng.multinomial(n, np.full(K, 1.0 / K))
+        cost = rng.normal(size=(n, K))
+        labels, value = solve_transport(cost, sizes)
+        assert np.array_equal(np.bincount(labels, minlength=K), sizes)
+        brute = max(
+            float(cost[np.arange(n), part - 1].sum())
+            for part in enumerate_partitions(sizes)
         )
         assert value == pytest.approx(brute, abs=1e-9)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE_LAMBDA
-from vnom.canonical import InfeasibleEnumerationError
+from vnom.canonical import InfeasibleEnumerationError, conditional_block1_probability
 from vnom import harness
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 from vnom.harness import (
@@ -285,12 +285,48 @@ class TestRunRealdata:
         ("1 1\n2 3\n", r"labels\.txt:2: block 3 outside 1\.\.2"),
         ("# vertex block\n\n", r"labels\.txt: no labels found"),
         ("1 1\n3 2\n", r"labels\.txt: labels must cover vertices 1\.\.3 exactly"),
+        ("1 1\n2 2\n3 1\n2 1\n", r"labels\.txt:4: vertex 2 listed twice"),
     ])
     def test_malformed_labels_file_rejected(self, tmp_path, text, message):
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=message):
             harness._load_full_labels(str(labels_path), 2)
+
+    def test_degenerate_lambda_hat_on_edgeless_graph(self, tmp_path, monkeypatch):
+        # No seed pair has an edge, so every entry of Lambda-hat is clamped
+        # to eps, every partition is equally likely, and the schemes must
+        # still return valid lists.
+        labels = np.repeat([1, 2], 10)
+        edges, labels_path = write_dataset(tmp_path, np.zeros((20, 20), dtype=bool), labels)
+        config = parse_config({
+            "name": "edgeless",
+            "mode": "realdata",
+            "schemes": ["canonical", "likelihood", "spectral"],
+            "replicates": 3,
+            "master_seed": 4,
+            "data": {"edges": edges, "labels": labels_path, "K": 2,
+                     "seed_counts": [3, 3]},
+        })
+
+        def recording(fn, seen):
+            def wrapper(*args, **kwargs):
+                seen.append(fn(*args, **kwargs))
+                return seen[-1]
+            return wrapper
+
+        lambdas, aps = [], []
+        monkeypatch.setattr(harness, "estimate_lambda", recording(harness.estimate_lambda, lambdas))
+        monkeypatch.setattr(harness, "average_precision", recording(harness.average_precision, aps))
+        result = run_realdata(config)
+        assert len(lambdas) == 3 and len(aps) == 9
+        for lam in lambdas:
+            assert np.all(lam == config.hyper.eps)
+        assert all(0.0 <= ap <= 1.0 for ap in aps)
+        assert (result.n, result.n1) == (14, 7)
+        _, graph, model = harness._labeled_instance(config, 0, [3, 3])
+        prob = conditional_block1_probability(graph, model).prob
+        assert np.allclose(prob, 7 / 14, atol=1e-12, rtol=0)
 
     def test_oversized_seed_request_rejected(self, tmp_path):
         lam = np.array([[0.7, 0.2], [0.2, 0.7]])
