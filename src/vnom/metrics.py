@@ -42,8 +42,8 @@ def rank_with_ties(vertices, keys):
     """`vertices` by ascending key, each tie group by ascending vertex id.
 
     A key within TIE_RTOL * (1 + |key|) of its predecessor in sorted order
-    joins the predecessor's tie group. Both the canonical and the
-    likelihood scheme order their lists with it.
+    joins the predecessor's tie group. All three schemes order their lists
+    with it.
     """
     order = np.argsort(keys, kind="stable")
     ranked, sorted_keys = vertices[order], keys[order]

@@ -11,11 +11,18 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from vnom.core import adjacency_product
-from vnom.metrics import NominationList
+from vnom.metrics import NominationList, rank_with_ties
 
-# Above this size a Lanczos solver finds the few needed eigenpairs far
-# faster than a full dense decomposition (single-core budget).
-_DENSE_LIMIT = 2000
+# Above this size the Lanczos solver (eigsh) finds the d <= K needed eigenpairs
+# faster than a full dense decomposition (eigh), which computes all N of them.
+# Fastest of 5 calls, one BLAS thread, d = 3, configs/medium.json's model
+# scaled to N vertices, eigh against eigsh: N = 150 2.9 ms against 3.5 ms,
+# N = 200 4.6 against 4.3, N = 250 7.6 against 4.3, N = 300 10.8 against 4.6,
+# N = 520 39 against 15, N = 1,000 257 against 102, N = 2,000 1,696 against
+# 200. eigsh's time depends on the eigengap, so the limit sits a little above
+# the crossover. On the 20 configs/medium.json graphs the two paths' embeddings
+# and eigenvalues differ by at most 1.0e-12.
+_DENSE_LIMIT = 250
 
 # Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
 # the boolean adjacency in tiles (core.adjacency_product) instead of a float64
@@ -76,6 +83,9 @@ def embed(graph, d):
         vals = w[idx]
         vecs = V[:, idx]
     else:
+        if not graph.adjacency.any():
+            # ARPACK rejects A = 0; eigh gives zero eigenvalues and X = 0.
+            return Embedding(X=np.zeros((N, d)), eigenvalues=np.zeros(d))
         if N * N * 8 > _DENSE_COPY_BYTES:
             A = scipy.sparse.linalg.LinearOperator(
                 (N, N),
@@ -84,7 +94,9 @@ def embed(graph, d):
             )
         else:
             A = graph.adjacency.astype(np.float64)
-        v0 = np.full(N, 1.0 / np.sqrt(N))
+        # A fixed start vector with no symmetry, so a repeated top eigenvalue
+        # (two identical components) is not lost to an orthogonal eigenvector.
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, N)
         w, V = scipy.sparse.linalg.eigsh(A, k=d, which="LM", v0=v0)
         idx = np.argsort(-np.abs(w), kind="stable")
         vals = w[idx]
@@ -171,7 +183,7 @@ def choose_block1_centroid(clustering, seed_labels):
 
 def spectral_nominate(graph, K, d=None, restarts=10, rng_seed=0, model=None):
     """Embed, cluster, pick the seed-majority centroid, and rank ambiguous
-    vertices by ascending distance to it (ties by vertex id)."""
+    vertices by ascending distance to it (ties by `rank_with_ties`)."""
     if d is None:
         if model is None:
             raise ValueError("d must be given when the model (Lambda) is unknown")
@@ -182,5 +194,4 @@ def spectral_nominate(graph, K, d=None, restarts=10, rng_seed=0, model=None):
     centroid = clustering.centroids[c]
     amb = graph.ambiguous_vertices()
     dist = np.linalg.norm(emb.X[amb] - centroid, axis=1)
-    order = amb[np.argsort(dist, kind="stable")]
-    return NominationList(order=order, seed_count=graph.seed_count)
+    return NominationList(order=rank_with_ties(amb, dist), seed_count=graph.seed_count)

@@ -9,13 +9,16 @@ One test per acceptance criterion, each at its stated tolerance:
 5. canonical probabilities vs a rational brute-force oracle
 6. graph-matching ascent quality vs an exhaustive assignment oracle
 7. average precision as an alpha-weighted indicator sum
-8. byte-identical outputs across worker counts
+8. byte-identical outputs across worker counts and BLAS thread counts
 9. no scheme beats chance under a constant connectivity matrix
 """
 
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +41,8 @@ from vnom.harness import emit_results, load_config, parse_config, run_simulation
 from vnom.metrics import NominationList, alpha_weights, average_precision
 from vnom.sgm import sgm_match, solve_lap, solve_transport
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +238,35 @@ def test_determinism_across_worker_counts(tmp_path):
             csv_path.read_bytes(),
             json_path.read_bytes(),
             (tmp_path / f"curve_{workers}.csv.raw.csv").read_bytes(),
+        ))
+    assert blobs[0] == blobs[1]
+
+
+def test_determinism_across_blas_thread_counts(tmp_path):
+    # configs/medium.json embeds through ARPACK and BLAS matrix-vector
+    # products and matches graphs through BLAS products; the outputs must
+    # not depend on how many threads BLAS uses.
+    config = json.loads((CONFIG_DIR / "medium.json").read_text(encoding="utf-8"))
+    config["replicates"] = 4
+    config_path = tmp_path / "medium.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    blobs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        csv_path = tmp_path / f"curve_{threads}.csv"
+        json_path = tmp_path / f"summary_{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "vnom.cli", "experiment", "--config", str(config_path),
+             "--log-raw", "--csv-out", str(csv_path), "--json-out", str(json_path)],
+            env=env, check=True, capture_output=True,
+        )
+        blobs.append((
+            csv_path.read_bytes(),
+            json_path.read_bytes(),
+            (tmp_path / f"curve_{threads}.csv.raw.csv").read_bytes(),
         ))
     assert blobs[0] == blobs[1]
 

@@ -1,17 +1,22 @@
 """Spectral nomination: embedding, k-means, centroid choice, ranking."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vnom import spectral
+from vnom import harness, spectral
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, sample_sbm
 from vnom.spectral import (
+    Embedding,
     choose_block1_centroid,
     default_dimension,
     embed,
     kmeans,
     spectral_nominate,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def graph_from_adjacency(adj, seed_labels):
@@ -86,6 +91,7 @@ class TestEmbed:
         lam = np.array([[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]])
         model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(110, 90, 90), lam=lam)
         graph = sample_sbm(model, contiguous_assignment(model), 17)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
         dense = embed(graph, 2)  # eigh: N <= _DENSE_LIMIT
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", 100)
         copied = embed(graph, 2)  # eigsh on the float64 copy
@@ -104,6 +110,34 @@ class TestEmbed:
         assert np.allclose(tiled.eigenvalues, copied.eigenvalues, rtol=0.0, atol=1e-10)
         assert np.allclose(tiled.X, dense.X, rtol=0.0, atol=1e-8)
         assert np.allclose(tiled.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
+
+    def test_lanczos_finds_repeated_top_eigenvalue(self, monkeypatch):
+        # Two identical components: the top eigenvalue is double, and its
+        # antisymmetric eigenvector is orthogonal to a flat start vector.
+        rng = np.random.default_rng(5)
+        block = np.triu(rng.random((150, 150)) < 0.3, 1)
+        block = block | block.T
+        adj = np.zeros((300, 300), dtype=bool)
+        adj[:150, :150] = block
+        adj[150:, 150:] = block
+        graph = graph_from_adjacency(adj, [1])
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        lanczos = embed(graph, 3)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
+        dense = embed(graph, 3)
+        assert dense.eigenvalues[0] == pytest.approx(dense.eigenvalues[1], rel=1e-12)
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-9)
+
+    def test_empty_graph_on_lanczos_path(self, monkeypatch):
+        graph = graph_from_adjacency(np.zeros((300, 300)), [1])
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        lanczos = embed(graph, 3)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
+        dense = embed(graph, 3)
+        assert lanczos.X.shape == dense.X.shape == (300, 3)
+        assert np.array_equal(lanczos.X, dense.X)
+        assert np.array_equal(lanczos.eigenvalues, dense.eigenvalues)
+        assert not lanczos.X.any()
 
     def test_d_out_of_range(self):
         graph = graph_from_adjacency(np.zeros((4, 4)), [1])
@@ -195,6 +229,30 @@ class TestSpectralNominate:
         graph = sample_sbm(model, contiguous_assignment(model), 3)
         with pytest.raises(ValueError):
             spectral_nominate(graph, 2, rng_seed=0)
+
+    def test_near_tied_distances_listed_by_vertex_id(self, monkeypatch):
+        # Vertices 3 and 4 sit 1e-12 apart, closer than the tie tolerance:
+        # they form one tie group, listed by vertex id, not by rounding.
+        X = np.array([[0.0], [10.0], [10.0], [1.0 + 1e-12], [1.0], [9.0]])
+        monkeypatch.setattr(spectral, "embed",
+                            lambda graph, d: Embedding(X=X, eigenvalues=np.ones(1)))
+        graph = graph_from_adjacency(np.zeros((6, 6)), [1, 2, 2])
+        nomination = spectral_nominate(graph, 2, d=1, rng_seed=0)
+        assert nomination.order.tolist() == [3, 4, 5]
+
+    def test_medium_replicate_same_list_under_eigh_and_eigsh(self, monkeypatch):
+        config = harness.load_config(CONFIG_DIR / "medium.json")
+        model = harness.build_model(config)
+        seen = []
+        monkeypatch.setattr(harness, "_nominate_all",
+                            lambda graph, *args: seen.append(graph))
+        harness._simulation_replicate(config, 0)
+        graph = seen[0]
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        lanczos = harness._nominate("spectral", graph, model, config, 0)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
+        dense = harness._nominate("spectral", graph, model, config, 0)
+        assert np.array_equal(lanczos.order, dense.order)
 
     def test_relabeling_equivariance_when_separated(self, rng):
         lam = np.array([[0.9, 0.05], [0.05, 0.9]])
