@@ -34,6 +34,16 @@ _DENSE_LIMIT = 250
 # 947 MB to 291 MB.
 _DENSE_COPY_BYTES = 64 << 20
 
+# Lloyd's algorithm stops a restart unconverged after this many centroid updates.
+_MAX_ITER = 300
+
+# k-means runs its restarts together, in groups whose (group, N, K, d)
+# distance buffer holds at most this many float64 elements (1 MiB). All 10
+# restarts fit in one group while N*K*d <= 13,107 (configs/medium.json's
+# graphs have 4,680); configs/large.json's (60,240) run two at a time, and
+# its peak RSS stayed at 287 MB.
+_BATCH_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -45,9 +55,15 @@ class Embedding:
 
 @dataclass(frozen=True)
 class Clustering:
+    """`labels` run 1..K. `restart` is the winning k-means restart and
+    `iterations` its centroid updates, which reach the step cap only if
+    that restart stopped unconverged."""
+
     labels: np.ndarray
     centroids: np.ndarray
     objective: float
+    restart: int
+    iterations: int
     chosen_centroid: int | None = None
 
 
@@ -106,61 +122,145 @@ def embed(graph, d):
     return Embedding(X=X, eigenvalues=vals)
 
 
-def _seed_centroids(points, K, rng):
-    """Greedy farthest-point seeding: a random first center, then each
-    next center at the point farthest from all chosen centers."""
-    first = int(rng.integers(len(points)))
-    centers = [points[first]]
-    dist = np.linalg.norm(points - centers[0], axis=1)
-    for _ in range(1, K):
-        nxt = int(np.argmax(dist))
-        centers.append(points[nxt])
-        dist = np.minimum(dist, np.linalg.norm(points - centers[-1], axis=1))
-    return np.array(centers)
+def _seed_centroids(points, K, rngs):
+    """Greedy farthest-point seeding, one restart per generator: a random
+    first center, then each next center at the point farthest from all
+    chosen centers. Returns the (restarts, K, d) centers."""
+    picks = np.empty((len(rngs), K), dtype=np.intp)
+    picks[:, 0] = [rng.integers(len(points)) for rng in rngs]
+    dist = np.linalg.norm(points - points[picks[:, :1]], axis=-1)
+    for k in range(1, K):
+        picks[:, k] = np.argmax(dist, axis=1)
+        dist = np.minimum(dist, np.linalg.norm(points - points[picks[:, k:k + 1]], axis=-1))
+    return points[picks]
 
 
-def _lloyd(points, centers, max_iter=300):
-    labels = None
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        # empty-cluster repair: move the centroid to the farthest point
-        claimed = []
-        for k in range(len(centers)):
-            if not (new_labels == k).any():
-                gaps = d2[np.arange(len(points)), new_labels].copy()
-                if claimed:
-                    gaps[claimed] = -1.0
-                far = int(np.argmax(gaps))
-                new_labels[far] = k
-                claimed.append(far)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for k in range(len(centers)):
-            centers[k] = points[labels == k].mean(axis=0)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    objective = float(d2[np.arange(len(points)), labels].sum())
-    return labels, centers, objective
+def _sq_distances(repeated, centers, buf):
+    """(R, N, K) squared distances from every point to every restart's
+    centers, squared in the leading (R, N, K, d) part of buf. `repeated`
+    holds the (N, d) points K times over in each row, so the subtraction
+    runs over rows of K*d elements."""
+    R, K, d = centers.shape
+    diff = buf[:R]
+    np.subtract(repeated, centers.reshape(R, 1, K * d), out=diff.reshape(R, -1, K * d))
+    np.square(diff, out=diff)
+    if d == 2:
+        # One addition rounds the same in either order, so this equals the
+        # sum below without its slow reduction over a length-2 axis.
+        return np.add(diff[..., 0], diff[..., 1])
+    return diff.sum(axis=-1)
+
+
+def _cluster_counts(labels, K):
+    """(R, K) member counts of each restart's clusters."""
+    R = len(labels)
+    flat = (labels + K * np.arange(R)[:, None]).ravel()
+    return np.bincount(flat, minlength=R * K).reshape(R, K)
+
+
+def _repair_empty(d2, labels, counts):
+    """Give each empty cluster, in index order, the point farthest from its
+    own center among the clusters that have at least 2 members, so no
+    cluster is emptied in turn. One restart: d2 is (N, K); labels and
+    counts are updated in place."""
+    rows = np.arange(len(labels))
+    for k in np.flatnonzero(counts == 0):
+        gaps = d2[rows, labels]
+        gaps[counts[labels] < 2] = -1.0
+        far = int(np.argmax(gaps))
+        counts[labels[far]] -= 1
+        labels[far] = k
+        counts[k] = 1
+
+
+def _centroids(points, columns, labels, counts):
+    """(R, K, d) cluster means. Row j of `columns` is coordinate j of the
+    points, repeated for each restart. Coordinates are summed in ascending
+    vertex order, which is how `points[labels == k].mean(axis=0)` sums them
+    when d >= 2; numpy sums a single column pairwise, so d = 1 takes that
+    mean."""
+    R, K = counts.shape
+    if points.shape[1] == 1:
+        return np.array([[points[row == k].mean(axis=0) for k in range(K)]
+                         for row in labels])
+    flat = (labels + K * np.arange(R)[:, None]).ravel()
+    sums = np.stack([np.bincount(flat, weights=col[:flat.size], minlength=R * K)
+                     for col in columns], axis=-1)
+    return (sums / counts.reshape(-1, 1)).reshape(R, K, -1)
+
+
+def _objectives(d2, labels):
+    """Each restart's sum of squared distances to its own centers."""
+    return np.take_along_axis(d2, labels[..., None], axis=-1)[..., 0].sum(axis=1)
+
+
+def _lloyd(points, centers):
+    """Lloyd's algorithm from each restart's (K, d) centers, all restarts in
+    one loop. A restart leaves the loop once its labels repeat, or after
+    _MAX_ITER centroid updates. Returns labels (R, N), centers (R, K, d),
+    objectives (R,) and each restart's centroid updates (R,)."""
+    R, K, d = centers.shape
+    labels = np.empty((R, len(points)), dtype=np.intp)
+    final = np.empty_like(centers)
+    objectives = np.empty(R)
+    steps = np.full(R, _MAX_ITER)
+    buf = np.empty((R, len(points), K, d))
+    repeated = np.tile(points, K)
+    columns = np.tile(points.T, R)
+    active = np.arange(R)
+    current = None
+    for step in range(_MAX_ITER):
+        d2 = _sq_distances(repeated, centers, buf)
+        new = np.argmin(d2, axis=-1)
+        counts = _cluster_counts(new, K)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(d2[i], new[i], counts[i])
+        if current is not None:
+            done = (new == current).all(axis=1)
+            if done.any():
+                finished = active[done]
+                labels[finished] = new[done]
+                final[finished] = centers[done]
+                objectives[finished] = _objectives(d2[done], new[done])
+                steps[finished] = step
+                keep = ~done
+                active, new, counts = active[keep], new[keep], counts[keep]
+                if not len(active):
+                    break
+        current = new
+        centers = _centroids(points, columns, current, counts)
+    else:
+        labels[active] = current
+        final[active] = centers
+        objectives[active] = _objectives(_sq_distances(repeated, centers, buf), current)
+    return labels, final, objectives, steps
 
 
 def kmeans(X, K, restarts=10, rng_seed=0):
-    """Best-of-restarts Lloyd's algorithm; deterministic given rng_seed.
-    Ties between restarts go to the earliest."""
+    """Best-of-restarts Lloyd's algorithm with farthest-point seeding;
+    restart r draws from SeedSequence((rng_seed, r)). Deterministic given
+    rng_seed. Ties between restarts (objectives within 1e-12) go to the
+    earliest."""
     points = np.asarray(X, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    if K < 1 or K > len(points):
-        raise ValueError(f"K must lie in 1..{len(points)}, got {K}")
+    N, d = points.shape
+    if K < 1 or K > N:
+        raise ValueError(f"K must lie in 1..{N}, got {K}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    group = max(1, _BATCH_ELEMENTS // (N * K * d))
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
-        centers = _seed_centroids(points, K, rng)
-        labels, centers, objective = _lloyd(points, centers.copy())
-        if best is None or objective < best[2] - 1e-12:
-            best = (labels, centers, objective)
-    labels, centers, objective = best
-    return Clustering(labels=labels + 1, centroids=centers, objective=objective)
+    for first in range(0, restarts, group):
+        rngs = [np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
+                for r in range(first, min(first + group, restarts))]
+        labels, centers, objectives, steps = _lloyd(points, _seed_centroids(points, K, rngs))
+        for i, objective in enumerate(objectives.tolist()):
+            if best is None or objective < best[2] - 1e-12:
+                best = (labels[i], centers[i], objective, first + i, int(steps[i]))
+    labels, centers, objective, restart, iterations = best
+    return Clustering(labels=labels + 1, centroids=centers, objective=objective,
+                      restart=restart, iterations=iterations)
 
 
 def _canonical_cluster_order(centroids):

@@ -1,5 +1,6 @@
 """Spectral nomination: embedding, k-means, centroid choice, ranking."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,84 @@ from vnom.spectral import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _reference_seed_centroids(points, K, rng):
+    """k-means seeding one restart at a time, as before the batched loop."""
+    first = int(rng.integers(len(points)))
+    centers = [points[first]]
+    dist = np.linalg.norm(points - centers[0], axis=1)
+    for _ in range(1, K):
+        nxt = int(np.argmax(dist))
+        centers.append(points[nxt])
+        dist = np.minimum(dist, np.linalg.norm(points - centers[-1], axis=1))
+    return np.array(centers)
+
+
+def _reference_lloyd(points, centers, max_iter):
+    """One restart's Lloyd loop as before the batched loop, with the repair
+    taking points only from clusters of at least 2 members. Also returns
+    the number of centroid updates."""
+    labels = None
+    steps = max_iter
+    for step in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        # empty-cluster repair: move the centroid to the farthest point
+        claimed = []
+        for k in range(len(centers)):
+            if not (new_labels == k).any():
+                gaps = d2[np.arange(len(points)), new_labels].copy()
+                sizes = np.bincount(new_labels, minlength=len(centers))
+                gaps[sizes[new_labels] < 2] = -1.0
+                if claimed:
+                    gaps[claimed] = -1.0
+                far = int(np.argmax(gaps))
+                new_labels[far] = k
+                claimed.append(far)
+        if labels is not None and np.array_equal(new_labels, labels):
+            steps = step
+            break
+        labels = new_labels
+        for k in range(len(centers)):
+            centers[k] = points[labels == k].mean(axis=0)
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    objective = float(d2[np.arange(len(points)), labels].sum())
+    return labels, centers, objective, steps
+
+
+def _reference_restarts(X, K, restarts, rng_seed, max_iter=300):
+    """Each restart's (labels, centers, objective, steps), one at a time."""
+    points = np.asarray(X, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    runs = []
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
+        centers = _reference_seed_centroids(points, K, rng)
+        runs.append(_reference_lloyd(points, centers.copy(), max_iter))
+    return runs
+
+
+def _reference_kmeans(X, K, restarts=10, rng_seed=0, max_iter=300):
+    """Best of restarts; ties go to the earliest. Returns labels 1..K,
+    centers, objective, winning restart and its centroid updates."""
+    best = None
+    for r, (labels, centers, objective, steps) in enumerate(
+            _reference_restarts(X, K, restarts, rng_seed, max_iter)):
+        if best is None or objective < best[2] - 1e-12:
+            best = (labels + 1, centers, objective, r, steps)
+    return best
+
+
+def assert_matches_reference(X, K, restarts=10, rng_seed=0, max_iter=300):
+    labels, centers, objective, restart, steps = _reference_kmeans(
+        X, K, restarts, rng_seed, max_iter)
+    clustering = kmeans(X, K, restarts=restarts, rng_seed=rng_seed)
+    assert np.array_equal(clustering.labels, labels)
+    assert np.array_equal(clustering.centroids, centers)
+    assert clustering.objective == objective
+    assert (clustering.restart, clustering.iterations) == (restart, steps)
 
 
 def graph_from_adjacency(adj, seed_labels):
@@ -188,6 +267,92 @@ class TestKmeans:
         c2 = kmeans(X, 3, rng_seed=7)
         assert np.array_equal(c1.labels, c2.labels)
         assert np.array_equal(c1.centroids, c2.centroids)
+
+    def test_restarts_must_be_positive(self):
+        with pytest.raises(ValueError):
+            kmeans(np.zeros((3, 2)), 2, restarts=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_batched_restarts_match_one_at_a_time(self, d, K):
+        # d >= 8 sums each squared distance pairwise; d = 1 takes numpy's
+        # pairwise mean. Scales vary so that rounding differences would show.
+        rng = np.random.default_rng(1000 * d + K)
+        for trial in range(6):
+            N = int(rng.integers(K, 80))
+            X = rng.normal(size=(N, d)) * 10.0 ** rng.integers(-2, 3, size=(N, 1))
+            assert_matches_reference(X, K, rng_seed=trial)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_batched_restarts_match_on_duplicated_rows(self, K):
+        rng = np.random.default_rng(K)
+        for trial in range(8):
+            distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
+            X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
+            assert_matches_reference(X, K, rng_seed=trial)
+
+    def test_batched_restarts_match_on_medium_embeddings(self, monkeypatch):
+        config = harness.load_config(CONFIG_DIR / "medium.json")
+        model = harness.build_model(config)
+        seen = []
+        monkeypatch.setattr(harness, "_nominate_all",
+                            lambda graph, *args: seen.append(graph))
+        for replicate in range(4):
+            harness._simulation_replicate(config, replicate)
+        d = default_dimension(model.lam)
+        for replicate, graph in enumerate(seen):
+            assert_matches_reference(embed(graph, d).X, model.K, rng_seed=replicate)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_step_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(spectral, "_MAX_ITER", cap)
+        rng = np.random.default_rng(cap)
+        for trial in range(5):
+            X = rng.normal(size=(60, 2))
+            assert_matches_reference(X, 4, rng_seed=trial, max_iter=cap)
+            assert kmeans(X, 4, rng_seed=trial).iterations <= cap
+
+    def test_restarts_split_into_groups(self, monkeypatch, rng):
+        X = rng.normal(size=(50, 3))
+        monkeypatch.setattr(spectral, "_BATCH_ELEMENTS", 3 * 50 * 3)
+        assert_matches_reference(X, 3, restarts=7, rng_seed=4)
+
+    def test_tied_restarts_return_restart_zero(self):
+        # Three tight, far-apart groups: every restart ends on the same
+        # partition and objective, but seeding numbers the clusters
+        # differently from restart to restart.
+        rng = np.random.default_rng(8)
+        X = np.concatenate([rng.normal(loc, 0.01, size=(6, 2))
+                            for loc in ([0, 0], [10, 0], [0, 10])])
+        runs = _reference_restarts(X, 3, 10, rng_seed=3)
+        assert len({objective for _, _, objective, _ in runs}) == 1
+        assert len({tuple(labels) for labels, _, _, _ in runs}) > 1
+        clustering = kmeans(X, 3, restarts=10, rng_seed=3)
+        assert clustering.restart == 0
+        assert np.array_equal(clustering.labels, runs[0][0] + 1)
+        assert np.array_equal(clustering.centroids, runs[0][1])
+
+    def test_repair_never_empties_a_singleton_cluster(self):
+        # Fewer distinct rows than clusters: the repair used to take the
+        # only member of another cluster, leaving it empty with a NaN center.
+        X = np.array([[2.0], [0.0], [1.0], [1.0], [1.0], [0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clustering = kmeans(X, 4, rng_seed=297)
+        assert np.array_equal(np.unique(clustering.labels), [1, 2, 3, 4])
+        assert np.isfinite(clustering.centroids).all()
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_every_cluster_used_with_few_distinct_rows(self, K):
+        rng = np.random.default_rng(K)
+        for trial in range(100):
+            N = int(rng.integers(K, 12))
+            X = rng.integers(0, K - 1, size=(N, int(rng.integers(1, 3)))).astype(float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                clustering = kmeans(X, K, rng_seed=trial)
+            assert np.array_equal(np.unique(clustering.labels), np.arange(1, K + 1))
+            assert np.isfinite(clustering.centroids).all()
 
 
 class TestChooseBlock1Centroid:
