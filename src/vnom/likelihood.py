@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vnom.core import PROB_EPS, BlockAssignment, block_edge_counts
+from vnom.core import PROB_EPS, BlockAssignment, adjacency_product
 from vnom.metrics import NominationList, rank_with_ties
 from vnom.sgm import sgm_match
 
@@ -61,40 +61,76 @@ def swap_log_ratio(graph, bhat, model, v, v_prime, eps=PROB_EPS):
 def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
     """Log geometric-mean swap ratios for both segments of the list.
 
-    Every swap ratio comes from one N x K matrix of block edge counts.
-    With E = A·H the edge counts from each vertex to each block (H one-hot
-    in b-hat), S = E log(Lambda)^T + (sizes - H - E) log(1-Lambda)^T holds
-    in S[w, k] the log-likelihood of w's incident pairs if w were in block
+    Every mean comes from the n x K block edge counts of the ambiguous
+    vertices. With E = A·H their edge counts to each block (H one-hot in
+    b-hat), S = E log(Lambda)^T + (sizes - H - E) log(1-Lambda)^T holds in
+    S[w, k] the log-likelihood of w's incident pairs if w were in block
     k+1. For v in block 1 and v' in block k+1,
 
-        swap_log_ratio(v, v') = S[v, k] - S[v, 0] + S[v', 0] - S[v', k] - c,
+        swap_log_ratio(v, v') = S[v, k] - S[v, 0] + S[v', 0] - S[v', k]
+                                - pn[k] - A[v, v'] (pe[k] - pn[k]),
 
-    where c corrects for the (v, v') pair, which S counts on both sides:
-    log Lambda[k, k] + log Lambda[0, 0] - 2 log Lambda[0, k] if v ~ v', and
-    the same in log(1-Lambda) if not. Cost: one A·H product and
-    O(N·K + n1·n2) arithmetic, against n1·n2 swap_log_ratio calls of O(N)
-    each.
+    where pe[k] = log Lambda[k, k] + log Lambda[0, 0] - 2 log Lambda[0, k]
+    and pn[k], the same in log(1-Lambda), correct for the (v, v') pair,
+    which S counts on both sides. Averaged over v' (c[k] of them in block
+    k+1, n2 in all), the A[v, v'] term only needs D[v, k], v's edge count
+    to the ambiguous vertices of block k+1; averaged over v (n1 of them),
+    only D[v', 0]. D = E - E_s, with E_s the edge counts to each block's seeds:
+
+        score_in[v]   = ((S[v] - S[v, 0])·c - D[v]·(pe - pn) - pn·c) / n2
+                        + mean(S[v', 0] - S[v', k'])
+        score_out[v'] = mean(S[v, k'] - S[v, 0]) + S[v', 0] - S[v', k']
+                        - pn[k'] - (pe[k'] - pn[k']) D[v', 0] / n1
+
+    Cost: one n x N edge-count product and O(n·K) arithmetic. Products over
+    the length-K axis are taken one column at a time, so vertices with equal
+    counts in the same block get bit-equal scores.
     """
     m, K = graph.seed_count, model.K
     labels0 = bhat.labels - 1
+    amb = labels0[m:]
     lam = model.clamped_lam(eps)
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
-    E = block_edge_counts(graph.adjacency, bhat.labels, K)
+    # one exact 0/1 product: columns k count edges to block k+1's seeds,
+    # columns K + k to its ambiguous vertices
+    counts = adjacency_product(graph.adjacency[m:],
+                               np.eye(2 * K)[np.concatenate([labels0[:m], amb + K])])
+    D = counts[:, K:]
+    E = counts[:, :K] + D
     sizes = np.bincount(labels0, minlength=K)
-    S = E @ log_lam.T + (sizes - np.eye(K, dtype=np.int64)[labels0] - E) @ log_1m.T
+    # S = E (log Lambda - log(1-Lambda))^T + (sizes - H) log(1-Lambda)^T
+    S = _columns_dot(E, log_lam - log_1m) + (log_1m @ sizes - log_1m[:, amb].T)
     ambiguous = graph.ambiguous_vertices()
-    in1 = ambiguous[labels0[m:] == 0]
-    out1 = ambiguous[labels0[m:] != 0]
-    k = labels0[out1]
+    is_in = amb == 0
+    in1, out1 = ambiguous[is_in], ambiguous[~is_in]
+    # empty-mean convention: a mean over no swaps is 0 (ratio 1)
+    if not len(in1) or not len(out1):
+        return in1, np.zeros(len(in1)), out1, np.zeros(len(out1))
+    k = amb[~is_in]
+    c = np.bincount(k, minlength=K)
     pair_edge = log_lam.diagonal() + log_lam[0, 0] - 2 * log_lam[0]
     pair_non = log_1m.diagonal() + log_1m[0, 0] - 2 * log_1m[0]
-    ratios = (S[in1][:, k] - S[in1, :1] + (S[out1, 0] - S[out1, k])
-              - np.where(graph.adjacency[np.ix_(in1, out1)], pair_edge[k], pair_non[k]))
-    # empty-mean convention: a mean over no swaps is 0 (ratio 1)
-    score_in = ratios.mean(axis=1) if len(out1) else np.zeros(len(in1))
-    score_out = ratios.mean(axis=0) if len(in1) else np.zeros(len(out1))
+    # pair_edge[0] = pair_non[0] = c[0] = 0 exactly, so block 1 drops out
+    # of the sums over blocks
+    pair_gap = pair_edge - pair_non
+    gain = S[is_in] - S[is_in, :1]
+    drop = S[~is_in, 0] - S[~is_in, k]
+    score_in = ((_columns_dot(gain, c) - _columns_dot(D[is_in], pair_gap)
+                 - pair_non @ c) / len(out1) + drop.mean())
+    score_out = (gain.mean(axis=0)[k] + drop - pair_non[k]
+                 - pair_gap[k] * D[~is_in, 0] / len(in1))
     return in1, score_in, out1, score_out
+
+
+def _columns_dot(X, W):
+    """X @ W.T for an R x K matrix X and W of shape K or J x K, accumulated
+    one column of X at a time: every row takes the same float operations,
+    so equal rows of X give bit-equal rows of the result."""
+    out = np.multiply.outer(X[:, 0], W[..., 0])
+    for j in range(1, X.shape[1]):
+        out += np.multiply.outer(X[:, j], W[..., j])
+    return out
 
 
 def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
@@ -108,7 +144,7 @@ def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
     tie group, and a tie group is ordered by ascending vertex id. Scores
     that are equal in exact arithmetic (structurally equivalent vertices)
     so keep id order whatever rounding separates them. Scoring costs one
-    N x K edge-count product plus O(N·K + n1·n2); see _geo_mean_scores.
+    n x N edge-count product plus O(n·K); see _geo_mean_scores.
     """
     if bhat is None:
         bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,

@@ -14,6 +14,7 @@ al. applied to seeded graph matching as in Fishkind et al.).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,58 +63,81 @@ def solve_transport(cost, sizes):
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
     blocks = np.flatnonzero(sizes)
-    sub, need = cost[:, blocks], sizes[blocks]
-    u = _block_potentials(sub, need)
-    labels = blocks[_balance(sub, need, np.argmax(sub - u, axis=1), u)]
+    columns = np.ascontiguousarray(cost.T[blocks])
+    need = sizes[blocks]
+    u = _block_potentials(columns, need)
+    start = _best_blocks(columns - u[:, None])
+    labels = blocks[_balance(columns, need, start, u)]
     return labels, float(cost[np.arange(len(labels)), labels].sum())
 
 
-def _block_potentials(cost, sizes):
+def _best_blocks(reduced):
+    """Each row's best block, the first on ties (np.argmax over the rows of
+    reduced.T), from a running comparison of the K contiguous columns in
+    place of a reduction over a length-K axis."""
+    labels = np.zeros(reduced.shape[1], dtype=np.intp)
+    best = reduced[0]
+    for k in range(1, len(reduced)):
+        labels[reduced[k] > best] = k
+        best = np.maximum(best, reduced[k])
+    return labels
+
+
+def _block_potentials(columns, sizes):
     """Coordinate passes on the transportation dual: with the other
     potentials fixed, u[k] is set between the sizes[k]-th and the next
     largest lead of block k over each row's best other block, so that
-    sizes[k] rows prefer block k (up to ties at the threshold)."""
-    n, K = cost.shape
+    sizes[k] rows prefer block k (up to ties at the threshold).
+
+    columns holds the K x n transposed cost, one contiguous row per block;
+    reduced[k] = columns[k] - u[k] is kept up to date as u changes. The
+    best other block is a running np.maximum (exact), and the two order
+    statistics come from np.partition, which returns the values a sort
+    would."""
+    K, n = columns.shape
     u = np.zeros(K)
     if K == 1:
         return u
+    reduced = columns.copy()
+    others = [[j for j in range(K) if j != k] for k in range(K)]
     for _ in range(TRANSPORT_PASSES):
-        for k in range(K):
-            reduced = cost - u
-            reduced[:, k] = -np.inf
-            lead = cost[:, k] - reduced.max(axis=1)
-            cut = n - sizes[k]
-            # a full stable sort, not np.partition: its library code is
-            # already resident for the rankings, which keeps peak RSS down
-            low, high = np.sort(lead, kind="stable")[cut - 1 : cut + 1]
-            u[k] = 0.5 * (low + high)
+        for k, size in enumerate(sizes.tolist()):
+            first, *rest = others[k]
+            best = reduced[first]
+            for j in rest:
+                best = np.maximum(best, reduced[j])
+            lead = columns[k] - best
+            cut = n - size
+            lead.partition((cut - 1, cut))
+            u[k] = 0.5 * (lead[cut - 1] + lead[cut])
+            np.subtract(columns[k], u[k], out=reduced[k])
     return u
 
 
-def _balance(cost, sizes, labels, u):
+def _balance(columns, sizes, labels, u):
     """Successive shortest paths from over-full to under-full blocks.
 
-    Every row sits at its best reduced cost cost[i, k] - u[k], so moving a
-    row from block a to block b loses a margin >= 0 of reduced cost. On the
-    K-node graph whose edge a -> b carries the smallest such loss over a's
-    rows, one row moves along each edge of a shortest path from an
-    over-full to an under-full block, and u drops by the path distances
-    (capped at the target's), which keeps every row at its best reduced
-    cost. Each round moves one unit of excess; labels and u are updated in
-    place.
+    columns is the K x n transposed cost. Every row i sits at its best
+    reduced cost columns[k, i] - u[k], so moving a row from block a to
+    block b loses a margin >= 0 of reduced cost. On the K-node graph whose
+    edge a -> b carries the smallest such loss over a's rows, one row moves
+    along each edge of a shortest path from an over-full to an under-full
+    block, and u drops by the path distances (capped at the target's),
+    which keeps every row at its best reduced cost. Each round moves one
+    unit of excess; labels and u are updated in place.
     """
-    n, K = cost.shape
+    K, n = columns.shape
     rows, cols = np.arange(n), np.arange(K)
     counts = np.bincount(labels, minlength=K)
     while (counts != sizes).any():
-        reduced = cost - u
-        margin = np.maximum(reduced[rows, labels][:, None] - reduced, 0.0)
+        reduced = columns - u[:, None]
+        margin = np.maximum(reduced[labels, rows] - reduced, 0.0)
         weight = np.full((K, K), np.inf)
         mover = np.zeros((K, K), dtype=np.intp)
         for a in np.flatnonzero(counts):
             members = np.flatnonzero(labels == a)
-            mover[a] = members[np.argmin(margin[members], axis=0)]
-            weight[a] = margin[mover[a], cols]
+            mover[a] = members[np.argmin(margin[:, members], axis=1)]
+            weight[a] = margin[cols, mover[a]]
         np.fill_diagonal(weight, np.inf)
         # Bellman-Ford from every over-full block; weights are nonnegative,
         # so strict improvements keep the predecessor graph a forest
@@ -255,16 +279,23 @@ def _polish(adjacency, labels, m, L, objective):
            - A[v, v'] (L[a, a] + L[c, c] - 2 L[a, c])),
 
     twice their swap log-likelihood ratio, since the objective is
-    2 log p(b, G) less a constant of the block sizes. A swap changes F by
-    the rank-one (A[:, v] - A[:, v']) (L[c] - L[a]). Returns the polished
-    labels, their objective and the swaps made as (v, v', gain), with v and
-    v' indexing the ambiguous vertices.
+    2 log p(b, G) less a constant of the block sizes. Each step makes the
+    best swap, found without an n_a x n_c matrix of gains: for each block
+    pair a < c, _best_swap scans x_v + y_v' in descending order, with
+    x_v = F[v, c] - F[v, a] and y_v' = F[v', a] - F[v', c], until the bound
+    x_v + y_v' + max(0, -kappa) on every gain left falls below the best
+    found. Equal gains go where a dense argmax would put them: the earliest
+    pair (a, c), and within it the first (v, v') in row-major order. A swap
+    changes F by the rank-one (A[v] - A[v']) (L[c] - L[a]), reading the
+    rows of the symmetric A. Returns the polished labels, their objective
+    and the swaps made as (v, v', gain), with v and v' indexing the
+    ambiguous vertices.
     """
     K = len(L)
     labels = np.array(labels)
     amb = labels[m:]  # a view: swaps write through to labels
-    A = adjacency[m:]
-    F = block_edge_counts(A, labels, K) @ L
+    A = adjacency[m:, m:]
+    F = block_edge_counts(adjacency[m:], labels, K) @ L
     kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
     swaps = []
     for _ in range(max(100, 2 * len(amb))):
@@ -275,21 +306,54 @@ def _polish(adjacency, labels, m, L, objective):
                 Ia, Ic = members[a], members[c]
                 if not len(Ia) or not len(Ic):
                     continue
-                gains = ((F[Ia, c] - F[Ia, a])[:, None] + (F[Ic, a] - F[Ic, c])[None, :]
-                         - kappa[a, c] * A[np.ix_(Ia, m + Ic)])
-                flat = int(np.argmax(gains))
-                if gains.flat[flat] > half:
-                    half = gains.flat[flat]
-                    pick = (Ia[flat // len(Ic)], Ic[flat % len(Ic)], a, c)
+                found = _best_swap(F[Ia, c] - F[Ia, a], F[Ic, a] - F[Ic, c],
+                                   float(kappa[a, c]), A, Ia, Ic, half)
+                if found is not None:
+                    half, i, j = found
+                    pick = (Ia[i], Ic[j], a, c)
         gain = 2.0 * half
         if pick is None or gain <= 1e-10 * max(1.0, abs(objective)):
             break
         v, w, a, c = pick
         amb[v], amb[w] = c + 1, a + 1
-        F += np.subtract(A[:, m + v], A[:, m + w], dtype=float)[:, None] * (L[c] - L[a])
+        F += np.subtract(A[v], A[w], dtype=float)[:, None] * (L[c] - L[a])
         objective += gain
         swaps.append((int(v), int(w), float(gain)))
     return labels, objective, swaps
+
+
+def _best_swap(x, y, kappa, A, rows, cols, floor):
+    """The largest gain x[i] + y[j] - kappa A[rows[i], cols[j]] above floor
+    as (gain, i, j), the first (i, j) in row-major order among equal gains,
+    or None if no gain exceeds floor.
+
+    With x and y sorted in descending order, a heap yields the sums
+    x[i] + y[j] in descending order (each (i, j) is pushed by (i, j - 1),
+    or by (i - 1, 0) when j = 0). Rounding is monotone, so every gain not
+    yet seen is at most the current sum plus max(0, -kappa); the scan stops
+    once that bound falls below the best gain, or to floor or below while
+    none is found.
+    """
+    by_x, by_y = np.argsort(-x, kind="stable"), np.argsort(-y, kind="stable")
+    xs, ys = x[by_x].tolist(), y[by_y].tolist()
+    slack = max(0.0, -kappa)
+    best = None
+    heap = [(-(xs[0] + ys[0]), 0, 0)]
+    while heap:
+        neg, p, q = heapq.heappop(heap)
+        total = -neg
+        if (total + slack < best[0]) if best else (total + slack <= floor):
+            break
+        i, j = int(by_x[p]), int(by_y[q])
+        gain = total - kappa * float(A[rows[i], cols[j]])
+        if gain > floor and (best is None or gain > best[0]
+                             or (gain == best[0] and (i, j) < best[1:])):
+            best = (gain, i, j)
+        if q + 1 < len(ys):
+            heapq.heappush(heap, (-(xs[p] + ys[q + 1]), p, q + 1))
+        if q == 0 and p + 1 < len(xs):
+            heapq.heappush(heap, (-(xs[p + 1] + ys[0]), p + 1, 0))
+    return best
 
 
 def _frank_wolfe(Y, sizes, const, C, A22, L, max_iter, tol):

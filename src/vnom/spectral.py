@@ -144,10 +144,15 @@ def _sq_distances(repeated, centers, buf):
     diff = buf[:R]
     np.subtract(repeated, centers.reshape(R, 1, K * d), out=diff.reshape(R, -1, K * d))
     np.square(diff, out=diff)
-    if d == 2:
-        # One addition rounds the same in either order, so this equals the
-        # sum below without its slow reduction over a length-2 axis.
-        return np.add(diff[..., 0], diff[..., 1])
+    if 2 <= d < 8:
+        # Below 8 terms numpy's reduction adds left to right, so d - 1
+        # elementwise additions of the columns give the same bits without
+        # its slow inner loop over a short axis. From 8 terms on it sums
+        # pairwise, in an order these additions would not reproduce.
+        total = np.add(diff[..., 0], diff[..., 1])
+        for j in range(2, d):
+            np.add(total, diff[..., j], out=total)
+        return total
     return diff.sum(axis=-1)
 
 

@@ -1,9 +1,15 @@
 """Shared fixtures and instance generators for the test suite."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from vnom import harness
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, mix_lambda, sample_sbm
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Base connectivity matrix used by the three simulation scales.
 BASE_LAMBDA = np.array(
@@ -43,6 +49,19 @@ def random_instance(rng, max_n=4, max_k=3, max_m=3):
     )
     graph = sample_sbm(model, contiguous_assignment(model), int(rng.integers(2**32)))
     return graph, model
+
+
+@functools.lru_cache(maxsize=None)
+def replicate_graphs(name, count):
+    """(config, model, graphs) for the first `count` replicates of
+    configs/<name>.json, each graph drawn exactly as the harness draws it."""
+    config = harness.load_config(CONFIG_DIR / f"{name}.json")
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_nominate_all", lambda graph, *args: seen.append(graph))
+        for replicate in range(count):
+            harness._simulation_replicate(config, replicate)
+    return config, harness.build_model(config), tuple(seen)
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import BASE_LAMBDA, random_instance
+from conftest import BASE_LAMBDA, random_instance, replicate_graphs
+from vnom import harness
 from vnom.canonical import enumerate_partitions
 from vnom.core import (
     BlockAssignment,
     BlockModel,
     LabeledGraph,
+    block_edge_counts,
     contiguous_assignment,
     log_likelihood,
     sample_sbm,
@@ -19,6 +21,7 @@ from vnom.likelihood import (
     mle_block_assignment,
     swap_log_ratio,
 )
+from vnom.metrics import rank_with_ties
 from vnom.sgm import sgm_match
 
 
@@ -171,6 +174,36 @@ def per_pair_scores(graph, bhat, model):
     return in1, score_in, out1, score_out
 
 
+def ratio_matrix_scores(graph, bhat, model, eps):
+    """Segment scores as row and column means of the n1 x n2 matrix of swap
+    ratios built from the block edge counts. Reference for
+    likelihood._geo_mean_scores."""
+    m, K = graph.seed_count, model.K
+    labels0 = bhat.labels - 1
+    lam = model.clamped_lam(eps)
+    log_lam = np.log(lam)
+    log_1m = np.log1p(-lam)
+    E = block_edge_counts(graph.adjacency, bhat.labels, K)
+    sizes = np.bincount(labels0, minlength=K)
+    S = E @ log_lam.T + (sizes - np.eye(K, dtype=np.int64)[labels0] - E) @ log_1m.T
+    ambiguous = graph.ambiguous_vertices()
+    in1 = ambiguous[labels0[m:] == 0]
+    out1 = ambiguous[labels0[m:] != 0]
+    k = labels0[out1]
+    pair_edge = log_lam.diagonal() + log_lam[0, 0] - 2 * log_lam[0]
+    pair_non = log_1m.diagonal() + log_1m[0, 0] - 2 * log_1m[0]
+    ratios = (S[in1][:, k] - S[in1, :1] + (S[out1, 0] - S[out1, k])
+              - np.where(graph.adjacency[np.ix_(in1, out1)], pair_edge[k], pair_non[k]))
+    score_in = ratios.mean(axis=1) if len(out1) else np.zeros(len(in1))
+    score_out = ratios.mean(axis=0) if len(in1) else np.zeros(len(out1))
+    return in1, score_in, out1, score_out
+
+
+def nomination_order(scores):
+    in1, score_in, out1, score_out = scores
+    return np.concatenate([rank_with_ties(in1, score_in), rank_with_ties(out1, -score_out)])
+
+
 class TestGeoMeanScores:
     def assert_matches_per_pair(self, graph, bhat, model):
         got = _geo_mean_scores(graph, bhat, model)
@@ -202,6 +235,23 @@ class TestGeoMeanScores:
         in1, score_in, out1, score_out = _geo_mean_scores(graph, bhat, model)
         assert in1.tolist() == [2, 3, 4] and out1.tolist() == []
         assert score_in.tolist() == [0.0, 0.0, 0.0] and score_out.size == 0
+
+    @pytest.mark.parametrize("name, count", [("small", 200), ("medium", 20)])
+    def test_matches_ratio_matrix_on_replicates(self, name, count):
+        # b-hat as the likelihood scheme estimates it on each replicate
+        config, model, graphs = replicate_graphs(name, count)
+        hyper = config.hyper
+        for replicate, graph in enumerate(graphs):
+            bhat = mle_block_assignment(
+                graph, model, eps=hyper.eps, max_iter=hyper.sgm_max_iter,
+                tol=hyper.sgm_tol, restarts=hyper.sgm_restarts,
+                rng_seed=harness._replicate_seed(config.master_seed, replicate, 1))
+            got = _geo_mean_scores(graph, bhat, model, eps=hyper.eps)
+            want = ratio_matrix_scores(graph, bhat, model, hyper.eps)
+            for g, w in zip(got, want):
+                assert len(g) == len(w)
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
+            assert np.array_equal(nomination_order(got), nomination_order(want))
 
 
 class TestTieRule:
@@ -244,6 +294,31 @@ class TestTieRule:
             graph = LabeledGraph(adjacency=adj, seed_labels=[1, 1, 2, 3])
             order = likelihood_nominate(graph, model, bhat=bhat).order.tolist()
             assert order[2:] == [4 + i for i, k in enumerate(ambiguous) if k != 1]
+
+    @pytest.mark.parametrize("segment", ["in", "out"])
+    def test_twin_vertices_score_bit_equal(self, segment):
+        # Copy one ambiguous vertex's neighbourhood onto another of the same
+        # b-hat block, far apart in the vertex order: their scores must be
+        # bit-equal, so the tie rule lists them in ascending id.
+        config, model, graphs = replicate_graphs("medium", 20)
+        rng = np.random.default_rng(5)
+        for graph in graphs[:5]:
+            m = graph.seed_count
+            bhat = random_bhat(rng, graph, model)
+            amb = bhat.labels[m:]
+            block = np.flatnonzero(amb == 1 if segment == "in" else amb == 3) + m
+            v, w = int(block[int(rng.integers(3))]), int(block[-1 - int(rng.integers(3))])
+            adj = graph.adjacency.copy()
+            adj[w] = adj[v]
+            adj[w, w], adj[w, v] = False, adj[v, w]
+            adj[:, w] = adj[w]
+            twins = LabeledGraph(adjacency=adj, seed_labels=graph.seed_labels)
+            in1, score_in, out1, score_out = _geo_mean_scores(twins, bhat, model)
+            ids, scores = (in1, score_in) if segment == "in" else (out1, score_out)
+            where = {int(u): i for i, u in enumerate(ids)}
+            assert scores[where[v]] == scores[where[w]]
+            order = likelihood_nominate(twins, model, bhat=bhat).order.tolist()
+            assert order.index(v) < order.index(w)
 
 
 class TestLikelihoodNominate:

@@ -1,5 +1,6 @@
 """Seeded graph matching: LAP and transportation exactness, the block-form
-relaxation, and ascent quality."""
+relaxation, ascent quality, and the swap search against its dense
+reference."""
 
 import itertools
 import math
@@ -9,15 +10,21 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
+from conftest import replicate_graphs
+from vnom import harness, sgm
 from vnom.canonical import enumerate_partitions
 from vnom.core import (
     BlockAssignment,
     BlockModel,
+    block_edge_counts,
     contiguous_assignment,
     log_likelihood,
     sample_sbm,
 )
 from vnom.sgm import (
+    TRANSPORT_PASSES,
+    _best_blocks,
+    _block_potentials,
     _gradient,
     _objective,
     _polish,
@@ -79,6 +86,65 @@ def transport_reference(cost, sizes):
     cols = np.repeat(np.arange(len(sizes)), sizes)
     rows, picked = linear_sum_assignment(cost[:, cols], maximize=True)
     return float(cost[rows, cols[picked]].sum())
+
+
+def reference_block_potentials(cost, sizes):
+    """The transport potentials as computed over the n x K cost: a masked
+    row maximum and a full stable sort per block. Reference for
+    sgm._block_potentials."""
+    n, K = cost.shape
+    u = np.zeros(K)
+    if K == 1:
+        return u
+    for _ in range(TRANSPORT_PASSES):
+        for k in range(K):
+            reduced = cost - u
+            reduced[:, k] = -np.inf
+            lead = cost[:, k] - reduced.max(axis=1)
+            cut = n - sizes[k]
+            low, high = np.sort(lead, kind="stable")[cut - 1 : cut + 1]
+            u[k] = 0.5 * (low + high)
+    return u
+
+
+def dense_polish(adjacency, labels, m, L, objective):
+    """The polish as an exhaustive search: each block pair's full matrix of
+    swap gains, np.argmax within a pair and a strict > across pairs, and
+    the rank-one update read from columns of A. Reference for sgm._polish."""
+    K = len(L)
+    labels = np.array(labels)
+    amb = labels[m:]
+    A = adjacency[m:]
+    F = block_edge_counts(A, labels, K) @ L
+    kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
+    swaps = []
+    for _ in range(max(100, 2 * len(amb))):
+        members = [np.flatnonzero(amb == k + 1) for k in range(K)]
+        half, pick = -np.inf, None
+        for a in range(K):
+            for c in range(a + 1, K):
+                Ia, Ic = members[a], members[c]
+                if not len(Ia) or not len(Ic):
+                    continue
+                gains = ((F[Ia, c] - F[Ia, a])[:, None] + (F[Ic, a] - F[Ic, c])[None, :]
+                         - kappa[a, c] * A[np.ix_(Ia, m + Ic)])
+                flat = int(np.argmax(gains))
+                if gains.flat[flat] > half:
+                    half = gains.flat[flat]
+                    pick = (Ia[flat // len(Ic)], Ic[flat % len(Ic)], a, c)
+        gain = 2.0 * half
+        if pick is None or gain <= 1e-10 * max(1.0, abs(objective)):
+            break
+        v, w, a, c = pick
+        amb[v], amb[w] = c + 1, a + 1
+        F += np.subtract(A[:, m + v], A[:, m + w], dtype=float)[:, None] * (L[c] - L[a])
+        objective += gain
+        swaps.append((int(v), int(w), float(gain)))
+    return labels, objective, swaps
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestSolveLap:
@@ -154,6 +220,21 @@ class TestSolveTransport:
             n = int(rng.integers(1, 30))
             s = int(rng.integers(0, n + 1))
             self.check(rng.normal(size=(n, 2)), [s, n - s])
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_potentials_match_dense_reference(self, rng, integer):
+        # integer costs put ties at the threshold and in every row maximum
+        for _ in range(300):
+            K = int(rng.integers(1, 6))
+            n = int(rng.integers(K, 60))
+            sizes = 1 + rng.multinomial(n - K, np.full(K, 1.0 / K))
+            cost = (rng.integers(0, 3, size=(n, K)).astype(float) if integer
+                    else rng.normal(size=(n, K)))
+            columns = np.ascontiguousarray(cost.T)
+            u = _block_potentials(columns, sizes)
+            assert same_bits(u, reference_block_potentials(cost, sizes))
+            assert np.array_equal(_best_blocks(columns - u[:, None]),
+                                  np.argmax(cost - u, axis=1))
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):
@@ -336,3 +417,91 @@ class TestPolish:
             assert current.tolist() == labels.tolist()
             made += len(swaps)
         assert made > 0
+
+
+def polish_problem(rng, n_sizes, integer):
+    """A random graph, log-odds matrix and shuffled start labels with the
+    given ambiguous block sizes and up to 2 seeds per block. Integer-valued
+    log-odds give integer F, so swap gains tie."""
+    K = len(n_sizes)
+    m_sizes = rng.integers(0, 3, size=K)
+    seed_labels = np.repeat(np.arange(1, K + 1), m_sizes)
+    N = len(seed_labels) + sum(n_sizes)
+    L = (rng.integers(-3, 4, size=(K, K)).astype(float) if integer
+         else rng.normal(size=(K, K)))
+    L = np.triu(L) + np.triu(L, 1).T
+    start = np.concatenate(
+        [seed_labels, rng.permutation(np.repeat(np.arange(1, K + 1), n_sizes))])
+    return random_graph(rng, N, p=float(rng.uniform(0.1, 0.9))), L, start, len(seed_labels)
+
+
+class TestPolishSearch:
+    def assert_same_as_dense(self, adjacency, start, m, L):
+        value = objective(adjacency, L, start)
+        labels, final, swaps = _polish(adjacency, start, m, L, value)
+        want_labels, want_final, want_swaps = dense_polish(adjacency, start, m, L, value)
+        assert swaps == want_swaps
+        assert final == want_final
+        assert labels.tolist() == want_labels.tolist()
+        return swaps
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_dense_search(self, K, integer):
+        rng = np.random.default_rng(100 * K + integer)
+        swaps, kappa_signs = 0, set()
+        for _ in range(40):
+            n_sizes = 1 + rng.multinomial(int(rng.integers(0, 30)), np.full(K, 1.0 / K))
+            adjacency, L, start, m = polish_problem(rng, n_sizes, integer)
+            kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
+            kappa_signs |= set(np.sign(kappa[np.triu_indices(K, 1)]).tolist())
+            swaps += len(self.assert_same_as_dense(adjacency, start, m, L))
+        assert swaps > 40
+        assert {-1.0, 1.0} <= kappa_signs
+
+    def test_integer_gains_tie(self):
+        # On the complete graph all vertices of a block have the same F, so
+        # all gains of a block pair tie and the first row-major swap must
+        # win; with L = I the gains are small integers that tie widely.
+        rng = np.random.default_rng(7)
+        swaps = 0
+        for _ in range(20):
+            n_sizes = rng.integers(2, 6, size=3)
+            adjacency, L, start, m = polish_problem(rng, n_sizes, integer=True)
+            complete = ~np.eye(len(adjacency), dtype=bool)
+            swaps += len(self.assert_same_as_dense(complete, start, m, L))
+            swaps += len(self.assert_same_as_dense(adjacency, start, m, np.eye(3)))
+        assert swaps > 20
+
+    def test_empty_block(self):
+        rng = np.random.default_rng(11)
+        swaps = 0
+        for sizes in ([0, 6, 5], [6, 0, 5], [6, 5, 0], [0, 0, 9], [4, 0, 5, 0, 3]):
+            for integer in (False, True):
+                for _ in range(5):
+                    adjacency, L, start, m = polish_problem(rng, np.array(sizes), integer)
+                    swaps += len(self.assert_same_as_dense(adjacency, start, m, L))
+        assert swaps > 0
+
+    def test_matches_dense_search_on_medium_replicates(self, monkeypatch):
+        # the polish of every replicate of configs/medium.json as the
+        # likelihood scheme runs it
+        config, model, graphs = replicate_graphs("medium", 20)
+        hyper = config.hyper
+        made = []
+
+        def both(*args):
+            got = _polish(*args)
+            want = dense_polish(*args)
+            assert got[2] == want[2] and got[1] == want[1]
+            assert got[0].tolist() == want[0].tolist()
+            made.extend(got[2])
+            return got
+
+        monkeypatch.setattr(sgm, "_polish", both)
+        for replicate, graph in enumerate(graphs):
+            sgm_match(graph.adjacency, model.log_odds(hyper.eps), graph.seed_labels,
+                      model.n_sizes, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
+                      restarts=hyper.sgm_restarts,
+                      rng_seed=harness._replicate_seed(config.master_seed, replicate, 1))
+        assert len(made) > 0

@@ -1,11 +1,11 @@
 """Spectral nomination: embedding, k-means, centroid choice, ranking."""
 
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import replicate_graphs
 from vnom import harness, spectral
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, sample_sbm
 from vnom.spectral import (
@@ -16,8 +16,6 @@ from vnom.spectral import (
     kmeans,
     spectral_nominate,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _reference_seed_centroids(points, K, rng):
@@ -272,7 +270,7 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 2, restarts=0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     def test_batched_restarts_match_one_at_a_time(self, d, K):
         # d >= 8 sums each squared distance pairwise; d = 1 takes numpy's
@@ -291,16 +289,10 @@ class TestKmeans:
             X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
             assert_matches_reference(X, K, rng_seed=trial)
 
-    def test_batched_restarts_match_on_medium_embeddings(self, monkeypatch):
-        config = harness.load_config(CONFIG_DIR / "medium.json")
-        model = harness.build_model(config)
-        seen = []
-        monkeypatch.setattr(harness, "_nominate_all",
-                            lambda graph, *args: seen.append(graph))
-        for replicate in range(4):
-            harness._simulation_replicate(config, replicate)
+    def test_batched_restarts_match_on_medium_embeddings(self):
+        _, model, graphs = replicate_graphs("medium", 20)
         d = default_dimension(model.lam)
-        for replicate, graph in enumerate(seen):
+        for replicate, graph in enumerate(graphs[:4]):
             assert_matches_reference(embed(graph, d).X, model.K, rng_seed=replicate)
 
     @pytest.mark.parametrize("cap", [1, 2])
@@ -406,13 +398,8 @@ class TestSpectralNominate:
         assert nomination.order.tolist() == [3, 4, 5]
 
     def test_medium_replicate_same_list_under_eigh_and_eigsh(self, monkeypatch):
-        config = harness.load_config(CONFIG_DIR / "medium.json")
-        model = harness.build_model(config)
-        seen = []
-        monkeypatch.setattr(harness, "_nominate_all",
-                            lambda graph, *args: seen.append(graph))
-        harness._simulation_replicate(config, 0)
-        graph = seen[0]
+        config, model, graphs = replicate_graphs("medium", 20)
+        graph = graphs[0]
         assert graph.num_vertices > spectral._DENSE_LIMIT
         lanczos = harness._nominate("spectral", graph, model, config, 0)
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
