@@ -13,16 +13,20 @@ import numpy as np
 
 PROB_EPS = 1e-6
 
-# Rows of the boolean adjacency converted per tile by adjacency_product. With
-# the bundled OpenBLAS (one thread), tile heights that are multiples of 16 gave
-# every entry of a matrix-vector product the same bits as one dgemv over the
-# whole float64 matrix at N = 2,041, 3,001, 5,002 and 10,040; heights 1, 3, 5,
-# 13 and 17 changed the last bits (up to 1.6e-13) at some of those N. A
-# 16 x 10,040 float64 tile is 1.25 MiB and stays in L2, and at N = 10,040 one
-# product took 65 ms against 75 ms for dgemv over the float64 copy (32 to 256
-# rows: 79 to 86 ms). Products with several columns (dgemm) in 16-row tiles
-# changed the last bits (up to 8e-13 for N x 3 at N = 2,041 and 5,002); they
-# are exact for integer-valued X.
+# Rows of the boolean adjacency converted per tile by adjacency_product and
+# symmetric_product. With the bundled OpenBLAS (one thread), tile heights that
+# are multiples of 16 gave every entry of adjacency_product's matrix-vector
+# product the same bits as one dgemv over the whole float64 matrix at
+# N = 2,041, 3,001, 5,002 and 10,040; heights 1, 3, 5, 13 and 17 changed the
+# last bits (up to 1.6e-13) at some of those N. Products with several columns
+# (dgemm) in 16-row tiles changed the last bits (up to 8e-13 for N x 3 at
+# N = 2,041 and 5,002); they are exact for integer-valued X. symmetric_product
+# adds each entry up from two partial products per strip, so its last bits
+# differ from dgemv's (up to 3.4e-13 at N = 10,040). A 16 x 10,040 float64
+# tile is 1.25 MiB and stays in L2. At N = 10,040 (one thread, median of 5
+# fastest-of-3 timings) one symmetric_product took 55 ms against 64 ms for
+# adjacency_product and 72 ms for dgemv over the float64 copy; with 32- and
+# 64-row tiles symmetric_product took 61 and 68 ms.
 _TILE_ROWS = 16
 
 
@@ -151,6 +155,8 @@ class LabeledGraph:
             raise SizeMismatchError("adjacency must be square")
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed (simple graph)")
+        # symmetric_product reads only the upper triangle, so the spectral
+        # embedding of large graphs is right only for a symmetric adjacency.
         if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         if seed.ndim != 1 or len(seed) > N:
@@ -304,6 +310,35 @@ def adjacency_product(adjacency, X):
         np.copyto(tile, adjacency[start:stop])
         np.dot(tile, X, out=out[start:stop])
     return out
+
+
+def symmetric_product(adjacency, x):
+    """A·x in float64 for a symmetric boolean N x N matrix A and a float
+    vector x of length N, reading only the upper triangle of A.
+
+    Each strip of _TILE_ROWS rows s:e is converted once, from column s on,
+    into one reused float64 buffer T = A[s:e, s:], whose square T[:, :e-s]
+    then takes its lower part from its upper part. T·x[s:] adds the strip's
+    rows into y[s:e], and T[:, e-s:]^T·x[s:e] adds their mirror images below
+    the diagonal into y[e:], so about N²/2 entries are converted instead of
+    N². No entry below the diagonal reaches the result: it is A·x only
+    because A is symmetric, which LabeledGraph checks on construction.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    N = adjacency.shape[0]
+    y = np.zeros(N)
+    buf = np.empty(min(_TILE_ROWS, N) * N)
+    below = np.tri(_TILE_ROWS, k=-1, dtype=bool)
+    for start in range(0, N, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, N)
+        h = stop - start
+        tile = buf[: h * (N - start)].reshape(h, N - start)
+        np.copyto(tile, adjacency[start:stop, start:])
+        square = tile[:, :h]
+        np.copyto(square, square.T, where=below[:h, :h])
+        y[start:stop] += tile @ x[start:]
+        y[stop:] += tile[:, h:].T @ x[start:stop]
+    return y
 
 
 def block_edge_counts(adjacency, labels, K):

@@ -181,13 +181,14 @@ class SgmResult:
 
 
 def _relaxation(adjacency, logodds, seed_labels):
-    """(const, C, A22) of the relaxed objective on block memberships,
+    """(const, C, A22, E_s) of the relaxed objective on block memberships,
 
         f(Y) = const + <C, Y> + <Y, A22 Y L^T>,
 
     which is <A, P B P^T> at P = diag(I, Q) for Y = Q S. With H_s the
-    seeds' one-hot labels, const = <A11, H_s L H_s^T> and
-    C = (A21 H_s) L^T + (A12^T H_s) L = (A21 H_s)(L^T + L), as A is
+    seeds' one-hot labels, E_s = A21 H_s counts the edges from each
+    ambiguous vertex to the seeds of each block, const = <A11, H_s L H_s^T>
+    and C = (A21 H_s) L^T + (A12^T H_s) L = E_s (L^T + L), as A is
     symmetric.
     """
     m, K = len(seed_labels), len(logodds)
@@ -195,7 +196,7 @@ def _relaxation(adjacency, logodds, seed_labels):
     seed_blocks = np.eye(K, dtype=np.int64)[np.asarray(seed_labels, dtype=int) - 1]
     const = float(np.sum((seed_blocks.T @ to_seeds[:m]) * logodds))
     C = to_seeds[m:] @ (logodds.T + logodds)
-    return const, C, adjacency[m:, m:].astype(float)
+    return const, C, adjacency[m:, m:].astype(float), to_seeds[m:]
 
 
 def _objective(Y, AY, const, C, L):
@@ -240,7 +241,7 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     if m and not (1 <= seed_labels.min() and seed_labels.max() <= K):
         raise ValueError("seed labels must lie in 1..K")
     n = N - m
-    const, C, A22 = _relaxation(adjacency, logodds, seed_labels)
+    const, C, A22, seed_counts = _relaxation(adjacency, logodds, seed_labels)
 
     onehot = np.eye(K)
     slots = np.repeat(np.arange(K), sizes)
@@ -257,9 +258,12 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
         )
         ambiguous, _ = solve_transport(Y, sizes)
         R = onehot[ambiguous]
-        objective = _objective(R, A22 @ R, const, C, logodds)
+        AR = A22 @ R
+        objective = _objective(R, AR, const, C, logodds)
         labels = np.concatenate([seed_labels, ambiguous + 1])
-        labels, objective, _ = _polish(adjacency, labels, m, logodds, objective)
+        # Sums of 0/1 products, so these block edge counts are exact.
+        counts = seed_counts + AR
+        labels, objective, _ = _polish(adjacency, labels, m, logodds, objective, counts)
         if best is None or objective > best.objective + 1e-12:
             best = SgmResult(labels=labels, objective=objective,
                              relaxed_objectives=history, iterations=iters,
@@ -267,13 +271,13 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     return best
 
 
-def _polish(adjacency, labels, m, L, objective):
+def _polish(adjacency, labels, m, L, objective, counts):
     """Steepest-ascent hill climb over label swaps of ambiguous vertices.
 
     labels holds the 1-based labels of all vertices, the m seeds first.
-    With E the block edge counts (core.block_edge_counts) of the ambiguous
-    vertices and F = E L, swapping ambiguous v in block a and v' in block c
-    changes the objective by
+    counts is E, the ambiguous vertices' block edge counts under labels
+    (core.block_edge_counts of adjacency[m:]). With F = E L, swapping
+    ambiguous v in block a and v' in block c changes the objective by
 
         2 (F[v, c] - F[v, a] + F[v', a] - F[v', c]
            - A[v, v'] (L[a, a] + L[c, c] - 2 L[a, c])),
@@ -295,7 +299,7 @@ def _polish(adjacency, labels, m, L, objective):
     labels = np.array(labels)
     amb = labels[m:]  # a view: swaps write through to labels
     A = adjacency[m:, m:]
-    F = block_edge_counts(adjacency[m:], labels, K) @ L
+    F = counts @ L
     kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
     swaps = []
     for _ in range(max(100, 2 * len(amb))):

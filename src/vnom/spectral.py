@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from vnom.core import adjacency_product
+from vnom.core import symmetric_product
 from vnom.metrics import NominationList, rank_with_ties
 
 # Above this size the Lanczos solver (eigsh) finds the d <= K needed eigenpairs
@@ -25,14 +25,24 @@ from vnom.metrics import NominationList, rank_with_ties
 _DENSE_LIMIT = 250
 
 # Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
-# the boolean adjacency in tiles (core.adjacency_product) instead of a float64
-# copy; the embedding has the same bits either way. The bound caps the copy at
-# 64 MiB. Near the bound the copy is faster, far above it the tiles are. One
-# BLAS thread, tiled against copied: N = 2,040 0.91 s against 0.50 s, N = 3,040
-# 1.1 s against 0.8 s, N = 5,040 1.0 s against 1.6 s, N = 10,040 3.2-4.1 s
-# against 4.1-4.6 s, where the peak RSS of sampling and embedding fell from
-# 947 MB to 291 MB.
+# the upper triangle of the boolean adjacency in tiles (core.symmetric_product)
+# instead of a float64 copy; on the 5 configs/large.json graphs the two
+# embeddings differ by at most 2.1e-15. The bound caps the copy at 64 MiB.
+# Near the bound the copy is faster, far above it the tiles are. Fastest embed
+# of 5 (of 2 at N = 10,040), one BLAS thread, configs/large.json's model scaled
+# to N vertices, tiled against copied: N = 2,040 0.77 s against 0.41 s,
+# N = 3,040 0.66 s against 0.46 s, N = 5,040 0.80 s against 1.16 s,
+# N = 10,040 1.94 s against 3.05 s, where the peak RSS of sampling and
+# embedding is 291 MB against 947 MB.
 _DENSE_COPY_BYTES = 64 << 20
+
+# eigsh stops once each wanted Ritz pair's residual is at most this fraction of
+# its eigenvalue; ARPACK's default, 0, runs on to machine precision, which no
+# nomination list needs. One BLAS thread: each of the 5 configs/large.json
+# graphs took 38 products instead of 55, and its embedding moved by at most
+# 2.5e-13; the 20 configs/medium.json graphs took a median of 129 instead of
+# 175 (113-174 against 130-220), moving by at most 3.8e-12. No list changed.
+_LANCZOS_TOL = 1e-12
 
 # Lloyd's algorithm stops a restart unconverged after this many centroid updates.
 _MAX_ITER = 300
@@ -105,7 +115,7 @@ def embed(graph, d):
         if N * N * 8 > _DENSE_COPY_BYTES:
             A = scipy.sparse.linalg.LinearOperator(
                 (N, N),
-                matvec=lambda x: adjacency_product(graph.adjacency, x),
+                matvec=lambda x: symmetric_product(graph.adjacency, x),
                 dtype=np.float64,
             )
         else:
@@ -113,7 +123,7 @@ def embed(graph, d):
         # A fixed start vector with no symmetry, so a repeated top eigenvalue
         # (two identical components) is not lost to an orthogonal eigenvector.
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, N)
-        w, V = scipy.sparse.linalg.eigsh(A, k=d, which="LM", v0=v0)
+        w, V = scipy.sparse.linalg.eigsh(A, k=d, which="LM", v0=v0, tol=_LANCZOS_TOL)
         idx = np.argsort(-np.abs(w), kind="stable")
         vals = w[idx]
         vecs = V[:, idx]

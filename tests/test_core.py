@@ -26,6 +26,7 @@ from vnom.core import (
     log_likelihood,
     mix_lambda,
     sample_sbm,
+    symmetric_product,
 )
 
 
@@ -270,6 +271,32 @@ class TestAdjacencyProduct:
         A = random_adjacency(rng, 20)[:, :0]
         assert np.array_equal(adjacency_product(A, np.zeros(0)), np.zeros(20))
         assert np.array_equal(adjacency_product(A, np.zeros((0, 2))), np.zeros((20, 2)))
+
+
+class TestSymmetricProduct:
+    # Sizes below, at and past _TILE_ROWS (16), and one not a multiple of it.
+    @pytest.mark.parametrize("N", [0, 1, 15, 16, 17, 37])
+    def test_matches_dense_product(self, rng, N):
+        adj = random_adjacency(rng, N)
+        dense = adj.astype(float)
+        counts = rng.integers(-3, 4, size=N).astype(float)
+        assert np.array_equal(symmetric_product(adj, counts), dense @ counts)
+        x = rng.normal(size=N)
+        result = symmetric_product(adj, x)
+        assert result.dtype == np.float64 and result.shape == (N,)
+        assert np.allclose(result, dense @ x, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 37])
+    def test_reads_only_the_upper_triangle(self, rng, N):
+        garbage = rng.random((N, N)) < 0.5
+        symmetrised = np.triu(garbage) | np.triu(garbage, k=1).T
+        assert N == 1 or not np.array_equal(garbage, symmetrised)
+        counts = rng.integers(-3, 4, size=N).astype(float)
+        dense = symmetrised.astype(float)
+        assert np.array_equal(symmetric_product(garbage, counts), dense @ counts)
+        x = rng.normal(size=N)
+        assert np.array_equal(symmetric_product(garbage, x), symmetric_product(symmetrised, x))
+        assert np.allclose(symmetric_product(garbage, x), dense @ x, rtol=0.0, atol=1e-12)
 
 
 class TestBlockEdgeCounts:

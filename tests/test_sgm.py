@@ -330,7 +330,7 @@ class TestSgmMatch:
         # interior point of the transportation polytope
         adjacency, L = random_graph(rng, 10), random_logodds(rng, 3)
         seed_labels = np.array([1, 3])
-        const, C, A22 = _relaxation(adjacency, L, seed_labels)
+        const, C, A22, _ = _relaxation(adjacency, L, seed_labels)
         Y = random_doubly_stochastic(rng, 8) @ np.eye(3)[[0, 0, 0, 1, 1, 2, 2, 2]]
         grad = _gradient(A22 @ Y, C, L)
         h = 1e-5
@@ -353,7 +353,7 @@ class TestSgmMatch:
             S = np.eye(K)[slots - 1]
             Q = random_doubly_stochastic(rng, len(slots))
             Y = Q @ S
-            const, C, A22 = _relaxation(adjacency, L, seed_labels)
+            const, C, A22, _ = _relaxation(adjacency, L, seed_labels)
             AY = A22 @ Y
             labels = np.concatenate([seed_labels, slots]).astype(int)
             assert _objective(Y, AY, const, C, L) == pytest.approx(
@@ -404,8 +404,9 @@ class TestPolish:
                 [graph.seed_labels, rng.permutation(np.repeat(np.arange(1, K + 1), n_sizes))]
             )
             L = model.log_odds()
-            labels, value, swaps = _polish(
-                graph.adjacency, start, model.m, L, objective(graph.adjacency, L, start))
+            counts = block_edge_counts(graph.adjacency[model.m:], start, K)
+            labels, value, swaps = _polish(graph.adjacency, start, model.m, L,
+                                           objective(graph.adjacency, L, start), counts)
             assert value == pytest.approx(objective(graph.adjacency, L, labels), abs=1e-9)
             current = start.copy()
             for v, w, gain in swaps:
@@ -438,7 +439,8 @@ def polish_problem(rng, n_sizes, integer):
 class TestPolishSearch:
     def assert_same_as_dense(self, adjacency, start, m, L):
         value = objective(adjacency, L, start)
-        labels, final, swaps = _polish(adjacency, start, m, L, value)
+        counts = block_edge_counts(adjacency[m:], start, len(L))
+        labels, final, swaps = _polish(adjacency, start, m, L, value, counts)
         want_labels, want_final, want_swaps = dense_polish(adjacency, start, m, L, value)
         assert swaps == want_swaps
         assert final == want_final
@@ -490,9 +492,12 @@ class TestPolishSearch:
         hyper = config.hyper
         made = []
 
-        def both(*args):
-            got = _polish(*args)
-            want = dense_polish(*args)
+        def both(adjacency, labels, m, L, value, counts):
+            # the matcher's counts are the recount's, and the polish agrees
+            # with the dense search that recounts
+            assert np.array_equal(counts, block_edge_counts(adjacency[m:], labels, len(L)))
+            got = _polish(adjacency, labels, m, L, value, counts)
+            want = dense_polish(adjacency, labels, m, L, value)
             assert got[2] == want[2] and got[1] == want[1]
             assert got[0].tolist() == want[0].tolist()
             made.extend(got[2])

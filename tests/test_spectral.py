@@ -117,6 +117,21 @@ class TestDefaultDimension:
         assert default_dimension(lam) == 2
 
 
+def force_tiled_products(monkeypatch):
+    """Send every Lanczos embedding through the tiled product, and return
+    the list that records each product's vector shape."""
+    products = []
+    product = spectral.symmetric_product
+
+    def counted(adjacency, x):
+        products.append(x.shape)
+        return product(adjacency, x)
+
+    monkeypatch.setattr(spectral, "symmetric_product", counted)
+    monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
+    return products
+
+
 class TestEmbed:
     def test_complete_graph(self):
         n = 6
@@ -172,15 +187,7 @@ class TestEmbed:
         dense = embed(graph, 2)  # eigh: N <= _DENSE_LIMIT
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", 100)
         copied = embed(graph, 2)  # eigsh on the float64 copy
-        products = []
-        product = spectral.adjacency_product
-
-        def counted(adjacency, X):
-            products.append(X.shape)
-            return product(adjacency, X)
-
-        monkeypatch.setattr(spectral, "adjacency_product", counted)
-        monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
+        products = force_tiled_products(monkeypatch)
         tiled = embed(graph, 2)
         assert products
         assert np.allclose(tiled.X, copied.X, rtol=0.0, atol=1e-10)
@@ -405,6 +412,16 @@ class TestSpectralNominate:
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
         dense = harness._nominate("spectral", graph, model, config, 0)
         assert np.array_equal(lanczos.order, dense.order)
+
+    def test_medium_replicate_same_list_on_tiles_and_copy(self, monkeypatch):
+        config, model, graphs = replicate_graphs("medium", 20)
+        graph = graphs[0]
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        copied = harness._nominate("spectral", graph, model, config, 0)
+        products = force_tiled_products(monkeypatch)
+        tiled = harness._nominate("spectral", graph, model, config, 0)
+        assert products
+        assert np.array_equal(tiled.order, copied.order)
 
     def test_relabeling_equivariance_when_separated(self, rng):
         lam = np.array([[0.9, 0.05], [0.05, 0.9]])
