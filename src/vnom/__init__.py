@@ -8,11 +8,9 @@ ranking metrics, and a Monte-Carlo experiment harness.
 from vnom.core import (
     BlockAssignment,
     BlockModel,
-    EdgeCounts,
     LabeledGraph,
     clamp_probabilities,
     contiguous_assignment,
-    edge_counts,
     estimate_lambda,
     load_edge_list,
     load_lambda,
@@ -47,7 +45,6 @@ __all__ = [
     "BlockAssignment",
     "BlockModel",
     "CanonicalScores",
-    "EdgeCounts",
     "LabeledGraph",
     "NominationList",
     "alpha_weights",
@@ -56,7 +53,6 @@ __all__ = [
     "clamp_probabilities",
     "conditional_block1_probability",
     "contiguous_assignment",
-    "edge_counts",
     "embed",
     "enumerate_partitions",
     "estimate_lambda",

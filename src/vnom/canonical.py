@@ -8,13 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vnom.core import (
-    PROB_EPS,
-    BlockAssignment,
-    LabeledGraph,
-    block_edge_counts,
-    log_likelihood,
-)
+from vnom.core import PROB_EPS, block_edge_counts, block_pair_counts
 from vnom.metrics import NominationList, rank_with_ties
 
 DEFAULT_GUARD = 10**8
@@ -47,6 +41,18 @@ def partition_count(n_sizes):
     return count
 
 
+def check_enumeration(n_sizes, guard):
+    """The partition count of n_sizes, after checking that it is within
+    the enumeration guard."""
+    count = partition_count(n_sizes)
+    if count > guard:
+        raise InfeasibleEnumerationError(
+            f"{count} partitions exceed the enumeration guard ({guard}); "
+            "use the likelihood maximization scheme at this scale"
+        )
+    return count
+
+
 def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
     """Yield every assignment of the ambiguous vertices into blocks of
     sizes n_sizes exactly once, in lexicographic order of the label
@@ -54,12 +60,7 @@ def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
     n_sizes = tuple(int(s) for s in n_sizes)
     if any(s < 0 for s in n_sizes) or sum(n_sizes) == 0:
         raise ValueError("n_sizes must be nonnegative with positive total")
-    count = partition_count(n_sizes)
-    if count > guard:
-        raise InfeasibleEnumerationError(
-            f"{count} partitions exceed the enumeration guard ({guard}); "
-            "use the likelihood maximization scheme at this scale"
-        )
+    check_enumeration(n_sizes, guard)
     n = sum(n_sizes)
     labels = np.empty(n, dtype=np.int8)
 
@@ -87,13 +88,7 @@ def _partition_matrix(n_sizes, guard):
     key = tuple(int(s) for s in n_sizes)
     if key in _partition_cache:
         return _partition_cache[key]
-    count = partition_count(key)
-    if count > guard:
-        raise InfeasibleEnumerationError(
-            f"{count} partitions exceed the enumeration guard ({guard}); "
-            "use the likelihood maximization scheme at this scale"
-        )
-    if count <= _CACHE_LIMIT:
+    if check_enumeration(key, guard) <= _CACHE_LIMIT:
         mat = _one_hot(np.concatenate(list(_label_chunks(key))), len(key))
         _partition_cache.clear()
         _partition_cache[key] = mat
@@ -186,15 +181,10 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
 
-    # Seed-seed contribution, identical for every partition.
-    seed_const = 0.0
-    if m > 0:
-        seed_graph = LabeledGraph(
-            adjacency=graph.adjacency[:m, :m], seed_labels=graph.seed_labels
-        )
-        seed_const = log_likelihood(
-            seed_graph, BlockAssignment(graph.seed_labels), model, eps
-        )
+    # Seed-seed contribution, identical for every partition: log p of the
+    # seed-induced subgraph, half the sum over ordered pairs.
+    edges, pairs = block_pair_counts(graph.adjacency[:m, :m], graph.seed_labels, K)
+    seed_const = 0.5 * float(np.sum(edges * log_lam + (pairs - edges) * log_1m))
     # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
     sizes = np.asarray(model.n_sizes, dtype=float)
     pair_const = 0.5 * float(sizes @ log_1m @ sizes - sizes @ log_1m.diagonal())

@@ -107,6 +107,10 @@ def _cmd_nominate(args):
     lam = load_lambda(args.lambda_path)
     graph = load_edge_list(args.graph, args.labels)
     K = lam.shape[0]
+    above = np.flatnonzero(graph.seed_labels > K)
+    if len(above):
+        raise ConfigError(f"{args.labels}: vertex {above[0] + 1} has block "
+                          f"{graph.seed_labels[above[0]]} outside 1..{K}")
     if args.scheme in ("canonical", "likelihood"):
         if args.sizes is None:
             raise ConfigError(f"--sizes is required for the {args.scheme} scheme")

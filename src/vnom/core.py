@@ -7,7 +7,7 @@ Block labels are 1..K everywhere (matching the 1-based file formats).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,14 +208,6 @@ class BlockAssignment:
             raise SizeMismatchError("ambiguous block sizes do not match n_sizes")
 
 
-@dataclass(frozen=True)
-class EdgeCounts:
-    """Upper-triangular within/between-block edge and nonedge counts."""
-
-    e: np.ndarray
-    c: np.ndarray
-
-
 def contiguous_assignment(model):
     """The canonical assignment with seeds then ambiguous vertices labeled
     contiguously block by block (1's first, then 2's, ...)."""
@@ -354,57 +346,41 @@ def block_edge_counts(adjacency, labels, K):
     return adjacency_product(adjacency, onehot).astype(np.int64)
 
 
-def edge_counts(graph, assignment):
-    """Exact per-block-pair edge and nonedge counts for an assignment."""
-    if len(assignment.labels) != graph.num_vertices:
-        raise SizeMismatchError("assignment must cover all vertices")
-    labels0 = assignment.labels - 1
-    K = int(labels0.max()) + 1
-    onehot = np.eye(K, dtype=np.int64)[labels0]
-    raw = onehot.T @ block_edge_counts(graph.adjacency, assignment.labels, K)
-    e = np.triu(raw, k=1) + np.diag(np.diag(raw) // 2)
+def block_pair_counts(adjacency, labels, K):
+    """Ordered edge and vertex-pair counts per block pair.
+
+    Returns the K x K int64 matrices (edges, pairs): edges = H^T·A·H counts
+    the ordered vertex pairs (v, w) with an edge, v in block k+1 and w in
+    block l+1, and pairs counts all ordered pairs of distinct vertices
+    there, outer(sizes, sizes) - diag(sizes). A pair within a block counts
+    twice.
+    """
+    onehot = np.eye(K, dtype=np.int64)[np.asarray(labels) - 1]
     sizes = onehot.sum(axis=0)
-    pair_counts = np.triu(np.outer(sizes, sizes), k=1) + np.diag(sizes * (sizes - 1) // 2)
-    return EdgeCounts(e=e, c=pair_counts - e)
+    edges = onehot.T @ block_edge_counts(adjacency, labels, K)
+    return edges, np.outer(sizes, sizes) - np.diag(sizes)
 
 
 def log_likelihood(graph, assignment, model, eps=PROB_EPS):
-    """log p(b, G) = sum over k <= l of e log(Lambda) + c log(1-Lambda)."""
-    counts = edge_counts(graph, assignment)
-    K = model.K
-    if counts.e.shape[0] > K:
+    """log p(b, G) = sum over block pairs k <= l of e log(Lambda) +
+    c log(1-Lambda), taken as half the sum over the ordered pairs."""
+    if len(assignment.labels) != graph.num_vertices:
+        raise SizeMismatchError("assignment must cover all vertices")
+    if assignment.labels.max() > model.K:
         raise SizeMismatchError("assignment uses more blocks than the model")
-    e = np.zeros((K, K))
-    c = np.zeros((K, K))
-    k = counts.e.shape[0]
-    e[:k, :k] = counts.e
-    c[:k, :k] = counts.c
+    edges, pairs = block_pair_counts(graph.adjacency, assignment.labels, model.K)
     lam = model.clamped_lam(eps)
-    mask = np.triu(np.ones((K, K), dtype=bool))
-    return float(
-        np.sum(e[mask] * np.log(lam[mask]) + c[mask] * np.log1p(-lam[mask]))
-    )
+    return 0.5 * float(np.sum(edges * np.log(lam) + (pairs - edges) * np.log1p(-lam)))
 
 
-def estimate_lambda(graph, K, seeds_only=True, eps=PROB_EPS):
-    """Plug-in Lambda-hat from block edge densities.
+def estimate_lambda(graph, K, eps=PROB_EPS):
+    """Plug-in Lambda-hat from the seed-induced subgraph.
 
-    Entry (k, l) is the number of edges between block-k and block-l
-    vertices divided by the number of such pairs, then clamped to
-    [eps, 1-eps]. With seeds_only (the default) only the seed-induced
-    subgraph is used; otherwise true_labels must be present and the full
-    graph is censused.
+    Entry (k, l) is the number of edges between block-k and block-l seeds
+    divided by the number of such pairs, then clamped to [eps, 1-eps].
+    Seeds in blocks above K are ignored.
     """
-    if seeds_only:
-        labels = graph.seed_labels
-        graph = LabeledGraph(
-            adjacency=graph.adjacency[: graph.seed_count, : graph.seed_count],
-            seed_labels=labels,
-        )
-    else:
-        if graph.true_labels is None:
-            raise ValueError("full-census estimation requires true_labels")
-        labels = np.concatenate([graph.seed_labels, graph.true_labels])
+    labels = graph.seed_labels
     sizes = np.bincount(labels[labels <= K], minlength=K + 1)[1:]
     for k in range(K):
         if sizes[k] < 2:
@@ -415,11 +391,10 @@ def estimate_lambda(graph, K, seeds_only=True, eps=PROB_EPS):
         empty = np.flatnonzero(sizes[k + 1 :] == 0)
         if len(empty):
             raise ValueError(f"block {k + empty[0] + 2} has no seeds")
-    counts = edge_counts(graph, BlockAssignment(labels))
-    # both counts are upper triangular; mirror them before dividing
-    e = counts.e[:K, :K]
-    edges, pairs = (t + np.triu(t, k=1).T for t in (e, e + counts.c[:K, :K]))
-    return clamp_probabilities(edges / pairs, eps)
+    # count the blocks of all seeds, then keep blocks 1..K
+    m, top = graph.seed_count, max(K, int(labels.max()))
+    edges, pairs = block_pair_counts(graph.adjacency[:m, :m], labels, top)
+    return clamp_probabilities(edges[:K, :K] / pairs[:K, :K], eps)
 
 
 def mix_lambda(base, theta):
@@ -434,7 +409,8 @@ def mix_lambda(base, theta):
 
 
 def load_edge_list(edges_path, labels_path=None, num_vertices=None):
-    """Read a 1-based whitespace edge list plus an optional seed-labels file.
+    """Read a 1-based whitespace edge list plus an optional seed-labels file
+    (load_labels), whose vertices 1..m become the seeds.
 
     Duplicate and reversed edges collapse; self-loops are rejected. The
     vertex universe comes from an optional '#vertices N' header (or the
@@ -472,26 +448,10 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
             edges.append((a, b))
             max_id = max(max_id, a, b)
 
-    seed_pairs = []
+    seed_labels = np.array([], dtype=int)
     if labels_path is not None:
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split()
-                if len(parts) != 2:
-                    raise ParseError(f"{labels_path}:{lineno}: expected 'vertex block'")
-                try:
-                    v, blk = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{labels_path}:{lineno}: non-integer field") from None
-                if v < 1:
-                    raise ParseError(f"{labels_path}:{lineno}: vertex ids are 1-based")
-                if blk < 1:
-                    raise ParseError(f"{labels_path}:{lineno}: block ids are 1-based")
-                seed_pairs.append((v, blk))
-                max_id = max(max_id, v)
+        seed_labels = load_labels(labels_path)
+        max_id = max(max_id, len(seed_labels))
 
     N = declared if declared is not None else max_id
     if N < max_id:
@@ -500,23 +460,47 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
         )
     if N == 0:
         raise ParseError(f"{edges_path}: empty graph with no declared vertices")
-
-    # Seeds must occupy the low vertex ids 1..m.
-    seed_pairs.sort()
-    seed_ids = [v for v, _ in seed_pairs]
-    m = len(seed_ids)
-    if seed_ids != list(range(1, m + 1)):
-        raise ParseError(
-            f"{labels_path}: seed vertices must be exactly 1..{m} (got {seed_ids})"
-        )
     adj = np.zeros((N, N), dtype=bool)
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
-    return LabeledGraph(
-        adjacency=adj,
-        seed_labels=np.array([blk for _, blk in seed_pairs], dtype=int),
-    )
+    return LabeledGraph(adjacency=adj, seed_labels=seed_labels)
+
+
+def load_labels(path, K=None):
+    """Read a labels file: one 'vertex block' pair of 1-based ids per line;
+    blank lines and lines starting with '#' are skipped.
+
+    Returns the blocks of vertices 1..M, which the file must list exactly
+    once each; with K, blocks above K are rejected.
+    """
+    labels = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 'vertex block'")
+            try:
+                v, blk = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-integer field") from None
+            if v < 1:
+                raise ParseError(f"{path}:{lineno}: vertex ids are 1-based")
+            if blk < 1:
+                raise ParseError(f"{path}:{lineno}: block ids are 1-based")
+            if K is not None and blk > K:
+                raise ParseError(f"{path}:{lineno}: block {blk} outside 1..{K}")
+            if v in labels:
+                raise ParseError(f"{path}:{lineno}: vertex {v} listed twice")
+            labels[v] = blk
+    # distinct ids from 1 up cover 1..M exactly when the largest is M
+    M = max(labels, default=0)
+    if M != len(labels):
+        raise ParseError(f"{path}: labels must cover vertices 1..{M} exactly")
+    return np.array([labels[v] for v in range(1, M + 1)], dtype=int)
 
 
 def load_lambda(path):

@@ -12,18 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import vnom
-from vnom.canonical import (
-    InfeasibleEnumerationError,
-    canonical_nominate,
-    partition_count,
-)
+from vnom.canonical import canonical_nominate, check_enumeration
 from vnom.core import (
     PROB_EPS,
     BlockModel,
     LabeledGraph,
+    ParseError,
     contiguous_assignment,
     estimate_lambda,
     load_edge_list,
+    load_labels,
     mix_lambda,
     sample_sbm,
 )
@@ -300,42 +298,21 @@ def run_simulation(config, workers=1, log_raw=False):
     per-position hit curves and MAP per scheme."""
     model = build_model(config)
     if "canonical" in config.schemes:
-        count = partition_count(model.n_sizes)
-        if count > config.hyper.enumeration_guard:
-            raise InfeasibleEnumerationError(
-                f"{count} partitions exceed the enumeration guard; "
-                "drop the canonical scheme at this scale"
-            )
+        check_enumeration(model.n_sizes, config.hyper.enumeration_guard)
     per_replicate = _run_replicates(config, _simulation_replicate, workers)
     return _experiment_result(config, per_replicate, model.n, model.n_sizes[0], log_raw)
 
 
 def _load_full_labels(path, K):
-    """Labels file covering every vertex (vertex_id block_id per line)."""
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'vertex block'")
-            try:
-                v, blk = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-integer field") from None
-            if not 1 <= blk <= K:
-                raise ConfigError(f"{path}:{lineno}: block {blk} outside 1..{K}")
-            if v in labels:
-                raise ConfigError(f"{path}:{lineno}: vertex {v} listed twice")
-            labels[v] = blk
-    if not labels:
+    """Labels file covering every vertex (core.load_labels with blocks
+    1..K), with its errors as ConfigError."""
+    try:
+        labels = load_labels(path, K)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
+    if not len(labels):
         raise ConfigError(f"{path}: no labels found")
-    N = max(labels)
-    if set(labels) != set(range(1, N + 1)):
-        raise ConfigError(f"{path}: labels must cover vertices 1..{N} exactly")
-    return np.array([labels[v] for v in range(1, N + 1)], dtype=int)
+    return labels
 
 
 _dataset_cache = {}

@@ -64,6 +64,20 @@ def test_nominate_prints_one_based_ids(scheme, sampled_files, lambda_file, capsy
     assert ids == list(range(5, 15))
 
 
+@pytest.mark.parametrize("scheme", ["canonical", "likelihood", "spectral"])
+def test_nominate_rejects_seed_block_above_k(scheme, sampled_files, lambda_file, tmp_path,
+                                              capsys):
+    edges, _ = sampled_files
+    labels = tmp_path / "bad_labels.txt"
+    labels.write_text("1 1\n2 1\n3 1\n4 4\n", encoding="utf-8")
+    argv = [
+        "nominate", "--scheme", scheme, "--graph", edges, "--labels", str(labels),
+        "--lambda", lambda_file, "--sizes", "4,3,3",
+    ]
+    assert main(argv) == EXIT_CONFIG
+    assert "bad_labels.txt: vertex 4 has block 4 outside 1..3" in capsys.readouterr().err
+
+
 def test_nominate_requires_sizes(sampled_files, lambda_file, capsys):
     edges, labels = sampled_files
     code = main([

@@ -18,10 +18,11 @@ from vnom.core import (
     ParseError,
     adjacency_product,
     block_edge_counts,
+    block_pair_counts,
     contiguous_assignment,
-    edge_counts,
     estimate_lambda,
     load_edge_list,
+    load_labels,
     load_lambda,
     log_likelihood,
     mix_lambda,
@@ -318,34 +319,25 @@ class TestBlockEdgeCounts:
             assert not counts[:, K - 1].any()
 
 
-class TestEdgeCounts:
+class TestBlockPairCounts:
+    LABELS = np.array([1, 1, 2, 2])
+
     def test_empty_graph(self):
-        adj = np.zeros((4, 4), dtype=bool)
-        graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1, 1]))
-        counts = edge_counts(graph, BlockAssignment(np.array([1, 1, 2, 2])))
-        assert not counts.e.any()
-        assert counts.c[0, 0] == 1
-        assert counts.c[1, 1] == 1
-        assert counts.c[0, 1] == 4
+        edges, pairs = block_pair_counts(np.zeros((4, 4), dtype=bool), self.LABELS, 2)
+        assert not edges.any()
+        assert pairs.tolist() == [[2, 4], [4, 2]]
 
     def test_complete_graph_two_blocks(self):
-        adj = ~np.eye(4, dtype=bool)
-        graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1, 1]))
-        counts = edge_counts(graph, BlockAssignment(np.array([1, 1, 2, 2])))
-        assert counts.e[0, 0] == 1
-        assert counts.e[1, 1] == 1
-        assert counts.e[0, 1] == 4
-        assert not counts.c.any()
+        edges, pairs = block_pair_counts(~np.eye(4, dtype=bool), self.LABELS, 2)
+        assert edges.tolist() == [[2, 4], [4, 2]]
+        assert np.array_equal(edges, pairs)
 
     def test_single_cross_edge(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 2] = adj[2, 0] = True
-        graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1, 1]))
-        counts = edge_counts(graph, BlockAssignment(np.array([1, 1, 2, 2])))
-        assert counts.e[0, 1] == 1
-        assert counts.c[0, 1] == 3
-        assert counts.e[0, 0] == 0
-        assert counts.e[1, 1] == 0
+        edges, pairs = block_pair_counts(adj, self.LABELS, 2)
+        assert edges.tolist() == [[0, 1], [1, 0]]
+        assert (pairs - edges).tolist() == [[2, 3], [3, 2]]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -357,15 +349,15 @@ class TestEdgeCounts:
         adj = np.triu(adj, k=1)
         adj = adj | adj.T
         labels = rng.integers(1, K + 1, size=N)
-        graph = LabeledGraph(adjacency=adj, seed_labels=labels[:1])
-        counts = edge_counts(graph, BlockAssignment(labels))
-        sizes = np.bincount(labels, minlength=counts.e.shape[0] + 1)[1:]
-        for k in range(counts.e.shape[0]):
-            for l in range(k, counts.e.shape[0]):
-                pairs = (
-                    math.comb(int(sizes[k]), 2) if k == l else int(sizes[k] * sizes[l])
-                )
-                assert counts.e[k, l] + counts.c[k, l] == pairs
+        edges, pairs = block_pair_counts(adj, labels, K)
+        sizes = np.bincount(labels, minlength=K + 1)[1:]
+        assert np.array_equal(edges, edges.T)
+        for k in range(K):
+            for l in range(K):
+                assert pairs[k, l] == sizes[k] * (sizes[l] - (k == l))
+                assert 0 <= edges[k, l] <= pairs[k, l]
+                ik, il = labels == k + 1, labels == l + 1
+                assert edges[k, l] == adj[np.ix_(ik, il)].sum()
 
 
 class TestLogLikelihood:
@@ -439,14 +431,12 @@ class TestEstimateLambda:
         with pytest.raises(ValueError, match="block 3 has no seeds"):
             estimate_lambda(graph, 3)
 
-    @pytest.mark.parametrize("seeds_only", [True, False])
-    def test_matches_pairwise_densities(self, rng, seeds_only):
+    def test_matches_pairwise_densities(self, rng):
         N, m, K = 60, 30, 3
         adj = random_adjacency(rng, N)
         labels = np.concatenate([np.repeat([1, 2, 3], 10), rng.integers(1, K + 1, N - m)])
         graph = LabeledGraph(adjacency=adj, seed_labels=labels[:m], true_labels=labels[m:])
-        if seeds_only:
-            adj, labels = adj[:m, :m], labels[:m]
+        adj, labels = adj[:m, :m], labels[:m]
         expected = np.zeros((K, K))
         for k in range(1, K + 1):
             ik = np.flatnonzero(labels == k)
@@ -456,8 +446,16 @@ class TestEstimateLambda:
                 il = np.flatnonzero(labels == l)
                 dens = adj[np.ix_(ik, il)].sum() / (len(ik) * len(il))
                 expected[k - 1, l - 1] = expected[l - 1, k - 1] = dens
-        lam = estimate_lambda(graph, K, seeds_only=seeds_only, eps=0.0)
+        lam = estimate_lambda(graph, K, eps=0.0)
         assert np.array_equal(lam, expected)
+
+    def test_seed_in_block_above_k_ignored(self, rng):
+        N, K = 31, 3
+        adj = random_adjacency(rng, N)
+        labels = np.concatenate([np.repeat([1, 2, 3], 10), [K + 1]])
+        with_extra = LabeledGraph(adjacency=adj, seed_labels=labels)
+        without = LabeledGraph(adjacency=adj[:-1, :-1], seed_labels=labels[:-1])
+        assert np.array_equal(estimate_lambda(with_extra, K), estimate_lambda(without, K))
 
 
 class TestMixLambda:
@@ -542,6 +540,35 @@ class TestLoadEdgeList:
         edges.write_text("1 2\n1 2 3\n")
         with pytest.raises(ParseError, match=":2:"):
             load_edge_list(edges)
+
+    def test_seed_listed_twice_rejected_with_line_number(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2 3\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1 1\n1 2\n")
+        with pytest.raises(ParseError, match=r"labels\.txt:2: vertex 1 listed twice"):
+            load_edge_list(edges, labels)
+
+    def test_seed_ids_with_gap_rejected(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2 3\n3 4\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1 1\n3 2\n")
+        with pytest.raises(ParseError, match=r"cover vertices 1\.\.3"):
+            load_edge_list(edges, labels)
+
+
+class TestLoadLabels:
+    def test_blocks_in_vertex_order(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# vertex block\n3 2\n1 1\n\n2 3\n")
+        assert load_labels(path).tolist() == [1, 3, 2]
+        assert load_labels(path, 3).tolist() == [1, 3, 2]
+
+    def test_empty_file_gives_no_labels(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# vertex block\n")
+        assert load_labels(path).tolist() == []
 
 
 class TestLoadLambda:

@@ -283,6 +283,8 @@ class TestRunRealdata:
     @pytest.mark.parametrize("text, message", [
         ("1 1\n2 2 2\n", r"labels\.txt:2: expected 'vertex block'"),
         ("1 1\n2 3\n", r"labels\.txt:2: block 3 outside 1\.\.2"),
+        ("0 1\n", r"labels\.txt:1: vertex ids are 1-based"),
+        ("1 1\n2 0\n", r"labels\.txt:2: block ids are 1-based"),
         ("# vertex block\n\n", r"labels\.txt: no labels found"),
         ("1 1\n3 2\n", r"labels\.txt: labels must cover vertices 1\.\.3 exactly"),
         ("1 1\n2 2\n3 1\n2 1\n", r"labels\.txt:4: vertex 2 listed twice"),
