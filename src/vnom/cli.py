@@ -39,6 +39,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
+# Rows of the packed adjacency that `vn sample` unpacks at a time.
+_EDGE_ROWS = 64
+
 
 def _sizes(text):
     try:
@@ -88,11 +91,15 @@ def _cmd_sample(args):
     lam = load_lambda(args.lambda_path)
     model = BlockModel(m_sizes=args.m_sizes, n_sizes=args.n_sizes, lam=lam)
     graph = sample_sbm(model, contiguous_assignment(model), args.seed)
-    edges = np.argwhere(np.triu(graph.adjacency, k=1))
+    N = graph.num_vertices
     with open(args.edges_out, "w", encoding="utf-8") as fh:
-        fh.write(f"#vertices {graph.num_vertices}\n")
-        for a, b in edges:
-            fh.write(f"{a + 1} {b + 1}\n")
+        fh.write(f"#vertices {N}\n")
+        # each edge {a, b} with a < b once, in row-major order, from
+        # _EDGE_ROWS unpacked rows at a time
+        for start in range(0, N, _EDGE_ROWS):
+            rows = graph.rows(slice(start, start + _EDGE_ROWS))
+            for a, b in np.argwhere(np.triu(rows, k=start + 1)):
+                fh.write(f"{start + a + 1} {b + 1}\n")
     with open(args.labels_out, "w", encoding="utf-8") as fh:
         for v, blk in enumerate(graph.seed_labels, start=1):
             fh.write(f"{v} {blk}\n")

@@ -13,20 +13,24 @@ import numpy as np
 
 PROB_EPS = 1e-6
 
-# Rows of the boolean adjacency converted per tile by adjacency_product and
-# symmetric_product. With the bundled OpenBLAS (one thread), tile heights that
-# are multiples of 16 gave every entry of adjacency_product's matrix-vector
-# product the same bits as one dgemv over the whole float64 matrix at
-# N = 2,041, 3,001, 5,002 and 10,040; heights 1, 3, 5, 13 and 17 changed the
-# last bits (up to 1.6e-13) at some of those N. Products with several columns
-# (dgemm) in 16-row tiles changed the last bits (up to 8e-13 for N x 3 at
-# N = 2,041 and 5,002); they are exact for integer-valued X. symmetric_product
-# adds each entry up from two partial products per strip, so its last bits
-# differ from dgemv's (up to 3.4e-13 at N = 10,040). A 16 x 10,040 float64
-# tile is 1.25 MiB and stays in L2. At N = 10,040 (one thread, median of 5
-# fastest-of-3 timings) one symmetric_product took 55 ms against 64 ms for
-# adjacency_product and 72 ms for dgemv over the float64 copy; with 32- and
-# 64-row tiles symmetric_product took 61 and 68 ms.
+# Rows of the adjacency converted to float64 per tile by adjacency_product
+# (from a boolean matrix) and symmetric_product (unpacked from packed rows).
+# With the bundled OpenBLAS (one thread), tile heights that are multiples of
+# 16 gave every entry of adjacency_product's matrix-vector product the same
+# bits as one dgemv over the whole float64 matrix at N = 2,041, 3,001, 5,002
+# and 10,040; heights 1, 3, 5, 13 and 17 changed the last bits (up to
+# 1.6e-13) at some of those N. Products with several columns (dgemm) in
+# 16-row tiles changed the last bits (up to 8e-13 for N x 3 at N = 2,041 and
+# 5,002); they are exact for integer-valued X. symmetric_product adds each
+# entry up from two partial products per strip, so its last bits differ from
+# dgemv's (up to 3.4e-13 at N = 10,040), and it converts the same floats
+# whether it unpacks them from packed rows or reads a boolean matrix. A
+# 16 x 10,040 float64 tile is 1.25 MiB and stays in L2. The height must be a
+# multiple of 8, so that every strip starts on a byte of the packed rows,
+# as symmetric_product assumes. At N = 10,040 (one thread,
+# fastest of 7 on a random graph of density 0.45) one symmetric_product from
+# packed rows took 39 ms with 16-row tiles, 43 ms with 8, 48 ms with 32 and
+# 60 ms with 64.
 _TILE_ROWS = 16
 
 
@@ -107,66 +111,118 @@ class BlockModel:
         return np.log(lam) - np.log1p(-lam)
 
 
-# Rows per strip of the symmetry check. One strip's temporary is 128 x N
-# booleans (1.3 MB at N = 10,040). 128 rows were no slower than the whole-matrix
-# comparison at N = 14 to 520 and took half its time at N = 2,040 and 10,040;
-# 16 rows took 2 to 3 times as long at N = 300 and 520.
-_SYMMETRY_ROWS = 128
+# Columns per block of the packed transposes that symmetrise a drawn graph
+# and check symmetry: a multiple of 8, so every block is whole bytes of each
+# packed row. Each block unpacks N x 64 bits into bytes (640 KB at
+# N = 10,040). Symmetrising a graph of that size took 0.12 s of CPU (one
+# thread, fastest of 5) when each unpacked block is transposed into a
+# contiguous copy before np.packbits, and 0.31 s when packed from the
+# transposed view; copying the strided byte columns before unpacking them
+# made no difference.
+_TRANSPOSE_COLS = 64
 
 
-def _is_symmetric(adj):
-    """Compare each strip of rows on and right of the diagonal with the
-    matching strip of columns, so no N x N temporary is allocated."""
-    N = adj.shape[0]
-    for start in range(0, N, _SYMMETRY_ROWS):
-        stop = min(start + _SYMMETRY_ROWS, N)
-        if not np.array_equal(adj[start:stop, start:], adj[start:, start:stop].T):
+def _transposed_columns(packed, start, stop, first_row=0):
+    """Columns start:stop of the packed rows from first_row on, transposed:
+    a contiguous (stop - start) x (N - first_row) uint8 array of 0/1, whose
+    row c is column start + c. start must be a multiple of 8."""
+    block = packed[first_row:, start // 8 : -(-stop // 8)]
+    return np.ascontiguousarray(np.unpackbits(block, axis=1, count=stop - start).T)
+
+
+def _is_symmetric(packed):
+    """Compare each block of packed rows, from its diagonal on, with the
+    transpose of the matching block of columns, so no N x N temporary is
+    allocated. The padding bits must be zero."""
+    N = packed.shape[0]
+    for start in range(0, N, _TRANSPOSE_COLS):
+        stop = min(start + _TRANSPOSE_COLS, N)
+        mirror = np.packbits(_transposed_columns(packed, start, stop, start), axis=1)
+        if not np.array_equal(mirror, packed[start:stop, start // 8 :]):
             return False
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledGraph:
     """Simple undirected graph with seed labels and optional hidden truth.
 
     Vertices 0..m-1 are seeds (set U); vertices m..m+n-1 are ambiguous
     (set V). true_labels, when present, give the block of each ambiguous
     vertex and are used only for evaluation.
+
+    The adjacency is stored only as `packed`, its np.packbits rows: an
+    N x ceil(N/8) uint8 array whose row i has bit j (most significant bit
+    first in each byte) set when {i, j} is an edge, with the padding bits
+    past column N zero. That is N²/8 bytes, 12 MB at N = 10,040. Give the
+    constructor either a boolean `adjacency` or `packed` rows. `adjacency`
+    unpacks all N² bytes anew on each read, for small graphs only; `rows`
+    unpacks some rows.
     """
 
-    adjacency: np.ndarray
+    packed: np.ndarray
     seed_labels: np.ndarray
     true_labels: np.ndarray | None = None
 
-    def __post_init__(self):
-        # Freeze views, not the caller's own arrays, which stay writeable.
-        adj = np.asarray(self.adjacency, dtype=bool).view()
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
-        seed = np.asarray(self.seed_labels, dtype=int).view()
+    def __init__(self, adjacency=None, seed_labels=None, true_labels=None, *, packed=None):
+        if (adjacency is None) == (packed is None):
+            raise TypeError("give exactly one of adjacency and packed")
+        if seed_labels is None:
+            raise TypeError("seed_labels is required")
+        if packed is None:
+            adj = np.asarray(adjacency, dtype=bool)
+            if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+                raise SizeMismatchError("adjacency must be square")
+            packed = np.packbits(adj, axis=1)
+        else:
+            # Freeze a view, not the caller's own array, which stays writeable.
+            packed = np.asarray(packed).view()
+            N = len(packed)
+            if packed.dtype != np.uint8 or packed.shape != (N, -(-N // 8)):
+                raise SizeMismatchError("packed rows must be an N x ceil(N/8) uint8 array")
+            if N % 8 and (packed[:, -1] & (0xFF >> N % 8)).any():
+                raise ValueError("the padding bits of packed rows must be zero")
+        packed.setflags(write=False)
+        object.__setattr__(self, "packed", packed)
+        seed = np.asarray(seed_labels, dtype=int).view()
         seed.setflags(write=False)
         object.__setattr__(self, "seed_labels", seed)
-        if self.true_labels is not None:
-            truth = np.asarray(self.true_labels, dtype=int).view()
+        truth = None
+        if true_labels is not None:
+            truth = np.asarray(true_labels, dtype=int).view()
             truth.setflags(write=False)
-            object.__setattr__(self, "true_labels", truth)
-        N = adj.shape[0]
-        if adj.shape != (N, N):
-            raise SizeMismatchError("adjacency must be square")
-        if adj.diagonal().any():
+        object.__setattr__(self, "true_labels", truth)
+        N = len(packed)
+        diagonal = np.arange(N)
+        if (packed[diagonal, diagonal // 8] & (0x80 >> diagonal % 8)).any():
             raise ValueError("self-loops are not allowed (simple graph)")
         # symmetric_product reads only the upper triangle, so the spectral
         # embedding of large graphs is right only for a symmetric adjacency.
-        if not _is_symmetric(adj):
+        if not _is_symmetric(packed):
             raise ValueError("adjacency must be symmetric")
         if seed.ndim != 1 or len(seed) > N:
             raise SizeMismatchError("seed_labels must cover a prefix of the vertices")
-        if self.true_labels is not None and len(self.true_labels) != N - len(seed):
+        if truth is not None and len(truth) != N - len(seed):
             raise SizeMismatchError("true_labels must cover exactly the ambiguous vertices")
 
     @property
+    def adjacency(self):
+        """The read-only N x N boolean adjacency, unpacked on each read."""
+        adj = self.rows(slice(None))
+        adj.setflags(write=False)
+        return adj
+
+    def rows(self, index, count=None):
+        """Rows `index` (an int, a slice or an index array) of the
+        adjacency as booleans, in their first `count` columns (all N by
+        default)."""
+        N = self.num_vertices
+        return np.unpackbits(self.packed[index], axis=-1,
+                             count=N if count is None else count).view(bool)
+
+    @property
     def num_vertices(self):
-        return self.adjacency.shape[0]
+        return len(self.packed)
 
     @property
     def seed_count(self):
@@ -231,11 +287,13 @@ def _checked_order(order, N, m):
 
 
 # Rows per strip of sample_sbm. A strip holds its uniforms and their
-# probabilities in float64 arrays of up to _STRIP_ROWS x N (5 MB each at
-# N = 10,040). Drawing configs/large.json's second graph while holding the
-# first peaked at 283 MB RSS with 64-row strips and 316 MB with 256-row
-# strips; symmetrising in strips of 64, 128 or 256 rows took the same time.
-_STRIP_ROWS = 64
+# probabilities in float64 arrays of up to _STRIP_ROWS x N (2.6 MB each at
+# N = 10,040), which now outweigh the 12 MB packed graph. Drawing
+# configs/large.json's second and third graphs while holding the one before
+# (one thread, 3 draws) peaked at 118.6, 121.5, 127.0, 137.8 and 160.1 MB RSS
+# with 16-, 32-, 64-, 128- and 256-row strips. Each draw took 0.80-0.86 s
+# of CPU from 16 to 128 rows and 1.41 s with 256.
+_STRIP_ROWS = 32
 
 
 def sample_sbm(model, membership, rng_seed, order=None):
@@ -270,17 +328,17 @@ def sample_sbm(model, membership, rng_seed, order=None):
     # Each vertex pair is written once, on the row of its earlier vertex in
     # drawn order; the mirror half is filled in afterwards. The uniforms
     # left of a strip's diagonal are drawn only to keep the stream.
-    adj = np.zeros((N, N), dtype=bool)
+    packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
     for start in range(0, N, _STRIP_ROWS):
         stop = min(start + _STRIP_ROWS, N)
         draw = rng.random((stop - start, N))[:, start:]
         strip = np.zeros((stop - start, N), dtype=bool)
         strip[:, start:] = np.triu(draw < col_probs[labels0[start:stop], start:], k=1)
-        adj[pos[start:stop]] = strip[:, order]
-    for start in range(0, N, _STRIP_ROWS):
-        stop = start + _STRIP_ROWS
-        adj[start:stop] |= adj[:, start:stop].T
-    return LabeledGraph(adjacency=adj, seed_labels=labels[: model.m],
+        packed[pos[start:stop]] = np.packbits(strip[:, order], axis=1)
+    for start in range(0, N, _TRANSPOSE_COLS):
+        stop = min(start + _TRANSPOSE_COLS, N)
+        packed[start:stop] |= np.packbits(_transposed_columns(packed, start, stop), axis=1)
+    return LabeledGraph(packed=packed, seed_labels=labels[: model.m],
                         true_labels=labels[model.m :])
 
 
@@ -304,11 +362,12 @@ def adjacency_product(adjacency, X):
     return out
 
 
-def symmetric_product(adjacency, x):
-    """A·x in float64 for a symmetric boolean N x N matrix A and a float
-    vector x of length N, reading only the upper triangle of A.
+def symmetric_product(packed, x):
+    """A·x in float64 for a symmetric 0/1 N x N matrix A, given as the
+    np.packbits rows of LabeledGraph.packed, and a float vector x of length
+    N, reading only the upper triangle of A.
 
-    Each strip of _TILE_ROWS rows s:e is converted once, from column s on,
+    Each strip of _TILE_ROWS rows s:e is unpacked once, from column s on,
     into one reused float64 buffer T = A[s:e, s:], whose square T[:, :e-s]
     then takes its lower part from its upper part. T·x[s:] adds the strip's
     rows into y[s:e], and T[:, e-s:]^T·x[s:e] adds their mirror images below
@@ -317,7 +376,7 @@ def symmetric_product(adjacency, x):
     because A is symmetric, which LabeledGraph checks on construction.
     """
     x = np.asarray(x, dtype=np.float64)
-    N = adjacency.shape[0]
+    N = packed.shape[0]
     y = np.zeros(N)
     buf = np.empty(min(_TILE_ROWS, N) * N)
     below = np.tri(_TILE_ROWS, k=-1, dtype=bool)
@@ -325,7 +384,8 @@ def symmetric_product(adjacency, x):
         stop = min(start + _TILE_ROWS, N)
         h = stop - start
         tile = buf[: h * (N - start)].reshape(h, N - start)
-        np.copyto(tile, adjacency[start:stop, start:])
+        bits = np.unpackbits(packed[start:stop, start // 8 :], axis=1, count=N - start)
+        np.copyto(tile, bits.view(bool))
         square = tile[:, :h]
         np.copyto(square, square.T, where=below[:h, :h])
         y[start:stop] += tile @ x[start:]
@@ -393,7 +453,7 @@ def estimate_lambda(graph, K, eps=PROB_EPS):
             raise ValueError(f"block {k + empty[0] + 2} has no seeds")
     # count the blocks of all seeds, then keep blocks 1..K
     m, top = graph.seed_count, max(K, int(labels.max()))
-    edges, pairs = block_pair_counts(graph.adjacency[:m, :m], labels, top)
+    edges, pairs = block_pair_counts(graph.rows(slice(0, m), count=m), labels, top)
     return clamp_probabilities(edges[:K, :K] / pairs[:K, :K], eps)
 
 

@@ -5,6 +5,7 @@ subsample-and-average-position procedure."""
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +49,23 @@ class Hyperparameters:
     sgm_restarts: int = 1
     eps: float = PROB_EPS
     enumeration_guard: int = 10**8
+
+    def __post_init__(self):
+        def check(key, integer, valid, rule):
+            value = getattr(self, key)
+            kind = numbers.Integral if integer else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not valid(value):
+                raise ConfigError(f"hyperparameters.{key} must be {rule}, got {value!r}")
+
+        # eps = 0 would leave log(0) in every scheme that clamps Lambda
+        check("eps", False, lambda x: 0 < x < 0.5, "a number strictly between 0 and 1/2")
+        check("sgm_max_iter", True, lambda x: x >= 1, "an integer >= 1")
+        check("sgm_tol", False, lambda x: x > 0, "a number > 0")
+        check("kmeans_restarts", True, lambda x: x >= 1, "an integer >= 1")
+        check("sgm_restarts", True, lambda x: x >= 1, "an integer >= 1")
+        if self.d is not None:
+            check("d", True, lambda x: x >= 1, "an integer >= 1 or null")
+        check("enumeration_guard", True, lambda x: x >= 1, "an integer >= 1")
 
     @classmethod
     def from_dict(cls, data):

@@ -47,15 +47,16 @@ def swap_log_ratio(graph, bhat, model, v, v_prime, eps=PROB_EPS):
     lw = labels - 1
     keep = np.ones(graph.num_vertices, dtype=bool)
     keep[v] = keep[v_prime] = False
+    rows = graph.rows([v, v_prime])
 
-    def side(vertex, new_k, old_k):
-        edges = graph.adjacency[vertex] & keep
-        others = keep & ~graph.adjacency[vertex]
+    def side(row, new_k, old_k):
+        edges = row & keep
+        others = keep & ~row
         d_edge = (log_lam[new_k, lw] - log_lam[old_k, lw])[edges].sum()
         d_non = (log_1m[new_k, lw] - log_1m[old_k, lw])[others].sum()
         return d_edge + d_non
 
-    return float(side(v, k2, 0) + side(v_prime, 0, k2))
+    return float(side(rows[0], k2, 0) + side(rows[1], 0, k2))
 
 
 def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
@@ -94,7 +95,7 @@ def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
     log_1m = np.log1p(-lam)
     # one exact 0/1 product: columns k count edges to block k+1's seeds,
     # columns K + k to its ambiguous vertices
-    counts = adjacency_product(graph.adjacency[m:],
+    counts = adjacency_product(graph.rows(slice(m, None)),
                                np.eye(2 * K)[np.concatenate([labels0[:m], amb + K])])
     D = counts[:, K:]
     E = counts[:, :K] + D

@@ -227,12 +227,12 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     polished by steepest-ascent label swaps. The best objective wins,
     earliest start on ties.
     """
-    adjacency = np.asarray(adjacency)
+    adjacency = np.asarray(adjacency, dtype=bool)
     logodds = np.asarray(logodds, dtype=float)
     seed_labels = np.asarray(seed_labels, dtype=int)
     sizes = np.asarray(n_sizes, dtype=np.int64)
     N, m, K = adjacency.shape[0], len(seed_labels), len(logodds)
-    if adjacency.shape != (N, N) or not _is_symmetric(adjacency):
+    if adjacency.shape != (N, N) or not _is_symmetric(np.packbits(adjacency, axis=1)):
         raise ValueError("adjacency must be square and symmetric")
     if logodds.shape != (K, K) or sizes.shape != (K,):
         raise ValueError("logodds must be K x K with one size per block")

@@ -25,15 +25,16 @@ from vnom.metrics import NominationList, rank_with_ties
 _DENSE_LIMIT = 250
 
 # Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
-# the upper triangle of the boolean adjacency in tiles (core.symmetric_product)
+# the upper triangle of the packed adjacency in tiles (core.symmetric_product)
 # instead of a float64 copy; on the 5 configs/large.json graphs the two
 # embeddings differ by at most 2.1e-15. The bound caps the copy at 64 MiB.
 # Near the bound the copy is faster, far above it the tiles are. Fastest embed
 # of 5 (of 2 at N = 10,040), one BLAS thread, configs/large.json's model scaled
 # to N vertices, tiled against copied: N = 2,040 0.77 s against 0.41 s,
 # N = 3,040 0.66 s against 0.46 s, N = 5,040 0.80 s against 1.16 s,
-# N = 10,040 1.94 s against 3.05 s, where the peak RSS of sampling and
-# embedding is 291 MB against 947 MB.
+# N = 10,040 1.94 s against 3.05 s. Drawing and embedding configs/large.json's
+# first graph through the tiles peaks at 97 MB RSS (one thread); a copy would
+# add 806 MB of float64 and the 101 MB boolean it is converted from.
 _DENSE_COPY_BYTES = 64 << 20
 
 # eigsh stops once each wanted Ritz pair's residual is at most this fraction of
@@ -50,8 +51,8 @@ _MAX_ITER = 300
 # k-means runs its restarts together, in groups whose (group, N, K, d)
 # distance buffer holds at most this many float64 elements (1 MiB). All 10
 # restarts fit in one group while N*K*d <= 13,107 (configs/medium.json's
-# graphs have 4,680); configs/large.json's (60,240) run two at a time, and
-# its peak RSS stayed at 287 MB.
+# graphs have 4,680); configs/large.json's (60,240) run two at a time, so
+# its distance buffer stays below a tenth of its 12 MB packed graph.
 _BATCH_ELEMENTS = 1 << 17
 
 
@@ -67,7 +68,7 @@ class Embedding:
 class Clustering:
     """`labels` run 1..K. `restart` is the winning k-means restart and
     `iterations` its centroid updates, which reach the step cap only if
-    that restart stopped unconverged."""
+    that restart stopped neither converged nor in a cycle."""
 
     labels: np.ndarray
     centroids: np.ndarray
@@ -109,13 +110,13 @@ def embed(graph, d):
         vals = w[idx]
         vecs = V[:, idx]
     else:
-        if not graph.adjacency.any():
+        if not graph.packed.any():
             # ARPACK rejects A = 0; eigh gives zero eigenvalues and X = 0.
             return Embedding(X=np.zeros((N, d)), eigenvalues=np.zeros(d))
         if N * N * 8 > _DENSE_COPY_BYTES:
             A = scipy.sparse.linalg.LinearOperator(
                 (N, N),
-                matvec=lambda x: symmetric_product(graph.adjacency, x),
+                matvec=lambda x: symmetric_product(graph.packed, x),
                 dtype=np.float64,
             )
         else:
@@ -211,9 +212,19 @@ def _objectives(d2, labels):
 
 def _lloyd(points, centers):
     """Lloyd's algorithm from each restart's (K, d) centers, all restarts in
-    one loop. A restart leaves the loop once its labels repeat, or after
-    _MAX_ITER centroid updates. Returns labels (R, N), centers (R, K, d),
-    objectives (R,) and each restart's centroid updates (R,)."""
+    one loop. A restart leaves the loop once a step's labels repeat an
+    earlier step's, or after _MAX_ITER centroid updates, and returns the
+    labels before that step with their centroids. Each step's labels are a
+    function of the previous step's, so a repeat of the previous labels is
+    convergence and a repeat of older ones a cycle that would run to the
+    cap: with fewer distinct rows than K, the means of identical rows can
+    differ in the last bit, and points then flip between such centers in
+    cycles of 2 or 4 steps. Besides the previous labels, each step compares
+    with the labels of the last step numbered 0 or a power of two (Brent's
+    cycle detection), which finds a cycle of length c entered by step s by
+    step 2^j + c, for the least 2^j >= max(s, c), and costs one comparison
+    per step. Returns labels (R, N), centers (R, K, d), objectives (R,) and
+    each restart's centroid updates (R,)."""
     R, K, d = centers.shape
     labels = np.empty((R, len(points)), dtype=np.intp)
     final = np.empty_like(centers)
@@ -223,7 +234,7 @@ def _lloyd(points, centers):
     repeated = np.tile(points, K)
     columns = np.tile(points.T, R)
     active = np.arange(R)
-    current = None
+    current = saved = None
     for step in range(_MAX_ITER):
         d2 = _sq_distances(repeated, centers, buf)
         new = np.argmin(d2, axis=-1)
@@ -232,16 +243,20 @@ def _lloyd(points, centers):
             _repair_empty(d2[i], new[i], counts[i])
         if current is not None:
             done = (new == current).all(axis=1)
+            if saved is not current:
+                done |= (new == saved).all(axis=1)
             if done.any():
                 finished = active[done]
-                labels[finished] = new[done]
+                labels[finished] = current[done]
                 final[finished] = centers[done]
-                objectives[finished] = _objectives(d2[done], new[done])
+                objectives[finished] = _objectives(d2[done], current[done])
                 steps[finished] = step
                 keep = ~done
-                active, new, counts = active[keep], new[keep], counts[keep]
+                active, new, counts, saved = active[keep], new[keep], counts[keep], saved[keep]
                 if not len(active):
                     break
+        if step & (step - 1) == 0:
+            saved = new
         current = new
         centers = _centroids(points, columns, current, counts)
     else:

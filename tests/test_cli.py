@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import vnom
 from vnom.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 
 SMALL_LAMBDA = {
     "K": 3,
@@ -47,6 +49,19 @@ def test_sample_writes_files(sampled_files):
     assert header.strip() == "#vertices 14"
     label_lines = open(labels, encoding="utf-8").read().strip().split("\n")
     assert label_lines == ["1 1", "2 1", "3 1", "4 1"]
+
+
+def test_sample_edge_list_matches_whole_matrix_formula(tmp_path, lambda_file):
+    # N = 150: more than two 64-row strips, and a multiple of neither 8 nor 64
+    edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    assert main(["sample", "--lambda", lambda_file, "--m-sizes", "6,0,4",
+                 "--n-sizes", "60,45,35", "--seed", "3",
+                 "--edges-out", str(edges), "--labels-out", str(labels)]) == EXIT_OK
+    model = BlockModel(m_sizes=(6, 0, 4), n_sizes=(60, 45, 35), lam=SMALL_LAMBDA["lambda"])
+    graph = sample_sbm(model, contiguous_assignment(model), 3)
+    expected = "#vertices 150\n" + "".join(
+        f"{a + 1} {b + 1}\n" for a, b in np.argwhere(np.triu(graph.adjacency, k=1)))
+    assert edges.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("scheme", ["canonical", "likelihood", "spectral"])
@@ -147,6 +162,37 @@ def test_experiment_infeasible_canonical_exit(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["experiment", "--config", str(path)]) == EXIT_INFEASIBLE
+
+
+BAD_HYPERPARAMETERS = [
+    ("eps", 0), ("eps", 0.5), ("eps", "small"), ("sgm_max_iter", 0), ("sgm_tol", 0.0),
+    ("kmeans_restarts", 0), ("sgm_restarts", 0), ("d", 0), ("d", 1.5),
+    ("enumeration_guard", 0),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_HYPERPARAMETERS)
+def test_experiment_rejects_bad_hyperparameter(key, value, tmp_path, capsys):
+    config = {
+        "name": "bad-hyper",
+        "mode": "simulation",
+        "schemes": ["canonical", "likelihood", "spectral"],
+        "replicates": 1,
+        "master_seed": 5,
+        "model": {
+            "K": 2,
+            "base_lambda": [[1.0, 0.0], [0.0, 1.0]],
+            "m_sizes": [1, 1],
+            "n_sizes": [3, 3],
+        },
+        "hyperparameters": {key: value},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"hyperparameters.{key} must be" in captured.err
+    assert captured.out == ""
 
 
 def test_subsample_command(tmp_path, capsys):

@@ -16,6 +16,7 @@ from vnom.core import (
     BlockModel,
     LabeledGraph,
     ParseError,
+    SizeMismatchError,
     adjacency_product,
     block_edge_counts,
     block_pair_counts,
@@ -140,7 +141,8 @@ ORDER_MODELS = [
     BlockModel(m_sizes=(2, 1, 0, 4), n_sizes=(5, 7, 0, 3),
                lam=random_symmetric_lambda(np.random.default_rng(8), 4)),
 ]
-# N = 2,011: past several 64-row strips, and a multiple of no strip height
+# N = 2,011: past several strips of the default height, and a multiple of no
+# strip height
 LARGE_MODEL = BlockModel(m_sizes=(5, 5, 0), n_sizes=(1203, 700, 98), lam=BASE_LAMBDA)
 
 
@@ -186,9 +188,9 @@ class TestSampleOrder:
             sample_sbm(model, membership, 0, order=swapped)
 
     def test_peak_memory_is_bounded(self, rng):
-        # The boolean graph is N^2 bytes. A float64 draw of the whole matrix
-        # (8 N^2 bytes) or an N x N copy for the vertex order would push the
-        # traced peak past 2 N^2.
+        # The packed graph is N^2 / 8 bytes. A float64 draw of the whole
+        # matrix (8 N^2 bytes), or any N x N boolean for the vertex order or
+        # the symmetrisation, would push the traced peak past N^2.
         model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
         membership = contiguous_assignment(model)
         order = seeds_first_order(rng, model)
@@ -200,7 +202,7 @@ class TestSampleOrder:
         finally:
             tracemalloc.stop()
         assert graph.num_vertices == N
-        assert peak < 2 * N * N
+        assert peak < N * N
 
 
 class TestLabeledGraph:
@@ -217,7 +219,7 @@ class TestLabeledGraph:
 
     @pytest.mark.parametrize("pair", [(-2, -1), (-1, 3)])
     def test_asymmetry_in_last_partial_strip_rejected(self, rng, pair):
-        N = 2 * core._SYMMETRY_ROWS + 5
+        N = 2 * core._TRANSPOSE_COLS + 5
         upper = np.triu(rng.random((N, N)) < 0.3, k=1)
         adj = upper | upper.T
         LabeledGraph(adjacency=adj.copy(), seed_labels=np.array([1]))
@@ -225,6 +227,71 @@ class TestLabeledGraph:
         adj[i, j] = not adj[j, i]
         with pytest.raises(ValueError, match="symmetric"):
             LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
+
+    @pytest.mark.parametrize("N", [1, 7, 8, 9, 63, 64, 65])
+    def test_packed_round_trip(self, rng, N):
+        adj = random_adjacency(rng, N)
+        graph = LabeledGraph(adjacency=adj, seed_labels=np.array([1]))
+        assert graph.packed.dtype == np.uint8 and graph.packed.shape == (N, -(-N // 8))
+        assert np.array_equal(graph.packed, np.packbits(adj, axis=1))
+        assert np.array_equal(graph.adjacency, adj)
+        again = LabeledGraph(packed=graph.packed, seed_labels=np.array([1]))
+        assert np.array_equal(again.adjacency, adj)
+        rows = [N - 1, 0]
+        assert np.array_equal(graph.rows(rows), adj[rows])
+        assert np.array_equal(graph.rows(slice(1, 4), count=N // 2), adj[1:4, : N // 2])
+        assert np.array_equal(graph.rows(N - 1), adj[N - 1])
+
+    @staticmethod
+    def packed_with_bit(N, i, j):
+        packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
+        packed[i, j // 8] |= 0x80 >> j % 8
+        return packed
+
+    def test_packed_padding_bits_rejected(self):
+        # N = 9: the second byte of each row holds column 8 and 7 padding bits
+        packed = np.zeros((9, 2), dtype=np.uint8)
+        LabeledGraph(packed=packed, seed_labels=np.array([1]))
+        packed[4, 1] = 0x01
+        with pytest.raises(ValueError, match="padding"):
+            LabeledGraph(packed=packed, seed_labels=np.array([1]))
+
+    @pytest.mark.parametrize("N", [9, 70])
+    def test_packed_asymmetric_rows_rejected(self, N):
+        with pytest.raises(ValueError, match="symmetric"):
+            LabeledGraph(packed=self.packed_with_bit(N, N - 1, 2), seed_labels=np.array([1]))
+        with pytest.raises(ValueError, match="symmetric"):
+            LabeledGraph(packed=self.packed_with_bit(N, 2, N - 1), seed_labels=np.array([1]))
+
+    def test_packed_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            LabeledGraph(packed=self.packed_with_bit(9, 8, 8), seed_labels=np.array([1]))
+
+    def test_packed_shape_and_dtype_checked(self):
+        for packed in (np.zeros((9, 1), dtype=np.uint8), np.zeros((9, 2), dtype=bool),
+                       np.zeros((9, 3), dtype=np.uint8)):
+            with pytest.raises(SizeMismatchError):
+                LabeledGraph(packed=packed, seed_labels=np.array([1]))
+        with pytest.raises(TypeError, match="exactly one"):
+            LabeledGraph(seed_labels=np.array([1]))
+        with pytest.raises(TypeError, match="exactly one"):
+            adj = np.zeros((2, 2), dtype=bool)
+            LabeledGraph(adjacency=adj, packed=np.packbits(adj, axis=1),
+                         seed_labels=np.array([1]))
+
+    def test_adjacency_is_read_only(self, rng):
+        adj = random_adjacency(rng, 10)
+        packed = np.packbits(adj, axis=1)
+        graph = LabeledGraph(packed=packed, seed_labels=np.array([1]))
+        assert packed.flags.writeable
+        for frozen in (graph.adjacency, graph.packed):
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0, 0] = 1
+        with pytest.raises(AttributeError):
+            graph.adjacency = adj
+        with pytest.raises(AttributeError):
+            graph.packed = packed
 
     def test_ambiguous_vertices(self):
         adj = np.zeros((4, 4), dtype=bool)
@@ -279,11 +346,12 @@ class TestSymmetricProduct:
     @pytest.mark.parametrize("N", [0, 1, 15, 16, 17, 37])
     def test_matches_dense_product(self, rng, N):
         adj = random_adjacency(rng, N)
+        packed = np.packbits(adj, axis=1)
         dense = adj.astype(float)
         counts = rng.integers(-3, 4, size=N).astype(float)
-        assert np.array_equal(symmetric_product(adj, counts), dense @ counts)
+        assert np.array_equal(symmetric_product(packed, counts), dense @ counts)
         x = rng.normal(size=N)
-        result = symmetric_product(adj, x)
+        result = symmetric_product(packed, x)
         assert result.dtype == np.float64 and result.shape == (N,)
         assert np.allclose(result, dense @ x, rtol=0.0, atol=1e-12)
 
@@ -292,11 +360,12 @@ class TestSymmetricProduct:
         garbage = rng.random((N, N)) < 0.5
         symmetrised = np.triu(garbage) | np.triu(garbage, k=1).T
         assert N == 1 or not np.array_equal(garbage, symmetrised)
+        garbage, packed = np.packbits(garbage, axis=1), np.packbits(symmetrised, axis=1)
         counts = rng.integers(-3, 4, size=N).astype(float)
         dense = symmetrised.astype(float)
         assert np.array_equal(symmetric_product(garbage, counts), dense @ counts)
         x = rng.normal(size=N)
-        assert np.array_equal(symmetric_product(garbage, x), symmetric_product(symmetrised, x))
+        assert np.array_equal(symmetric_product(garbage, x), symmetric_product(packed, x))
         assert np.allclose(symmetric_product(garbage, x), dense @ x, rtol=0.0, atol=1e-12)
 
 

@@ -1,11 +1,12 @@
 """Spectral nomination: embedding, k-means, centroid choice, ranking."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import replicate_graphs
+from conftest import BASE_LAMBDA, replicate_graphs
 from vnom import harness, spectral
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, sample_sbm
 from vnom.spectral import (
@@ -32,9 +33,11 @@ def _reference_seed_centroids(points, K, rng):
 
 def _reference_lloyd(points, centers, max_iter):
     """One restart's Lloyd loop as before the batched loop, with the repair
-    taking points only from clusters of at least 2 members. Also returns
-    the number of centroid updates."""
-    labels = None
+    taking points only from clusters of at least 2 members, stopping when
+    a step's labels equal the previous step's or those of the last step
+    numbered 0 or a power of two. Also returns the number of centroid
+    updates."""
+    labels = saved = None
     steps = max_iter
     for step in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -51,9 +54,12 @@ def _reference_lloyd(points, centers, max_iter):
                 far = int(np.argmax(gaps))
                 new_labels[far] = k
                 claimed.append(far)
-        if labels is not None and np.array_equal(new_labels, labels):
+        if labels is not None and (np.array_equal(new_labels, labels)
+                                   or np.array_equal(new_labels, saved)):
             steps = step
             break
+        if step & (step - 1) == 0:
+            saved = new_labels
         labels = new_labels
         for k in range(len(centers)):
             centers[k] = points[labels == k].mean(axis=0)
@@ -195,6 +201,23 @@ class TestEmbed:
         assert np.allclose(tiled.X, dense.X, rtol=0.0, atol=1e-8)
         assert np.allclose(tiled.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
 
+    def test_tiled_embedding_memory_is_bounded(self, monkeypatch):
+        # The packed graph is N^2 / 8 bytes; the tiled path unpacks 16 rows
+        # at a time. Unpacking or converting the whole N x N adjacency would
+        # push the traced peak past N^2.
+        monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
+        model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
+        graph = sample_sbm(model, contiguous_assignment(model), 3)
+        N = graph.num_vertices
+        tracemalloc.start()
+        try:
+            emb = embed(graph, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.X.shape == (N, 2)
+        assert peak < N * N / 4
+
     def test_lanczos_finds_repeated_top_eigenvalue(self, monkeypatch):
         # Two identical components: the top eigenvalue is double, and its
         # antisymmetric eigenvector is orthogonal to a flat start vector.
@@ -295,6 +318,22 @@ class TestKmeans:
             distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
             X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
             assert_matches_reference(X, K, rng_seed=trial)
+
+    def test_cycling_restarts_stop_before_the_cap(self):
+        # With fewer distinct rows than K, points can flip between centers
+        # that differ in the last bit, in cycles of 2 or 4 steps. 6 of these
+        # 20 inputs reach such a cycle, which a stop on the previous step's
+        # labels alone would follow to the 300-step cap.
+        K = 5
+        rng = np.random.default_rng(K)
+        for trial in range(20):
+            distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
+            X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
+            rngs = [np.random.default_rng(np.random.SeedSequence((trial, r))) for r in range(10)]
+            labels, centers, objectives, steps = spectral._lloyd(
+                X, spectral._seed_centroids(X, K, rngs))
+            assert steps.max() < 20
+            assert np.isfinite(centers).all() and np.isfinite(objectives).all()
 
     def test_batched_restarts_match_on_medium_embeddings(self):
         _, model, graphs = replicate_graphs("medium", 20)
