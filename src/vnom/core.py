@@ -286,13 +286,18 @@ def _checked_order(order, N, m):
     return order
 
 
-# Rows per strip of sample_sbm. A strip holds its uniforms and their
-# probabilities in float64 arrays of up to _STRIP_ROWS x N (2.6 MB each at
-# N = 10,040), which now outweigh the 12 MB packed graph. Drawing
-# configs/large.json's second and third graphs while holding the one before
-# (one thread, 3 draws) peaked at 118.6, 121.5, 127.0, 137.8 and 160.1 MB RSS
-# with 16-, 32-, 64-, 128- and 256-row strips. Each draw took 0.80-0.86 s
-# of CPU from 16 to 128 rows and 1.41 s with 256.
+# Rows per strip of sample_sbm. A strip is a reused _STRIP_ROWS x N boolean
+# array of its rows' edges in output column order (314 KiB at N = 10,040),
+# packed and written to the graph at once; each row's uniforms go through one
+# reused length-N float64 buffer. Only the first strip, drawn in one call,
+# holds _STRIP_ROWS x N float64 uniforms and probabilities (2.5 MiB each at
+# N = 10,040), so the height sets the sampler's peak. Drawing
+# configs/large.json's graphs while holding the one before (one thread,
+# 3 draws; 3 processes per height up to 64 rows) peaked at 105.2-105.4,
+# 106.6-107.0, 109.4-109.6, 115.0 and 126.1 MB RSS with 8-, 16-, 32-, 64- and
+# 128-row strips. Each draw took 0.43-0.81 s of CPU at every height on a
+# shared 2-core host, against 1.34-1.56 s for whole-row draws; 32 rows keep
+# every model of up to 32 vertices in one call.
 _STRIP_ROWS = 32
 
 
@@ -301,16 +306,20 @@ def sample_sbm(model, membership, rng_seed, order=None):
     with parameter Lambda[b(w), b(w')]. Deterministic given rng_seed.
 
     Pair {i, j} with i < j is an edge when the uniform at (i, j) of one
-    row-major N x N draw falls below its probability. The draw is taken
-    _STRIP_ROWS rows at a time; the generator returns the same doubles as
-    one whole-matrix draw, so the strip height does not change a bit, and
-    no N x N float array is made.
+    row-major N x N draw from PCG64 falls below its probability. Only the
+    uniforms right of the diagonal are drawn: each double takes one 64-bit
+    word of the stream, so row r steps over its first r + 1 words with
+    PCG64.advance and draws the rest, and every uniform keeps its place. The
+    first _STRIP_ROWS rows have nothing to skip outside their own square and
+    are drawn in one call. The result has the same bits as a whole-matrix
+    draw, and no N x N float array is made.
 
     With an order (a permutation of the vertices that keeps the seeds
     first), vertex order[i] of the drawn graph becomes vertex i of the
     result, and the labels follow: the result equals the order-free graph
-    gathered through np.ix_(order, order). Each strip is written straight
-    to its rows in that order, so no N x N copy is made.
+    gathered through np.ix_(order, order). Each row is written straight to
+    its output columns, and each strip to its rows, in that order, so no
+    N x N copy is made.
     """
     membership.check_membership(model, membership.labels[: model.m])
     N = model.num_vertices
@@ -324,17 +333,25 @@ def sample_sbm(model, membership, rng_seed, order=None):
     pos[order] = np.arange(N)
     labels0 = membership.labels - 1
     col_probs = model.lam[:, labels0]
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     # Each vertex pair is written once, on the row of its earlier vertex in
-    # drawn order; the mirror half is filled in afterwards. The uniforms
-    # left of a strip's diagonal are drawn only to keep the stream.
+    # drawn order; the mirror half is filled in afterwards.
     packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
+    strip = np.empty((min(_STRIP_ROWS, N), N), dtype=bool)
+    uniforms = np.empty(N)
     for start in range(0, N, _STRIP_ROWS):
         stop = min(start + _STRIP_ROWS, N)
-        draw = rng.random((stop - start, N))[:, start:]
-        strip = np.zeros((stop - start, N), dtype=bool)
-        strip[:, start:] = np.triu(draw < col_probs[labels0[start:stop], start:], k=1)
-        packed[pos[start:stop]] = np.packbits(strip[:, order], axis=1)
+        rows = strip[: stop - start]
+        if start == 0:
+            rows[:, pos] = np.triu(rng.random((stop, N)) < col_probs[labels0[:stop]], k=1)
+        else:
+            rows[:] = False
+            for row, r in zip(rows, range(start, stop)):
+                rng.bit_generator.advance(r + 1)
+                drawn = uniforms[: N - r - 1]
+                rng.random(out=drawn)
+                row[pos[r + 1 :]] = drawn < col_probs[labels0[r], r + 1 :]
+        packed[pos[start:stop]] = np.packbits(rows, axis=1)
     for start in range(0, N, _TRANSPOSE_COLS):
         stop = min(start + _TRANSPOSE_COLS, N)
         packed[start:stop] |= np.packbits(_transposed_columns(packed, start, stop), axis=1)
@@ -570,8 +587,15 @@ def load_lambda(path):
         data = json.load(fh)
     if not isinstance(data, dict) or "K" not in data or "lambda" not in data:
         raise ParseError(f"{path}: expected JSON object with fields 'K' and 'lambda'")
-    K = int(data["K"])
-    flat = np.asarray(data["lambda"], dtype=float).reshape(-1)
+    try:
+        K = int(data["K"])
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: 'K' must be an integer, got {data['K']!r}") from None
+    try:
+        flat = np.asarray(data["lambda"], dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: 'lambda' must be an array of numbers, "
+                         f"got {data['lambda']!r}") from None
     if flat.size != K * K:
         raise ParseError(f"{path}: 'lambda' must contain {K * K} entries")
     lam = flat.reshape(K, K)

@@ -110,6 +110,14 @@ _DATA_KEYS = {"edges", "labels", "K", "seed_counts", "subsample_sizes",
               "seeds_per_class"}
 
 
+def _converted(key, value, convert, rule):
+    """convert(value), or a ConfigError that names the config key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
+
+
 def parse_config(data):
     """Validate a config dict (strict: unknown keys are errors)."""
     if not isinstance(data, dict):
@@ -137,8 +145,8 @@ def parse_config(data):
         name=str(data.get("name", "experiment")),
         mode=data["mode"],
         schemes=tuple(data.get("schemes", ())),
-        replicates=int(data["replicates"]),
-        master_seed=int(data["master_seed"]),
+        replicates=_converted("replicates", data["replicates"], int, "an integer"),
+        master_seed=_converted("master_seed", data["master_seed"], int, "an integer"),
         model=model,
         data=section,
         hyper=Hyperparameters.from_dict(data.get("hyperparameters", {})),
@@ -156,12 +164,16 @@ def load_config(path):
 
 def build_model(config):
     spec = config.model
-    K = int(spec["K"])
-    base = np.asarray(spec["base_lambda"], dtype=float)
+    K = _converted("model.K", spec["K"], int, "an integer")
+    base = _converted("model.base_lambda", spec["base_lambda"],
+                      lambda v: np.asarray(v, dtype=float), "a K x K array of numbers")
     if base.shape != (K, K):
-        raise ConfigError(f"base_lambda must be {K}x{K}")
-    lam = mix_lambda(base, float(spec.get("theta", 1.0)))
-    return BlockModel(m_sizes=spec["m_sizes"], n_sizes=spec["n_sizes"], lam=lam)
+        raise ConfigError(f"model.base_lambda must be {K}x{K}")
+    theta = _converted("model.theta", spec.get("theta", 1.0), float, "a number")
+    sizes = {key: _converted(f"model.{key}", spec[key], lambda v: tuple(int(x) for x in v),
+                             "a list of integers")
+             for key in ("m_sizes", "n_sizes")}
+    return BlockModel(**sizes, lam=mix_lambda(base, theta))
 
 
 @dataclass
@@ -340,9 +352,9 @@ def _load_dataset(config):
     section = config.data
     if "edges" not in section or "labels" not in section or "K" not in section:
         raise ConfigError("data section requires 'edges', 'labels', and 'K'")
-    key = (section["edges"], section["labels"], int(section["K"]))
+    K = _converted("data.K", section["K"], int, "an integer")
+    key = (section["edges"], section["labels"], K)
     if key not in _dataset_cache:
-        K = int(section["K"])
         truth = _load_full_labels(section["labels"], K)
         graph = load_edge_list(section["edges"], num_vertices=len(truth))
         _dataset_cache[key] = (graph.adjacency, truth, K)

@@ -195,6 +195,49 @@ def test_experiment_rejects_bad_hyperparameter(key, value, tmp_path, capsys):
     assert captured.out == ""
 
 
+def _field_config(key, value):
+    """A small valid config with one field, named by its dotted key, set to value."""
+    config = {
+        "name": "bad-field",
+        "mode": "simulation",
+        "schemes": ["spectral"],
+        "replicates": 1,
+        "master_seed": 5,
+        "model": {
+            "K": 2,
+            "base_lambda": [[0.5, 0.2], [0.2, 0.5]],
+            "theta": 1.0,
+            "m_sizes": [1, 1],
+            "n_sizes": [3, 3],
+        },
+    }
+    if key == "data.K":
+        config["mode"] = "realdata"
+        config["data"] = {"edges": "edges.txt", "labels": "labels.txt", "K": value,
+                          "seed_counts": [1, 1]}
+        return config
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = value
+    return config
+
+
+BAD_FIELDS = [
+    ("replicates", "abc"), ("master_seed", "seed"), ("model.K", "three"),
+    ("model.base_lambda", [[0.5, "x"], ["x", 0.5]]), ("model.theta", "high"),
+    ("model.m_sizes", ["one", 1]), ("model.n_sizes", 3), ("data.K", "two"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_FIELDS)
+def test_experiment_names_a_field_that_fails_conversion(key, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_field_config(key, value)), encoding="utf-8")
+    assert main(["experiment", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"error: {key} must be" in captured.err
+    assert captured.out == ""
+
+
 def test_subsample_command(tmp_path, capsys):
     # two-class dataset synthesized through the sample command is not
     # possible (it has three blocks), so write a small one directly

@@ -144,11 +144,46 @@ ORDER_MODELS = [
 # N = 2,011: past several strips of the default height, and a multiple of no
 # strip height
 LARGE_MODEL = BlockModel(m_sizes=(5, 5, 0), n_sizes=(1203, 700, 98), lam=BASE_LAMBDA)
+# N = 1 (no pair, so no uniform is kept), N = 2 (one pair), and N = 32 and
+# 33: exactly one strip of the default height, then one row past it
+EDGE_MODELS = [
+    BlockModel(m_sizes=(0,), n_sizes=(1,), lam=[[0.5]]),
+    BlockModel(m_sizes=(1,), n_sizes=(1,), lam=[[0.5]]),
+    BlockModel(m_sizes=(2, 0, 1), n_sizes=(15, 9, 5), lam=BASE_LAMBDA),
+    BlockModel(m_sizes=(2, 0, 1), n_sizes=(15, 9, 6), lam=BASE_LAMBDA),
+]
+
+
+class TestPcg64Stream:
+    """The two facts of numpy's PCG64 stream that let sample_sbm skip the
+    uniforms left of the diagonal without moving any it keeps."""
+
+    def test_each_double_takes_one_word(self):
+        words = np.random.PCG64(np.random.SeedSequence(21)).random_raw(50)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
+        # a double is the top 53 bits of one 64-bit word
+        assert np.array_equal(rng.random(50), (words >> np.uint64(11)) * 2.0**-53)
+        assert rng.bit_generator.random_raw() == np.random.PCG64(
+            np.random.SeedSequence(21)).random_raw(51)[-1]
+
+    @pytest.mark.parametrize("k, n", [(0, 4), (1, 1), (1, 0), (7, 13), (10_040, 5)])
+    def test_advance_then_draw_is_the_tail_of_one_draw(self, k, n):
+        whole = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8))).random(k + n)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8)))
+        rng.bit_generator.advance(k)
+        tail = np.empty(n)
+        rng.random(out=tail)
+        assert np.array_equal(tail, whole[k:])
+
+    def test_default_rng_is_pcg64_of_the_seed_sequence(self):
+        pinned = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        assert np.array_equal(pinned.random(20),
+                              np.random.default_rng(np.random.SeedSequence(5)).random(20))
 
 
 class TestSampleOrder:
     @pytest.mark.parametrize("strip_rows", [1, 3, None])
-    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL])
+    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL] + EDGE_MODELS)
     def test_order_equals_permuted_order_free_sample(self, monkeypatch, rng, model,
                                                      strip_rows):
         if strip_rows is not None:
@@ -163,7 +198,7 @@ class TestSampleOrder:
         assert np.array_equal(graph.true_labels, labels[order][model.m :])
 
     @pytest.mark.parametrize("strip_rows", [1, 3, None])
-    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL])
+    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL] + EDGE_MODELS)
     def test_strips_draw_the_whole_matrix_bits(self, monkeypatch, rng, model, strip_rows):
         if strip_rows is not None:
             monkeypatch.setattr(core, "_STRIP_ROWS", strip_rows)
@@ -653,6 +688,16 @@ class TestLoadLambda:
         path = tmp_path / "lambda.json"
         path.write_text('{"K": 2, "lambda": [0.5, 0.5]}', encoding="utf-8")
         with pytest.raises(ParseError):
+            load_lambda(path)
+
+    @pytest.mark.parametrize("key, text", [
+        ("K", '{"K": "two", "lambda": [[0.7, 0.2], [0.2, 0.6]]}'),
+        ("lambda", '{"K": 2, "lambda": [[0.7, "x"], ["x", 0.6]]}'),
+    ], ids=["K", "lambda"])
+    def test_field_that_fails_conversion_is_named(self, tmp_path, key, text):
+        path = tmp_path / "lambda.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"'{key}' must be"):
             load_lambda(path)
 
     def test_asymmetric_rejected(self, tmp_path):
