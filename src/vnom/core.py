@@ -7,6 +7,7 @@ Block labels are 1..K everywhere (matching the 1-based file formats).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,17 @@ class SizeMismatchError(ValueError):
 
 class ParseError(ValueError):
     """A malformed input file."""
+
+
+def integral(value):
+    """int(value), refusing what int() would change: a bool, or a number
+    with a fractional part (2.7, NaN, infinity). 3.0 gives 3."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def clamp_probabilities(lam, eps=PROB_EPS):
@@ -174,14 +186,31 @@ class LabeledGraph:
             if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
                 raise SizeMismatchError("adjacency must be square")
             packed = np.packbits(adj, axis=1)
-        else:
-            # Freeze a view, not the caller's own array, which stays writeable.
-            packed = np.asarray(packed).view()
-            N = len(packed)
-            if packed.dtype != np.uint8 or packed.shape != (N, -(-N // 8)):
-                raise SizeMismatchError("packed rows must be an N x ceil(N/8) uint8 array")
-            if N % 8 and (packed[:, -1] & (0xFF >> N % 8)).any():
-                raise ValueError("the padding bits of packed rows must be zero")
+        self._fill(packed, seed_labels, true_labels)
+        # symmetric_product reads only the upper triangle, so the spectral
+        # embedding of large graphs is right only for a symmetric adjacency.
+        if not _is_symmetric(self.packed):
+            raise ValueError("adjacency must be symmetric")
+
+    @classmethod
+    def _symmetric(cls, packed, seed_labels, true_labels=None):
+        """A graph from packed rows that are symmetric by construction, with
+        every constructor check but the symmetry scan. Only for sample_sbm's
+        output, which ORs each block's transpose into the rows, and for the
+        np.ix_(order, order) gather of an already checked graph."""
+        graph = cls.__new__(cls)
+        graph._fill(packed, seed_labels, true_labels)
+        return graph
+
+    def _fill(self, packed, seed_labels, true_labels):
+        """Check and freeze the fields; symmetry is left to the caller."""
+        # Freeze a view, not the caller's own array, which stays writeable.
+        packed = np.asarray(packed).view()
+        N = len(packed)
+        if packed.dtype != np.uint8 or packed.shape != (N, -(-N // 8)):
+            raise SizeMismatchError("packed rows must be an N x ceil(N/8) uint8 array")
+        if N % 8 and (packed[:, -1] & (0xFF >> N % 8)).any():
+            raise ValueError("the padding bits of packed rows must be zero")
         packed.setflags(write=False)
         object.__setattr__(self, "packed", packed)
         seed = np.asarray(seed_labels, dtype=int).view()
@@ -192,14 +221,9 @@ class LabeledGraph:
             truth = np.asarray(true_labels, dtype=int).view()
             truth.setflags(write=False)
         object.__setattr__(self, "true_labels", truth)
-        N = len(packed)
         diagonal = np.arange(N)
         if (packed[diagonal, diagonal // 8] & (0x80 >> diagonal % 8)).any():
             raise ValueError("self-loops are not allowed (simple graph)")
-        # symmetric_product reads only the upper triangle, so the spectral
-        # embedding of large graphs is right only for a symmetric adjacency.
-        if not _is_symmetric(packed):
-            raise ValueError("adjacency must be symmetric")
         if seed.ndim != 1 or len(seed) > N:
             raise SizeMismatchError("seed_labels must cover a prefix of the vertices")
         if truth is not None and len(truth) != N - len(seed):
@@ -355,8 +379,7 @@ def sample_sbm(model, membership, rng_seed, order=None):
     for start in range(0, N, _TRANSPOSE_COLS):
         stop = min(start + _TRANSPOSE_COLS, N)
         packed[start:stop] |= np.packbits(_transposed_columns(packed, start, stop), axis=1)
-    return LabeledGraph(packed=packed, seed_labels=labels[: model.m],
-                        true_labels=labels[model.m :])
+    return LabeledGraph._symmetric(packed, labels[: model.m], labels[model.m :])
 
 
 def adjacency_product(adjacency, X):
@@ -588,7 +611,7 @@ def load_lambda(path):
     if not isinstance(data, dict) or "K" not in data or "lambda" not in data:
         raise ParseError(f"{path}: expected JSON object with fields 'K' and 'lambda'")
     try:
-        K = int(data["K"])
+        K = integral(data["K"])
     except (TypeError, ValueError):
         raise ParseError(f"{path}: 'K' must be an integer, got {data['K']!r}") from None
     try:

@@ -21,6 +21,7 @@ from vnom.core import (
     ParseError,
     contiguous_assignment,
     estimate_lambda,
+    integral,
     load_edge_list,
     load_labels,
     mix_lambda,
@@ -145,8 +146,8 @@ def parse_config(data):
         name=str(data.get("name", "experiment")),
         mode=data["mode"],
         schemes=tuple(data.get("schemes", ())),
-        replicates=_converted("replicates", data["replicates"], int, "an integer"),
-        master_seed=_converted("master_seed", data["master_seed"], int, "an integer"),
+        replicates=_converted("replicates", data["replicates"], integral, "an integer"),
+        master_seed=_converted("master_seed", data["master_seed"], integral, "an integer"),
         model=model,
         data=section,
         hyper=Hyperparameters.from_dict(data.get("hyperparameters", {})),
@@ -164,13 +165,13 @@ def load_config(path):
 
 def build_model(config):
     spec = config.model
-    K = _converted("model.K", spec["K"], int, "an integer")
+    K = _converted("model.K", spec["K"], integral, "an integer")
     base = _converted("model.base_lambda", spec["base_lambda"],
                       lambda v: np.asarray(v, dtype=float), "a K x K array of numbers")
     if base.shape != (K, K):
         raise ConfigError(f"model.base_lambda must be {K}x{K}")
     theta = _converted("model.theta", spec.get("theta", 1.0), float, "a number")
-    sizes = {key: _converted(f"model.{key}", spec[key], lambda v: tuple(int(x) for x in v),
+    sizes = {key: _converted(f"model.{key}", spec[key], lambda v: tuple(integral(x) for x in v),
                              "a list of integers")
              for key in ("m_sizes", "n_sizes")}
     return BlockModel(**sizes, lam=mix_lambda(base, theta))
@@ -352,7 +353,7 @@ def _load_dataset(config):
     section = config.data
     if "edges" not in section or "labels" not in section or "K" not in section:
         raise ConfigError("data section requires 'edges', 'labels', and 'K'")
-    K = _converted("data.K", section["K"], int, "an integer")
+    K = _converted("data.K", section["K"], integral, "an integer")
     key = (section["edges"], section["labels"], K)
     if key not in _dataset_cache:
         truth = _load_full_labels(section["labels"], K)
@@ -389,8 +390,9 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
         _ambiguous_permutation(config, replicate, len(ambiguous_ids))
     ]
     order = np.concatenate([seed_ids, ambiguous_ids])
-    graph = LabeledGraph(
-        adjacency=adjacency[np.ix_(order, order)],
+    # a principal submatrix of the checked dataset graph is symmetric
+    graph = LabeledGraph._symmetric(
+        np.packbits(adjacency[np.ix_(order, order)], axis=1),
         seed_labels=truth[seed_ids],
         true_labels=truth[ambiguous_ids],
     )

@@ -18,7 +18,6 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from vnom.core import _is_symmetric, block_edge_counts
 
@@ -36,6 +35,8 @@ def solve_lap(cost, maximize=False):
         raise ValueError("cost must be square")
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
+    from scipy.optimize import linear_sum_assignment
+
     _, col = linear_sum_assignment(cost, maximize=maximize)
     return col, float(cost[np.arange(len(col)), col].sum())
 

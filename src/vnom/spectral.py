@@ -7,21 +7,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from vnom.core import symmetric_product
 from vnom.metrics import NominationList, rank_with_ties
 
-# Above this size the Lanczos solver (eigsh) finds the d <= K needed eigenpairs
-# faster than a full dense decomposition (eigh), which computes all N of them.
-# Fastest of 5 calls, one BLAS thread, d = 3, configs/medium.json's model
-# scaled to N vertices, eigh against eigsh: N = 150 2.9 ms against 3.5 ms,
-# N = 200 4.6 against 4.3, N = 250 7.6 against 4.3, N = 300 10.8 against 4.6,
-# N = 520 39 against 15, N = 1,000 257 against 102, N = 2,000 1,696 against
-# 200. eigsh's time depends on the eigengap, so the limit sits a little above
-# the crossover. On the 20 configs/medium.json graphs the two paths' embeddings
-# and eigenvalues differ by at most 1.0e-12.
+# Up to this size the embedding takes a full dense decomposition
+# (numpy.linalg.eigh), which computes all N eigenpairs; above it the Lanczos
+# solver (SciPy's eigsh) finds the d <= K needed ones, and SciPy loads on the
+# first such graph (about 0.2 s, once per process). Fastest of 5 calls, one
+# BLAS thread, d = 3, configs/medium.json's model scaled to N vertices, ranges
+# over 3 runs, numpy eigh / SciPy eigh / eigsh: N = 150 1.9-2.5 / 2.3-2.9 /
+# 1.8 ms, N = 250 4.9-5.5 / 6.7-7.4 / 2.6-3.4 ms, N = 520 30-34 / 37-41 /
+# 11-12 ms, N = 1,000 186-202 / 245-255 / 64-65 ms. eigsh's time depends on
+# the eigengap. The limit stays above the crossover: lowering it would move
+# graphs from one path to the other, and their embeddings in the last bits.
+# On the 20 configs/medium.json graphs the two paths' embeddings differ by at
+# most 3.8e-12 and their eigenvalues by 3.1e-13.
 _DENSE_LIMIT = 250
 
 # Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
@@ -105,7 +106,7 @@ def embed(graph, d):
         raise ValueError(f"d must lie in 1..{N}, got {d}")
     if N <= _DENSE_LIMIT or d > N // 10:
         A = graph.adjacency.astype(float)
-        w, V = scipy.linalg.eigh(A)
+        w, V = np.linalg.eigh(A)
         idx = np.argsort(-np.abs(w), kind="stable")[:d]
         vals = w[idx]
         vecs = V[:, idx]
@@ -113,8 +114,12 @@ def embed(graph, d):
         if not graph.packed.any():
             # ARPACK rejects A = 0; eigh gives zero eigenvalues and X = 0.
             return Embedding(X=np.zeros((N, d)), eigenvalues=np.zeros(d))
+        # SciPy loads here, on the first graph that needs Lanczos, so that
+        # importing vnom loads no SciPy module.
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
         if N * N * 8 > _DENSE_COPY_BYTES:
-            A = scipy.sparse.linalg.LinearOperator(
+            A = LinearOperator(
                 (N, N),
                 matvec=lambda x: symmetric_product(graph.packed, x),
                 dtype=np.float64,
@@ -124,7 +129,7 @@ def embed(graph, d):
         # A fixed start vector with no symmetry, so a repeated top eigenvalue
         # (two identical components) is not lost to an orthogonal eigenvector.
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, N)
-        w, V = scipy.sparse.linalg.eigsh(A, k=d, which="LM", v0=v0, tol=_LANCZOS_TOL)
+        w, V = eigsh(A, k=d, which="LM", v0=v0, tol=_LANCZOS_TOL)
         idx = np.argsort(-np.abs(w), kind="stable")
         vals = w[idx]
         vecs = V[:, idx]

@@ -225,6 +225,11 @@ BAD_FIELDS = [
     ("replicates", "abc"), ("master_seed", "seed"), ("model.K", "three"),
     ("model.base_lambda", [[0.5, "x"], ["x", 0.5]]), ("model.theta", "high"),
     ("model.m_sizes", ["one", 1]), ("model.n_sizes", 3), ("data.K", "two"),
+    # int() would truncate these silently
+    ("replicates", 2.7), ("master_seed", 1.9), ("model.K", 3.6),
+    ("model.m_sizes", [1.5, 1]), ("model.n_sizes", [3, 2.5]), ("data.K", 2.5),
+    ("replicates", True), ("model.K", False), ("model.m_sizes", [True, 1]),
+    ("data.K", True), ("master_seed", float("inf")), ("replicates", float("nan")),
 ]
 
 

@@ -209,6 +209,15 @@ class TestSampleOrder:
         graph = sample_sbm(model, membership, 9)
         assert np.array_equal(graph.adjacency, whole_matrix_sample(model, membership, 9))
 
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("model", ORDER_MODELS + [LARGE_MODEL] + EDGE_MODELS)
+    def test_output_is_symmetric_by_construction(self, rng, model, ordered):
+        # The sampler's graph skips the constructor's symmetry scan.
+        order = seeds_first_order(rng, model) if ordered else None
+        graph = sample_sbm(model, contiguous_assignment(model), 4, order=order)
+        assert core._is_symmetric(graph.packed)
+        assert np.array_equal(graph.adjacency, graph.adjacency.T)
+
     def test_bad_order_rejected(self):
         model = ORDER_MODELS[1]
         membership = contiguous_assignment(model)
@@ -693,12 +702,19 @@ class TestLoadLambda:
     @pytest.mark.parametrize("key, text", [
         ("K", '{"K": "two", "lambda": [[0.7, 0.2], [0.2, 0.6]]}'),
         ("lambda", '{"K": 2, "lambda": [[0.7, "x"], ["x", 0.6]]}'),
-    ], ids=["K", "lambda"])
+        ("K", '{"K": 2.5, "lambda": [[0.7, 0.2], [0.2, 0.6]]}'),
+        ("K", '{"K": true, "lambda": [[0.7]]}'),
+    ], ids=["K", "lambda", "K-fraction", "K-bool"])
     def test_field_that_fails_conversion_is_named(self, tmp_path, key, text):
         path = tmp_path / "lambda.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=f"'{key}' must be"):
             load_lambda(path)
+
+    def test_integral_float_k_parses(self, tmp_path):
+        path = tmp_path / "lambda.json"
+        path.write_text('{"K": 2.0, "lambda": [[0.7, 0.2], [0.2, 0.6]]}', encoding="utf-8")
+        assert load_lambda(path).shape == (2, 2)
 
     def test_asymmetric_rejected(self, tmp_path):
         path = tmp_path / "lambda.json"

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import BASE_LAMBDA
 from vnom.canonical import InfeasibleEnumerationError, conditional_block1_probability
-from vnom import harness
+from vnom import core, harness
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 from vnom.harness import (
     ConfigError,
@@ -80,6 +80,16 @@ class TestConfigParsing:
             config = load_config(configs_dir / f"{name}.json")
             assert config.replicates >= 1
             assert config.schemes
+
+    def test_integral_numbers_parse_as_integers(self):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config.update(replicates=4.0, master_seed=99.0)
+        config["model"].update(K=3.0, m_sizes=[4.0, 0, 0], n_sizes=[4, 3.0, 3])
+        parsed = parse_config(config)
+        assert (parsed.replicates, parsed.master_seed) == (4, 99)
+        assert type(parsed.replicates) is int and type(parsed.master_seed) is int
+        model = build_model(parsed)
+        assert (model.K, model.m_sizes, model.n_sizes) == (3, (4, 0, 0), (4, 3, 3))
 
     def test_unknown_top_level_key_rejected(self):
         bad = dict(TINY_CONFIG)
@@ -239,6 +249,23 @@ class TestRunRealdata:
         # strong two-block structure: both schemes clear chance easily
         assert result.schemes["likelihood"].map > 0.6
         assert result.schemes["spectral"].map > 0.6
+
+    def test_instance_is_a_symmetric_gather_of_the_dataset(self, tmp_path):
+        # The instance skips the constructor's symmetry scan: it is a
+        # principal submatrix of the checked dataset graph.
+        model = BlockModel(m_sizes=(0, 0), n_sizes=(20, 21), lam=[[0.6, 0.3], [0.3, 0.5]])
+        dataset = sample_sbm(model, contiguous_assignment(model), 8)
+        edges, labels = write_sbm_dataset(tmp_path, model, 8)
+        config = parse_config({
+            "mode": "realdata", "schemes": ["spectral"], "replicates": 1,
+            "master_seed": 3, "data": {"edges": edges, "labels": labels, "K": 2},
+        })
+        for pool_sizes in (None, [15, 16]):
+            ids, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
+            assert core._is_symmetric(graph.packed)
+            m = graph.seed_count
+            assert np.array_equal(graph.adjacency[m:, m:],
+                                  dataset.adjacency[np.ix_(ids, ids)])
 
     def test_vertex_ids_do_not_leak_into_null_map(self, tmp_path):
         # Isolated vertices tie, so a tie-break by file id would list the

@@ -209,6 +209,10 @@ class TestEmbed:
         model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
         graph = sample_sbm(model, contiguous_assignment(model), 3)
         N = graph.num_vertices
+        # embed loads SciPy's Lanczos solver on first use. Load it before
+        # tracing starts: the import is not the embedding's working memory.
+        import scipy.sparse.linalg  # noqa: F401
+
         tracemalloc.start()
         try:
             emb = embed(graph, 2)
