@@ -77,8 +77,12 @@ class BlockModel:
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m_sizes", tuple(int(x) for x in self.m_sizes))
-        object.__setattr__(self, "n_sizes", tuple(int(x) for x in self.n_sizes))
+        for key in ("m_sizes", "n_sizes"):
+            try:
+                sizes = tuple(integral(x) for x in getattr(self, key))
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be integers, got {getattr(self, key)!r}") from None
+            object.__setattr__(self, key, sizes)
         lam = np.array(self.lam, dtype=float)
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
@@ -205,7 +209,9 @@ class LabeledGraph:
     def _fill(self, packed, seed_labels, true_labels):
         """Check and freeze the fields; symmetry is left to the caller."""
         # Freeze a view, not the caller's own array, which stays writeable.
-        packed = np.asarray(packed).view()
+        # Row-major always: the matcher's BLAS products, and so its labels,
+        # depend on the layout of the adjacency unpacked from these rows.
+        packed = np.ascontiguousarray(packed).view()
         N = len(packed)
         if packed.dtype != np.uint8 or packed.shape != (N, -(-N // 8)):
             raise SizeMismatchError("packed rows must be an N x ceil(N/8) uint8 array")

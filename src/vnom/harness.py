@@ -4,6 +4,7 @@ subsample-and-average-position procedure."""
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import time
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import vnom
+from vnom import spectral
 from vnom.canonical import canonical_nominate, check_enumeration
 from vnom.core import (
     PROB_EPS,
@@ -202,10 +204,12 @@ def _replicate_seed(master_seed, replicate, stream):
     return int(np.random.SeedSequence((master_seed, replicate, stream)).generate_state(1)[0])
 
 
-def _nominate(scheme, graph, model, config, replicate):
+def _nominate(scheme, graph, model, config, replicate, embedding=None):
     """Run one scheme on one realized graph with the config's
     hyperparameters; likelihood and spectral draw from the replicate's rng
-    streams 1 and 2."""
+    streams 1 and 2. `embedding`, if given, maps d to the graph's spectral
+    embedding, which the spectral scheme then takes instead of computing
+    it."""
     hyper = config.hyper
     if scheme == "canonical":
         return canonical_nominate(
@@ -221,15 +225,17 @@ def _nominate(scheme, graph, model, config, replicate):
     return spectral_nominate(
         graph, model.K, d=d, restarts=hyper.kmeans_restarts,
         rng_seed=_replicate_seed(config.master_seed, replicate, 2),
+        embedding=None if embedding is None else embedding(d),
     )
 
 
-def _nominate_all(graph, model, config, replicate):
-    """Run every requested scheme on one realized graph."""
+def _nominate_all(graph, model, config, replicate, embedding=None):
+    """Run every requested scheme on one realized graph (`embedding` as in
+    _nominate)."""
     results = {}
     for scheme in config.schemes:
         start = time.perf_counter()
-        nomination = _nominate(scheme, graph, model, config, replicate)
+        nomination = _nominate(scheme, graph, model, config, replicate, embedding)
         elapsed = time.perf_counter() - start
         truth = graph.true_labels
         hits = (truth[nomination.positions()] == 1).astype(np.int64)
@@ -268,8 +274,14 @@ def _ambiguous_permutation(config, replicate, n):
 
 
 def _realdata_replicate(config, replicate):
-    _, graph, model = _labeled_instance(config, replicate, config.data["seed_counts"])
-    return _nominate_all(graph, model, config, replicate)
+    dataset = _load_dataset(config)
+    order, graph, model = _labeled_instance(config, replicate, _seed_counts(config, dataset))
+    embedding = None
+    if len(order) == dataset.graph.num_vertices:
+        # The instance is the whole dataset graph in a new vertex order, so
+        # its embedding is the dataset's with the rows in that order.
+        embedding = functools.partial(dataset.embedding, order=order)
+    return _nominate_all(graph, model, config, replicate, embedding)
 
 
 def _run_replicates(config, replicate_fn, workers=1):
@@ -346,6 +358,29 @@ def _load_full_labels(path, K):
     return labels
 
 
+@dataclass
+class _Dataset:
+    """A labeled graph read from its files: `graph` holds its packed rows
+    in file order and no seeds, `truth` the block of every vertex.
+    `embeddings` caches spectral.embed(graph, d) by d, filled on first
+    use."""
+
+    graph: LabeledGraph
+    truth: np.ndarray
+    K: int
+    embeddings: dict = field(default_factory=dict)
+
+    def embedding(self, d, order):
+        """The spectral embedding of the graph with its vertices in
+        `order`, a permutation of them all: the rows `order` of the
+        graph's own embedding, which is computed once per d."""
+        if d not in self.embeddings:
+            self.embeddings[d] = spectral.embed(self.graph, d)
+        cached = self.embeddings[d]
+        return spectral.Embedding(X=cached.X[order], eigenvalues=cached.eigenvalues)
+
+
+# Every dataset this process has read, by (edges path, labels path, K).
 _dataset_cache = {}
 
 
@@ -358,8 +393,26 @@ def _load_dataset(config):
     if key not in _dataset_cache:
         truth = _load_full_labels(section["labels"], K)
         graph = load_edge_list(section["edges"], num_vertices=len(truth))
-        _dataset_cache[key] = (graph.adjacency, truth, K)
+        _dataset_cache[key] = _Dataset(graph, truth, K)
     return _dataset_cache[key]
+
+
+def _counts(config, key, default=None):
+    """The data section's list of vertex counts `key`, as ints, or
+    ConfigError naming the key when an entry is not an integer."""
+    value = config.data.get(key, default)
+    if value is None:
+        return None
+    return _converted(f"data.{key}", value, lambda v: [integral(x) for x in v],
+                      "a list of integers")
+
+
+def _seed_counts(config, dataset):
+    """data.seed_counts, checked against the dataset's blocks."""
+    seed_counts = _counts(config, "seed_counts")
+    if seed_counts is None or len(seed_counts) != dataset.K:
+        raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
+    return seed_counts
 
 
 def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
@@ -368,11 +421,14 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     Per block k, seed_counts[k-1] seeds are drawn from a pool: the whole
     block, or pool_sizes[k-1] of its vertices drawn first. The ambiguous
     vertices are the pools less the seeds, sorted by id and then shuffled
-    by _ambiguous_permutation. Returns their ids, the LabeledGraph with the
-    seeds first and the ambiguous vertices after them in that order, and
-    its BlockModel with Lambda-hat estimated from the seed-induced subgraph.
+    by _ambiguous_permutation. Returns `order`, the dataset ids of the
+    instance's vertices (the seeds, block by block, then the ambiguous
+    vertices in that order), the LabeledGraph of those vertices in that
+    order, and its BlockModel with Lambda-hat estimated from the
+    seed-induced subgraph.
     """
-    adjacency, truth, K = _load_dataset(config)
+    dataset = _load_dataset(config)
+    truth, K = dataset.truth, dataset.K
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, replicate, 0))
     )
@@ -380,8 +436,8 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     for k in range(1, K + 1):
         pool = np.flatnonzero(truth == k)
         if pool_sizes is not None:
-            pool = rng.choice(pool, size=int(pool_sizes[k - 1]), replace=False)
-        seeds = rng.choice(pool, size=int(seed_counts[k - 1]), replace=False)
+            pool = rng.choice(pool, size=pool_sizes[k - 1], replace=False)
+        seeds = rng.choice(pool, size=seed_counts[k - 1], replace=False)
         seed_ids.append(np.sort(seeds))
         pools.append(pool)
     seed_ids = np.concatenate(seed_ids)
@@ -392,7 +448,7 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     order = np.concatenate([seed_ids, ambiguous_ids])
     # a principal submatrix of the checked dataset graph is symmetric
     graph = LabeledGraph._symmetric(
-        np.packbits(adjacency[np.ix_(order, order)], axis=1),
+        np.packbits(dataset.graph.rows(order)[:, order], axis=1),
         seed_labels=truth[seed_ids],
         true_labels=truth[ambiguous_ids],
     )
@@ -401,25 +457,26 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
         n_sizes=np.bincount(graph.true_labels, minlength=K + 1)[1:],
         lam=estimate_lambda(graph, K, eps=config.hyper.eps),
     )
-    return ambiguous_ids, graph, model
+    return order, graph, model
 
 
 def run_realdata(config, workers=1, log_raw=False):
     """Seed-resampling protocol on a user-supplied labeled graph: per
     replicate, sample seeds per block, estimate Lambda-hat from their
-    induced densities, nominate, and score against the held-out labels."""
-    _, truth, K = _load_dataset(config)
-    seed_counts = config.data.get("seed_counts")
-    if seed_counts is None or len(seed_counts) != K:
-        raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
+    induced densities, nominate, and score against the held-out labels.
+    Every replicate holds all of the graph's vertices, so the spectral
+    scheme embeds the graph once per d and reuses it."""
+    dataset = _load_dataset(config)
+    truth = dataset.truth
+    seed_counts = _seed_counts(config, dataset)
     for k, want in enumerate(seed_counts, start=1):
         have = int((truth == k).sum())
-        if int(want) > have:
-            raise ConfigError(f"block {k} has {have} vertices; cannot seed {int(want)}")
+        if want > have:
+            raise ConfigError(f"block {k} has {have} vertices; cannot seed {want}")
     per_replicate = _run_replicates(config, _realdata_replicate, workers)
     # every replicate seeds the same number of vertices per block
-    n = len(truth) - sum(int(c) for c in seed_counts)
-    n1 = int((truth == 1).sum()) - int(seed_counts[0])
+    n = len(truth) - sum(seed_counts)
+    n1 = int((truth == 1).sum()) - seed_counts[0]
     return _experiment_result(config, per_replicate, n, n1, log_raw)
 
 
@@ -427,11 +484,12 @@ def run_subsample_average(config):
     """Subsample two classes repeatedly, nominate the ambiguous members
     with the likelihood scheme, and average each vertex's nomination
     position over its selections."""
-    _, truth, K = _load_dataset(config)
-    if K != 2:
+    dataset = _load_dataset(config)
+    truth = dataset.truth
+    if dataset.K != 2:
         raise ConfigError("subsample mode expects exactly two classes")
-    sizes = config.data.get("subsample_sizes", [125, 125])
-    seeds_per = config.data.get("seeds_per_class", [50, 50])
+    sizes = _counts(config, "subsample_sizes", [125, 125])
+    seeds_per = _counts(config, "seeds_per_class", [50, 50])
     if len(sizes) != 2 or len(seeds_per) != 2:
         raise ConfigError("subsample_sizes and seeds_per_class need two entries")
     for k in (1, 2):
@@ -444,9 +502,9 @@ def run_subsample_average(config):
     position_sum = np.zeros(len(truth))
     selected = np.zeros(len(truth), dtype=np.int64)
     for r in range(config.replicates):
-        ambiguous_ids, graph, model = _labeled_instance(config, r, seeds_per, sizes)
+        order, graph, model = _labeled_instance(config, r, seeds_per, sizes)
         nomination = _nominate("likelihood", graph, model, config, r)
-        picked = ambiguous_ids[nomination.positions()]
+        picked = order[graph.seed_count:][nomination.positions()]
         position_sum[picked] += np.arange(1, len(picked) + 1)
         selected[picked] += 1
 

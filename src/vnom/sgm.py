@@ -228,7 +228,9 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     polished by steepest-ascent label swaps. The best objective wins,
     earliest start on ties.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
+    # Row-major whatever the caller's layout: A22 @ Y takes another BLAS
+    # path on a column-major A22, and its last bits can change the labels.
+    adjacency = np.ascontiguousarray(adjacency, dtype=bool)
     logodds = np.asarray(logodds, dtype=float)
     seed_labels = np.asarray(seed_labels, dtype=int)
     sizes = np.asarray(n_sizes, dtype=np.int64)

@@ -316,17 +316,24 @@ def choose_block1_centroid(clustering, seed_labels):
     return int(best)
 
 
-def spectral_nominate(graph, K, d=None, restarts=10, rng_seed=0, model=None):
+def spectral_nominate(graph, K, d=None, restarts=10, rng_seed=0, model=None,
+                      embedding=None):
     """Embed, cluster, pick the seed-majority centroid, and rank ambiguous
-    vertices by ascending distance to it (ties by `rank_with_ties`)."""
+    vertices by ascending distance to it (ties by `rank_with_ties`).
+    `embedding`, if given, is the graph's embed(graph, d), which is then
+    not computed again."""
     if d is None:
         if model is None:
             raise ValueError("d must be given when the model (Lambda) is unknown")
         d = default_dimension(model.lam)
-    emb = embed(graph, d)
-    clustering = kmeans(emb.X, K, restarts=restarts, rng_seed=rng_seed)
+    if embedding is None:
+        embedding = embed(graph, d)
+    elif embedding.X.shape != (graph.num_vertices, d):
+        raise ValueError(f"embedding must be {graph.num_vertices} x {d}, "
+                         f"got {embedding.X.shape}")
+    clustering = kmeans(embedding.X, K, restarts=restarts, rng_seed=rng_seed)
     c = choose_block1_centroid(clustering, graph.seed_labels)
     centroid = clustering.centroids[c]
     amb = graph.ambiguous_vertices()
-    dist = np.linalg.norm(emb.X[amb] - centroid, axis=1)
+    dist = np.linalg.norm(embedding.X[amb] - centroid, axis=1)
     return NominationList(order=rank_with_ties(amb, dist), seed_count=graph.seed_count)

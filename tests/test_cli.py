@@ -243,6 +243,33 @@ def test_experiment_names_a_field_that_fails_conversion(key, value, tmp_path, ca
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("experiment", "seed_counts", [12.7, 12.2]),
+    ("subsample", "subsample_sizes", [20.5, 20]),
+    ("subsample", "seeds_per_class", [8, 7.9]),
+])
+def test_fractional_data_count_names_its_key(command, key, value, tmp_path, capsys):
+    # int() would run [12.7, 12.2] as [12, 12]
+    model = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.6, 0.2], [0.2, 0.6]])
+    graph = sample_sbm(model, contiguous_assignment(model), 4)
+    edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    edges.write_text("".join(f"{a + 1} {b + 1}\n"
+                             for a, b in np.argwhere(np.triu(graph.adjacency, k=1))),
+                     encoding="utf-8")
+    labels.write_text("".join(f"{v} {k}\n" for v, k in enumerate(graph.true_labels, 1)),
+                      encoding="utf-8")
+    data = {"edges": str(edges), "labels": str(labels), "K": 2, "seed_counts": [12, 12],
+            "subsample_sizes": [20, 20], "seeds_per_class": [8, 8], key: value}
+    config = {"name": "fractional", "mode": "realdata" if command == "experiment" else "subsample",
+              "schemes": ["spectral"], "replicates": 1, "master_seed": 3, "data": data}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"error: data.{key} must be a list of integers" in captured.err
+    assert captured.out == ""
+
+
 def test_subsample_command(tmp_path, capsys):
     # two-class dataset synthesized through the sample command is not
     # possible (it has three blocks), so write a small one directly

@@ -60,6 +60,21 @@ class TestBlockModel:
         with pytest.raises(ValueError):
             BlockModel(m_sizes=(2, 0), n_sizes=(0, 3), lam=np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("key, value", [
+        ("m_sizes", (1.5, 2)), ("n_sizes", (3, 2.5)), ("m_sizes", (True, 2)),
+    ])
+    def test_non_integer_sizes_rejected(self, key, value):
+        # int() would run (1.5, 2) as (1, 2)
+        sizes = {"m_sizes": (1, 2), "n_sizes": (3, 3), key: value}
+        with pytest.raises(ValueError, match=key):
+            BlockModel(**sizes, lam=np.full((2, 2), 0.5))
+
+    def test_integral_sizes_become_ints(self):
+        model = BlockModel(m_sizes=(np.int64(1), 2.0), n_sizes=np.array([3, 3]),
+                           lam=np.full((2, 2), 0.5))
+        assert model.m_sizes == (1, 2) and model.n_sizes == (3, 3)
+        assert all(type(x) is int for x in model.m_sizes + model.n_sizes)
+
     def test_clamping(self):
         lam = np.array([[0.0, 1.0], [1.0, 0.5]])
         model = BlockModel(m_sizes=(1, 1), n_sizes=(1, 1), lam=lam)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import BASE_LAMBDA
 from vnom.canonical import InfeasibleEnumerationError, conditional_block1_probability
-from vnom import core, harness
+from vnom import core, harness, spectral
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 from vnom.harness import (
     ConfigError,
@@ -261,11 +261,10 @@ class TestRunRealdata:
             "master_seed": 3, "data": {"edges": edges, "labels": labels, "K": 2},
         })
         for pool_sizes in (None, [15, 16]):
-            ids, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
+            order, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
             assert core._is_symmetric(graph.packed)
-            m = graph.seed_count
-            assert np.array_equal(graph.adjacency[m:, m:],
-                                  dataset.adjacency[np.ix_(ids, ids)])
+            assert graph.packed.flags.c_contiguous
+            assert np.array_equal(graph.adjacency, dataset.adjacency[np.ix_(order, order)])
 
     def test_vertex_ids_do_not_leak_into_null_map(self, tmp_path):
         # Isolated vertices tie, so a tie-break by file id would list the
@@ -373,6 +372,110 @@ class TestRunRealdata:
         })
         with pytest.raises(ConfigError):
             run_realdata(config)
+
+
+class TestDatasetCache:
+    """run_realdata embeds each dataset once per d and gives every
+    replicate the cached rows in its own vertex order."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(harness, "_dataset_cache", {})
+
+    @staticmethod
+    def realdata_config(tmp_path, n_sizes, d=2, schemes=("spectral",)):
+        model = BlockModel(m_sizes=(0, 0), n_sizes=n_sizes, lam=[[0.3, 0.05], [0.05, 0.2]])
+        edges, labels = write_sbm_dataset(tmp_path, model, 11)
+        return parse_config({
+            "name": "cache", "mode": "realdata", "schemes": list(schemes),
+            "replicates": 5, "master_seed": 5,
+            "data": {"edges": edges, "labels": labels, "K": 2, "seed_counts": [8, 8]},
+            "hyperparameters": {"d": d},
+        })
+
+    @staticmethod
+    def counting_embed(monkeypatch):
+        calls = []
+        embed = spectral.embed
+
+        def counted(graph, d):
+            calls.append((graph.num_vertices, d))
+            return embed(graph, d)
+
+        monkeypatch.setattr(spectral, "embed", counted)
+        return calls
+
+    def test_embed_runs_once_per_dataset_and_d(self, tmp_path, monkeypatch):
+        calls = self.counting_embed(monkeypatch)
+        for d in (2, 1, 2):
+            run_realdata(self.realdata_config(tmp_path, (30, 40), d=d))
+        assert calls == [(70, 2), (70, 1)]
+
+    # N = 70 takes the dense eigensolver, N = 300 Lanczos
+    @pytest.mark.parametrize("n_sizes", [(30, 40), (140, 160)])
+    def test_cached_rows_match_a_fresh_embedding(self, tmp_path, n_sizes):
+        config = self.realdata_config(tmp_path, n_sizes)
+        dataset = harness._load_dataset(config)
+        for replicate in range(config.replicates):
+            order, graph, model = harness._labeled_instance(config, replicate, [8, 8])
+            cached = dataset.embedding(2, order)
+            fresh = spectral.embed(graph, 2)
+            signs = np.sign(np.sum(cached.X * fresh.X, axis=0))
+            assert np.max(np.abs(cached.X * signs - fresh.X)) <= 1e-10
+            assert np.allclose(cached.eigenvalues, fresh.eigenvalues, rtol=0, atol=1e-10)
+            lists = [spectral.spectral_nominate(graph, 2, d=2, rng_seed=replicate,
+                                                embedding=embedding).order
+                     for embedding in (cached, None)]
+            assert np.array_equal(lists[0], lists[1])
+
+    def test_unlabeled_vertices_are_embedded_per_instance(self, tmp_path, monkeypatch):
+        # An edge list may declare vertices that the labels file leaves out;
+        # no instance holds them, so the dataset's embedding is not theirs.
+        calls = self.counting_embed(monkeypatch)
+        model = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.3, 0.05], [0.05, 0.2]])
+        graph = sample_sbm(model, contiguous_assignment(model), 4)
+        edges, labels = write_dataset(tmp_path, graph.adjacency, graph.true_labels)
+        text = Path(edges).read_text(encoding="utf-8")
+        Path(edges).write_text(text.replace("#vertices 60", "#vertices 70"), encoding="utf-8")
+        config = parse_config({
+            "mode": "realdata", "schemes": ["spectral"], "replicates": 3, "master_seed": 1,
+            "data": {"edges": edges, "labels": labels, "K": 2, "seed_counts": [5, 5]},
+            "hyperparameters": {"d": 2},
+        })
+        run_realdata(config)
+        assert calls == [(60, 2)] * 3
+        assert harness._load_dataset(config).embeddings == {}
+
+    def test_embedding_of_another_shape_rejected(self, tmp_path):
+        config = self.realdata_config(tmp_path, (30, 40))
+        order, graph, _ = harness._labeled_instance(config, 0, [8, 8])
+        embedding = harness._load_dataset(config).embedding(1, order)
+        with pytest.raises(ValueError, match="embedding must be 70 x 2"):
+            spectral.spectral_nominate(graph, 2, d=2, embedding=embedding)
+
+    def test_outputs_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        config = self.realdata_config(tmp_path, (30, 40),
+                                      schemes=("likelihood", "spectral"))
+        blobs = []
+        for workers in (1, 2):
+            # an empty cache, so that each worker process embeds for itself
+            monkeypatch.setattr(harness, "_dataset_cache", {})
+            result = run_realdata(config, workers=workers, log_raw=True)
+            csv_path, json_path = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
+            emit_results(result, csv_path=str(csv_path), json_path=str(json_path))
+            raw_path = Path(f"{csv_path}.raw.csv")
+            blobs.append([path.read_bytes() for path in (csv_path, raw_path, json_path)])
+        assert blobs[0] == blobs[1]
+
+    def test_entry_holds_packed_rows(self, tmp_path):
+        run_realdata(self.realdata_config(tmp_path, (30, 43)))
+        (entry,) = harness._dataset_cache.values()
+        N = 73
+        assert entry.graph.packed.dtype == np.uint8
+        assert entry.graph.packed.shape == (N, 10)
+        arrays = [v for v in vars(entry).values() if isinstance(v, np.ndarray)]
+        arrays += [entry.graph.packed, entry.graph.seed_labels]
+        assert all(a.nbytes < N * N for a in arrays)
 
 
 class TestRunSubsampleAverage:

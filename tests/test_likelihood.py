@@ -322,6 +322,24 @@ class TestTieRule:
 
 
 class TestLikelihoodNominate:
+    def test_list_does_not_depend_on_packed_layout(self):
+        # Column-major packed rows are stored row-major, so the matcher sees
+        # the same adjacency layout and the list cannot move.
+        config, model, graphs = replicate_graphs("medium", 20)
+        hyper = config.hyper
+        for replicate, graph in enumerate(graphs[:4]):
+            fortran = LabeledGraph(packed=np.asfortranarray(graph.packed),
+                                   seed_labels=graph.seed_labels,
+                                   true_labels=graph.true_labels)
+            assert fortran.packed.flags.c_contiguous
+            lists = [
+                likelihood_nominate(
+                    g, model, eps=hyper.eps, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
+                    rng_seed=harness._replicate_seed(config.master_seed, replicate, 1)).order
+                for g in (graph, fortran)
+            ]
+            assert np.array_equal(lists[0], lists[1]), replicate
+
     def test_constant_lambda_gives_id_order_within_segments(self):
         lam = np.full((2, 2), 0.5)
         model = BlockModel(m_sizes=(1, 1), n_sizes=(2, 2), lam=lam)

@@ -325,6 +325,22 @@ class TestSgmMatch:
             for prev, nxt in zip(hist, hist[1:]):
                 assert nxt >= prev - 1e-8 * max(1.0, abs(prev))
 
+    def test_labels_do_not_depend_on_memory_layout(self):
+        # A column-major adjacency once took another BLAS path in A22 @ Y,
+        # whose last bits changed the labels of most medium replicates.
+        config, model, graphs = replicate_graphs("medium", 20)
+        hyper = config.hyper
+        for replicate, graph in enumerate(graphs[:4]):
+            adjacency = graph.adjacency
+            labels = [
+                sgm_match(layout, model.log_odds(hyper.eps), graph.seed_labels,
+                          model.n_sizes, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
+                          rng_seed=harness._replicate_seed(config.master_seed, replicate, 1)
+                          ).labels
+                for layout in (adjacency, np.asfortranarray(adjacency))
+            ]
+            assert np.array_equal(labels[0], labels[1]), replicate
+
     def test_gradient_matches_finite_differences(self, rng):
         # central finite differences of the relaxed objective at a random
         # interior point of the transportation polytope
