@@ -14,24 +14,15 @@ import numpy as np
 
 PROB_EPS = 1e-6
 
-# Rows of the adjacency converted to float64 per tile by adjacency_product
-# (from a boolean matrix) and symmetric_product (unpacked from packed rows).
-# With the bundled OpenBLAS (one thread), tile heights that are multiples of
-# 16 gave every entry of adjacency_product's matrix-vector product the same
+# Rows of a boolean adjacency converted to float64 per tile by
+# adjacency_product. With the bundled OpenBLAS (one thread), tile heights that
+# are multiples of 16 gave every entry of its matrix-vector product the same
 # bits as one dgemv over the whole float64 matrix at N = 2,041, 3,001, 5,002
 # and 10,040; heights 1, 3, 5, 13 and 17 changed the last bits (up to
 # 1.6e-13) at some of those N. Products with several columns (dgemm) in
 # 16-row tiles changed the last bits (up to 8e-13 for N x 3 at N = 2,041 and
-# 5,002); they are exact for integer-valued X. symmetric_product adds each
-# entry up from two partial products per strip, so its last bits differ from
-# dgemv's (up to 3.4e-13 at N = 10,040), and it converts the same floats
-# whether it unpacks them from packed rows or reads a boolean matrix. A
-# 16 x 10,040 float64 tile is 1.25 MiB and stays in L2. The height must be a
-# multiple of 8, so that every strip starts on a byte of the packed rows,
-# as symmetric_product assumes. At N = 10,040 (one thread,
-# fastest of 7 on a random graph of density 0.45) one symmetric_product from
-# packed rows took 39 ms with 16-row tiles, 43 ms with 8, 48 ms with 32 and
-# 60 ms with 64.
+# 5,002); they are exact for integer-valued X. A 16 x 10,040 float64 tile is
+# 1.25 MiB and stays in L2.
 _TILE_ROWS = 16
 
 
@@ -191,8 +182,8 @@ class LabeledGraph:
                 raise SizeMismatchError("adjacency must be square")
             packed = np.packbits(adj, axis=1)
         self._fill(packed, seed_labels, true_labels)
-        # symmetric_product reads only the upper triangle, so the spectral
-        # embedding of large graphs is right only for a symmetric adjacency.
+        # The graph is undirected: the spectral embedding's eigensolvers read
+        # the adjacency as a symmetric matrix.
         if not _is_symmetric(self.packed):
             raise ValueError("adjacency must be symmetric")
 
@@ -408,34 +399,45 @@ def adjacency_product(adjacency, X):
     return out
 
 
-def symmetric_product(packed, x):
-    """A·x in float64 for a symmetric 0/1 N x N matrix A, given as the
-    np.packbits rows of LabeledGraph.packed, and a float vector x of length
-    N, reading only the upper triangle of A.
+# Byte groups per chunk of packed_product's lookup tables: 32 tables of 256
+# float64 sums (64 KiB), rebuilt in one reused buffer for each chunk. At
+# N = 10,040 (one thread, fastest of 7 on configs/large.json's first graph,
+# two runs) one product took 13.3-13.4 ms with 16 groups per chunk,
+# 12.3-12.8 ms with 32, 12.4 ms with 64, and 12.3-12.4 ms with 128 or with
+# one table per group of the whole graph (2.5 MiB). At N = 3,030 one product
+# allocated at most 215 KB with 32 groups and 378 KB with 64 (tracemalloc).
+_TABLE_GROUPS = 32
 
-    Each strip of _TILE_ROWS rows s:e is unpacked once, from column s on,
-    into one reused float64 buffer T = A[s:e, s:], whose square T[:, :e-s]
-    then takes its lower part from its upper part. T·x[s:] adds the strip's
-    rows into y[s:e], and T[:, e-s:]^T·x[s:e] adds their mirror images below
-    the diagonal into y[e:], so about N²/2 entries are converted instead of
-    N². No entry below the diagonal reaches the result: it is A·x only
-    because A is symmetric, which LabeledGraph checks on construction.
+
+def packed_product(columns, x):
+    """A·x in float64 for any 0/1 N x M matrix A and a float vector x of
+    length M, without a float copy of A ("Four Russians" lookup tables).
+
+    columns = np.ascontiguousarray(packed.T) is the byte transpose of A's
+    np.packbits rows: row g holds byte g of every row of A, the bits of
+    columns 8g..8g+7 (most significant bit first), and the padding bits
+    past column M meet zeros of the padded x. For each byte group g a table
+    of 256 sums holds, at entry v, the sum of x[8g + b] over the set bits b
+    of v; it is built in 8 elementwise doubling steps, so its bits do not
+    depend on BLAS. y then gathers each group's table through that group's
+    bytes and adds the gathers up in group order.
     """
     x = np.asarray(x, dtype=np.float64)
-    N = packed.shape[0]
+    G, N = columns.shape
+    padded = np.zeros((G, 8))
+    padded.reshape(-1)[: len(x)] = x
     y = np.zeros(N)
-    buf = np.empty(min(_TILE_ROWS, N) * N)
-    below = np.tri(_TILE_ROWS, k=-1, dtype=bool)
-    for start in range(0, N, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, N)
-        h = stop - start
-        tile = buf[: h * (N - start)].reshape(h, N - start)
-        bits = np.unpackbits(packed[start:stop, start // 8 :], axis=1, count=N - start)
-        np.copyto(tile, bits.view(bool))
-        square = tile[:, :h]
-        np.copyto(square, square.T, where=below[:h, :h])
-        y[start:stop] += tile @ x[start:]
-        y[stop:] += tile[:, h:].T @ x[start:stop]
+    tables = np.empty((min(_TABLE_GROUPS, G), 256))
+    tables[:, 0] = 0.0
+    for start in range(0, G, _TABLE_GROUPS):
+        stop = min(start + _TABLE_GROUPS, G)
+        table = tables[: stop - start]
+        for b in range(8):
+            # entries 2^b..2^(b+1)-1 add bit 2^b, column 8g + 7 - b
+            w = 1 << b
+            np.add(table[:, :w], padded[start:stop, 7 - b, None], out=table[:, w : 2 * w])
+        for sums, group in zip(table, columns[start:stop]):
+            y += sums.take(group)
     return y
 
 
@@ -566,11 +568,13 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
         )
     if N == 0:
         raise ParseError(f"{edges_path}: empty graph with no declared vertices")
-    adj = np.zeros((N, N), dtype=bool)
+    # Each edge sets its bit in both rows of the packed adjacency; no N x N
+    # boolean is made.
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
-    adj[ends[:, 0], ends[:, 1]] = True
-    adj[ends[:, 1], ends[:, 0]] = True
-    return LabeledGraph(adjacency=adj, seed_labels=seed_labels)
+    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+    packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols // 8), (0x80 >> cols % 8).astype(np.uint8))
+    return LabeledGraph(packed=packed, seed_labels=seed_labels)
 
 
 def load_labels(path, K=None):

@@ -276,11 +276,9 @@ def _ambiguous_permutation(config, replicate, n):
 def _realdata_replicate(config, replicate):
     dataset = _load_dataset(config)
     order, graph, model = _labeled_instance(config, replicate, _seed_counts(config, dataset))
-    embedding = None
-    if len(order) == dataset.graph.num_vertices:
-        # The instance is the whole dataset graph in a new vertex order, so
-        # its embedding is the dataset's with the rows in that order.
-        embedding = functools.partial(dataset.embedding, order=order)
+    # The instance is the whole dataset graph in a new vertex order, so its
+    # embedding is the dataset's with the rows in that order.
+    embedding = functools.partial(dataset.embedding, order=order)
     return _nominate_all(graph, model, config, replicate, embedding)
 
 
@@ -393,6 +391,12 @@ def _load_dataset(config):
     if key not in _dataset_cache:
         truth = _load_full_labels(section["labels"], K)
         graph = load_edge_list(section["edges"], num_vertices=len(truth))
+        # A '#vertices' header overrides num_vertices.
+        if graph.num_vertices != len(truth):
+            raise ConfigError(
+                f"{section['edges']} declares {graph.num_vertices} vertices, but "
+                f"{section['labels']} labels {len(truth)}"
+            )
         _dataset_cache[key] = _Dataset(graph, truth, K)
     return _dataset_cache[key]
 

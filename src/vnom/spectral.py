@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vnom.core import symmetric_product
+from vnom.core import packed_product
 from vnom.metrics import NominationList, rank_with_ties
 
 # Up to this size the embedding takes a full dense decomposition
@@ -26,24 +26,29 @@ from vnom.metrics import NominationList, rank_with_ties
 _DENSE_LIMIT = 250
 
 # Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
-# the upper triangle of the packed adjacency in tiles (core.symmetric_product)
-# instead of a float64 copy; on the 5 configs/large.json graphs the two
-# embeddings differ by at most 2.1e-15. The bound caps the copy at 64 MiB.
-# Near the bound the copy is faster, far above it the tiles are. Fastest embed
-# of 5 (of 2 at N = 10,040), one BLAS thread, configs/large.json's model scaled
-# to N vertices, tiled against copied: N = 2,040 0.77 s against 0.41 s,
-# N = 3,040 0.66 s against 0.46 s, N = 5,040 0.80 s against 1.16 s,
-# N = 10,040 1.94 s against 3.05 s. Drawing and embedding configs/large.json's
-# first graph through the tiles peaks at 97 MB RSS (one thread); a copy would
-# add 806 MB of float64 and the 101 MB boolean it is converted from.
+# the packed adjacency through byte lookup tables (core.packed_product)
+# instead of a float64 copy; on configs/large.json's model scaled to 3,040
+# and 5,040 vertices (2 graphs each) the two embeddings differ by at most
+# 2.9e-15. Fastest embed of 5 (of 3 at N = 10,040), one BLAS thread, that
+# model scaled to N vertices, packed against copied: N = 520 0.022 s against
+# 0.009 s, N = 1,000 0.070 s against 0.059 s, and over two runs N = 2,040
+# 0.106-0.107 s against 0.125-0.131 s, N = 3,040 0.174-0.175 s against
+# 0.245-0.257 s, N = 5,040 0.273-0.276 s against 0.471-0.503 s, N = 10,040
+# 0.515-0.531 s packed. The crossover lies between 1,000 and 2,040 vertices,
+# but the bound stays where it was: lowering it would move graphs to the
+# other path and their embeddings in the last bits. The packed path holds an
+# N²/8 byte transpose of the rows while eigsh runs: drawing and embedding
+# configs/large.json's first graph peaks at 89.6 MB RSS (one thread); a copy
+# would add 806 MB of float64 and the 101 MB boolean it is converted from.
 _DENSE_COPY_BYTES = 64 << 20
 
 # eigsh stops once each wanted Ritz pair's residual is at most this fraction of
 # its eigenvalue; ARPACK's default, 0, runs on to machine precision, which no
 # nomination list needs. One BLAS thread: each of the 5 configs/large.json
-# graphs took 38 products instead of 55, and its embedding moved by at most
-# 2.5e-13; the 20 configs/medium.json graphs took a median of 129 instead of
-# 175 (113-174 against 130-220), moving by at most 3.8e-12. No list changed.
+# graphs took 38 lookup-table products instead of 55, and its embedding moved
+# by at most 2.5e-13; the 20 configs/medium.json graphs (on the float64 copy)
+# took a median of 129 instead of 175 (113-174 against 130-220), moving by at
+# most 3.8e-12. No list changed.
 _LANCZOS_TOL = 1e-12
 
 # Lloyd's algorithm stops a restart unconverged after this many centroid updates.
@@ -119,10 +124,10 @@ def embed(graph, d):
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         if N * N * 8 > _DENSE_COPY_BYTES:
+            # N²/8 bytes of byte columns, made once for all the products
+            columns = np.ascontiguousarray(graph.packed.T)
             A = LinearOperator(
-                (N, N),
-                matvec=lambda x: symmetric_product(graph.packed, x),
-                dtype=np.float64,
+                (N, N), matvec=lambda x: packed_product(columns, x), dtype=np.float64
             )
         else:
             A = graph.adjacency.astype(np.float64)

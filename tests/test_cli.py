@@ -270,6 +270,29 @@ def test_fractional_data_count_names_its_key(command, key, value, tmp_path, caps
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("declared", [50, 70])
+def test_experiment_rejects_vertex_count_disagreeing_with_labels(declared, tmp_path, capsys):
+    model = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.6, 0.2], [0.2, 0.6]])
+    graph = sample_sbm(model, contiguous_assignment(model), 4)
+    edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    edges.write_text(f"#vertices {declared}\n" + "".join(
+        f"{a + 1} {b + 1}\n" for a, b in np.argwhere(np.triu(graph.adjacency[:50, :50], k=1))),
+        encoding="utf-8")
+    labels.write_text("".join(f"{v} {k}\n" for v, k in enumerate(graph.true_labels, 1)),
+                      encoding="utf-8")
+    config = {"name": "mismatch", "mode": "realdata", "schemes": ["spectral"],
+              "replicates": 1, "master_seed": 3,
+              "data": {"edges": str(edges), "labels": str(labels), "K": 2,
+                       "seed_counts": [5, 5]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"edges.txt declares {declared} vertices, but" in captured.err
+    assert "labels.txt labels 60" in captured.err
+    assert captured.out == ""
+
+
 def test_subsample_command(tmp_path, capsys):
     # two-class dataset synthesized through the sample command is not
     # possible (it has three blocks), so write a small one directly

@@ -27,8 +27,8 @@ from vnom.core import (
     load_lambda,
     log_likelihood,
     mix_lambda,
+    packed_product,
     sample_sbm,
-    symmetric_product,
 )
 
 
@@ -400,32 +400,52 @@ class TestAdjacencyProduct:
         assert np.array_equal(adjacency_product(A, np.zeros((0, 2))), np.zeros((20, 2)))
 
 
-class TestSymmetricProduct:
-    # Sizes below, at and past _TILE_ROWS (16), and one not a multiple of it.
-    @pytest.mark.parametrize("N", [0, 1, 15, 16, 17, 37])
+def byte_columns(adjacency):
+    """packed_product's byte columns of a boolean matrix."""
+    return np.ascontiguousarray(np.packbits(adjacency, axis=1).T)
+
+
+class TestPackedProduct:
+    # Sizes below, at and past one byte group (8) and two, and one past a
+    # table chunk (core._TABLE_GROUPS groups).
+    SIZES = [0, 1, 7, 8, 9, 15, 16, 17, 37, 8 * core._TABLE_GROUPS + 3]
+
+    @pytest.mark.parametrize("N", SIZES)
     def test_matches_dense_product(self, rng, N):
         adj = random_adjacency(rng, N)
-        packed = np.packbits(adj, axis=1)
+        columns = byte_columns(adj)
         dense = adj.astype(float)
         counts = rng.integers(-3, 4, size=N).astype(float)
-        assert np.array_equal(symmetric_product(packed, counts), dense @ counts)
+        assert np.array_equal(packed_product(columns, counts), dense @ counts)
         x = rng.normal(size=N)
-        result = symmetric_product(packed, x)
+        result = packed_product(columns, x)
         assert result.dtype == np.float64 and result.shape == (N,)
         assert np.allclose(result, dense @ x, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("N", [1, 15, 16, 17, 37])
-    def test_reads_only_the_upper_triangle(self, rng, N):
-        garbage = rng.random((N, N)) < 0.5
-        symmetrised = np.triu(garbage) | np.triu(garbage, k=1).T
-        assert N == 1 or not np.array_equal(garbage, symmetrised)
-        garbage, packed = np.packbits(garbage, axis=1), np.packbits(symmetrised, axis=1)
+    @pytest.mark.parametrize("N", SIZES)
+    def test_non_symmetric_matrix(self, rng, N):
+        adj = rng.random((N, N)) < 0.5
+        assert N < 2 or not np.array_equal(adj, adj.T)
+        columns = byte_columns(adj)
         counts = rng.integers(-3, 4, size=N).astype(float)
-        dense = symmetrised.astype(float)
-        assert np.array_equal(symmetric_product(garbage, counts), dense @ counts)
+        assert np.array_equal(packed_product(columns, counts), adj.astype(float) @ counts)
         x = rng.normal(size=N)
-        assert np.array_equal(symmetric_product(garbage, x), symmetric_product(packed, x))
-        assert np.allclose(symmetric_product(garbage, x), dense @ x, rtol=0.0, atol=1e-12)
+        assert np.allclose(packed_product(columns, x), adj.astype(float) @ x,
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 13), (13, 5), (3, 0), (0, 3)])
+    def test_rectangular_matrix(self, rng, shape):
+        adj = rng.random(shape) < 0.5
+        counts = rng.integers(-3, 4, size=shape[1]).astype(float)
+        assert np.array_equal(packed_product(byte_columns(adj), counts),
+                              adj.astype(float) @ counts)
+
+    def test_each_bit_reaches_its_column(self):
+        # Row i holds only column i, so A·x = x: every bit of every byte
+        # position, most significant first, picks its own entry of x.
+        N = 19
+        x = 2.0 ** np.arange(N)
+        assert np.array_equal(packed_product(byte_columns(np.eye(N, dtype=bool)), x), x)
 
 
 class TestBlockEdgeCounts:
@@ -619,6 +639,35 @@ class TestLoadEdgeList:
         assert graph.num_vertices == 2
         assert graph.adjacency[0, 1] and graph.adjacency[1, 0]
         assert graph.adjacency.sum() == 2
+
+    @pytest.mark.parametrize("N", [2, 7, 8, 9, 37, 100])
+    def test_packed_rows_match_a_dense_build(self, tmp_path, rng, N):
+        pairs = rng.integers(1, N + 1, size=(2 * N, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # every third edge again, and every other one reversed
+        pairs = np.concatenate([pairs, pairs[::3], pairs[::2, ::-1]])
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"#vertices {N}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        adj = np.zeros((N, N), dtype=bool)
+        adj[pairs[:, 0] - 1, pairs[:, 1] - 1] = True
+        adj[pairs[:, 1] - 1, pairs[:, 0] - 1] = True
+        assert np.array_equal(load_edge_list(edges).packed, np.packbits(adj, axis=1))
+
+    def test_memory_is_bounded(self, tmp_path, rng):
+        # The packed rows are N^2 / 8 bytes; an N x N boolean would be N^2.
+        N = 3000
+        pairs = rng.integers(1, N + 1, size=(4000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"#vertices {N}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        tracemalloc.start()
+        try:
+            graph = load_edge_list(edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_vertices == N
+        assert peak < N * N / 2
 
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         edges = tmp_path / "edges.txt"

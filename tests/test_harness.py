@@ -373,6 +373,26 @@ class TestRunRealdata:
         with pytest.raises(ConfigError):
             run_realdata(config)
 
+    # A '#vertices' header below the label count used to fail with an
+    # IndexError; one above it dropped the unlabeled vertices silently.
+    @pytest.mark.parametrize("declared", [50, 70])
+    def test_vertex_count_disagreeing_with_labels_rejected(self, tmp_path, declared):
+        model = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.3, 0.05], [0.05, 0.2]])
+        graph = sample_sbm(model, contiguous_assignment(model), 4)
+        # edges among the first 50 vertices only, so every header is valid
+        edges, labels = write_dataset(tmp_path, graph.adjacency[:50, :50], graph.true_labels)
+        text = Path(edges).read_text(encoding="utf-8")
+        Path(edges).write_text(text.replace("#vertices 60", f"#vertices {declared}"),
+                               encoding="utf-8")
+        config = parse_config({
+            "mode": "realdata", "schemes": ["spectral"], "replicates": 1, "master_seed": 1,
+            "data": {"edges": edges, "labels": labels, "K": 2, "seed_counts": [5, 5]},
+            "hyperparameters": {"d": 2},
+        })
+        with pytest.raises(ConfigError, match=rf"edges\.txt declares {declared} vertices, "
+                                              r"but .*labels\.txt labels 60"):
+            run_realdata(config)
+
 
 class TestDatasetCache:
     """run_realdata embeds each dataset once per d and gives every
@@ -427,24 +447,6 @@ class TestDatasetCache:
                                                 embedding=embedding).order
                      for embedding in (cached, None)]
             assert np.array_equal(lists[0], lists[1])
-
-    def test_unlabeled_vertices_are_embedded_per_instance(self, tmp_path, monkeypatch):
-        # An edge list may declare vertices that the labels file leaves out;
-        # no instance holds them, so the dataset's embedding is not theirs.
-        calls = self.counting_embed(monkeypatch)
-        model = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.3, 0.05], [0.05, 0.2]])
-        graph = sample_sbm(model, contiguous_assignment(model), 4)
-        edges, labels = write_dataset(tmp_path, graph.adjacency, graph.true_labels)
-        text = Path(edges).read_text(encoding="utf-8")
-        Path(edges).write_text(text.replace("#vertices 60", "#vertices 70"), encoding="utf-8")
-        config = parse_config({
-            "mode": "realdata", "schemes": ["spectral"], "replicates": 3, "master_seed": 1,
-            "data": {"edges": edges, "labels": labels, "K": 2, "seed_counts": [5, 5]},
-            "hyperparameters": {"d": 2},
-        })
-        run_realdata(config)
-        assert calls == [(60, 2)] * 3
-        assert harness._load_dataset(config).embeddings == {}
 
     def test_embedding_of_another_shape_rejected(self, tmp_path):
         config = self.realdata_config(tmp_path, (30, 40))

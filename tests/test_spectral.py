@@ -123,17 +123,18 @@ class TestDefaultDimension:
         assert default_dimension(lam) == 2
 
 
-def force_tiled_products(monkeypatch):
-    """Send every Lanczos embedding through the tiled product, and return
-    the list that records each product's vector shape."""
+def force_packed_products(monkeypatch):
+    """Send every Lanczos embedding through the lookup-table product on the
+    packed rows, and return the list that records each product's vector
+    shape."""
     products = []
-    product = spectral.symmetric_product
+    product = spectral.packed_product
 
-    def counted(adjacency, x):
+    def counted(columns, x):
         products.append(x.shape)
-        return product(adjacency, x)
+        return product(columns, x)
 
-    monkeypatch.setattr(spectral, "symmetric_product", counted)
+    monkeypatch.setattr(spectral, "packed_product", counted)
     monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
     return products
 
@@ -185,7 +186,7 @@ class TestEmbed:
         recon = (emb.X * signs) @ emb.X.T
         assert np.allclose(recon, adj.astype(float), atol=1e-6)
 
-    def test_tiled_eigsh_matches_dense_solvers(self, monkeypatch):
+    def test_packed_eigsh_matches_dense_solvers(self, monkeypatch):
         lam = np.array([[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]])
         model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(110, 90, 90), lam=lam)
         graph = sample_sbm(model, contiguous_assignment(model), 17)
@@ -193,22 +194,25 @@ class TestEmbed:
         dense = embed(graph, 2)  # eigh: N <= _DENSE_LIMIT
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", 100)
         copied = embed(graph, 2)  # eigsh on the float64 copy
-        products = force_tiled_products(monkeypatch)
-        tiled = embed(graph, 2)
+        products = force_packed_products(monkeypatch)
+        packed = embed(graph, 2)
         assert products
-        assert np.allclose(tiled.X, copied.X, rtol=0.0, atol=1e-10)
-        assert np.allclose(tiled.eigenvalues, copied.eigenvalues, rtol=0.0, atol=1e-10)
-        assert np.allclose(tiled.X, dense.X, rtol=0.0, atol=1e-8)
-        assert np.allclose(tiled.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
+        assert np.allclose(packed.X, copied.X, rtol=0.0, atol=1e-10)
+        assert np.allclose(packed.eigenvalues, copied.eigenvalues, rtol=0.0, atol=1e-10)
+        assert np.allclose(packed.X, dense.X, rtol=0.0, atol=1e-8)
+        assert np.allclose(packed.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
 
-    def test_tiled_embedding_memory_is_bounded(self, monkeypatch):
-        # The packed graph is N^2 / 8 bytes; the tiled path unpacks 16 rows
-        # at a time. Unpacking or converting the whole N x N adjacency would
-        # push the traced peak past N^2.
-        monkeypatch.setattr(spectral, "_DENSE_COPY_BYTES", 0)
-        model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1000, 1000, 1000), lam=BASE_LAMBDA)
+    def test_packed_embedding_memory_is_bounded(self):
+        # Above the copy bound the products read the packed graph's byte
+        # columns, an N^2 / 8 byte copy; eigsh's own arrays add about 380 N
+        # bytes, so N^2 / 4 holds them both from N = 3,040 on (3.4 MB of
+        # 3.9 MB here). Unpacking the whole N x N adjacency (N^2 bytes),
+        # converting it to float64 (8 N^2) or a second copy of the columns
+        # would push the traced peak past N^2 / 4.
+        model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1300, 1300, 1300), lam=BASE_LAMBDA)
         graph = sample_sbm(model, contiguous_assignment(model), 3)
         N = graph.num_vertices
+        assert N * N * 8 > spectral._DENSE_COPY_BYTES
         # embed loads SciPy's Lanczos solver on first use. Load it before
         # tracing starts: the import is not the embedding's working memory.
         import scipy.sparse.linalg  # noqa: F401
@@ -456,15 +460,15 @@ class TestSpectralNominate:
         dense = harness._nominate("spectral", graph, model, config, 0)
         assert np.array_equal(lanczos.order, dense.order)
 
-    def test_medium_replicate_same_list_on_tiles_and_copy(self, monkeypatch):
+    def test_medium_replicate_same_list_on_packed_rows_and_copy(self, monkeypatch):
         config, model, graphs = replicate_graphs("medium", 20)
         graph = graphs[0]
         assert graph.num_vertices > spectral._DENSE_LIMIT
         copied = harness._nominate("spectral", graph, model, config, 0)
-        products = force_tiled_products(monkeypatch)
-        tiled = harness._nominate("spectral", graph, model, config, 0)
+        products = force_packed_products(monkeypatch)
+        packed = harness._nominate("spectral", graph, model, config, 0)
         assert products
-        assert np.array_equal(tiled.order, copied.order)
+        assert np.array_equal(packed.order, copied.order)
 
     def test_relabeling_equivariance_when_separated(self, rng):
         lam = np.array([[0.9, 0.05], [0.05, 0.9]])
