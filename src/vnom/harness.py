@@ -18,6 +18,7 @@ from vnom import spectral
 from vnom.canonical import canonical_nominate, check_enumeration
 from vnom.core import (
     PROB_EPS,
+    BlockAssignment,
     BlockModel,
     LabeledGraph,
     ParseError,
@@ -204,12 +205,19 @@ def _replicate_seed(master_seed, replicate, stream):
     return int(np.random.SeedSequence((master_seed, replicate, stream)).generate_state(1)[0])
 
 
-def _nominate(scheme, graph, model, config, replicate, embedding=None):
+def _spectral_dimension(config, model):
+    """The spectral scheme's embedding dimension: the config's d, or the
+    numerical rank of the model's Lambda."""
+    return config.hyper.d if config.hyper.d is not None else default_dimension(model.lam)
+
+
+def _nominate(scheme, graph, model, config, replicate, d, embedding=None):
     """Run one scheme on one realized graph with the config's
     hyperparameters; likelihood and spectral draw from the replicate's rng
-    streams 1 and 2. `embedding`, if given, maps d to the graph's spectral
-    embedding, which the spectral scheme then takes instead of computing
-    it."""
+    streams 1 and 2. The spectral scheme embeds in d dimensions
+    (_spectral_dimension; the other schemes ignore d). `embedding`, if
+    given, maps d to the graph's spectral embedding, which the spectral
+    scheme then takes instead of computing it."""
     hyper = config.hyper
     if scheme == "canonical":
         return canonical_nominate(
@@ -221,7 +229,6 @@ def _nominate(scheme, graph, model, config, replicate, embedding=None):
             tol=hyper.sgm_tol, restarts=hyper.sgm_restarts,
             rng_seed=_replicate_seed(config.master_seed, replicate, 1),
         )
-    d = hyper.d if hyper.d is not None else default_dimension(model.lam)
     return spectral_nominate(
         graph, model.K, d=d, restarts=hyper.kmeans_restarts,
         rng_seed=_replicate_seed(config.master_seed, replicate, 2),
@@ -229,13 +236,13 @@ def _nominate(scheme, graph, model, config, replicate, embedding=None):
     )
 
 
-def _nominate_all(graph, model, config, replicate, embedding=None):
-    """Run every requested scheme on one realized graph (`embedding` as in
-    _nominate)."""
+def _nominate_all(graph, model, config, replicate, d, embedding=None):
+    """Run every requested scheme on one realized graph (d and `embedding`
+    as in _nominate)."""
     results = {}
     for scheme in config.schemes:
         start = time.perf_counter()
-        nomination = _nominate(scheme, graph, model, config, replicate, embedding)
+        nomination = _nominate(scheme, graph, model, config, replicate, d, embedding)
         elapsed = time.perf_counter() - start
         truth = graph.true_labels
         hits = (truth[nomination.positions()] == 1).astype(np.int64)
@@ -244,18 +251,35 @@ def _nominate_all(graph, model, config, replicate, embedding=None):
     return results
 
 
-def _simulation_replicate(config, replicate):
-    model = build_model(config)
-    membership = contiguous_assignment(model)
-    seed = _replicate_seed(config.master_seed, replicate, 0)
-    # The sampler draws the graph straight into this vertex order: the
-    # seeds, then the ambiguous vertices in their shuffled order.
-    order = np.concatenate([
-        np.arange(model.m),
-        model.m + _ambiguous_permutation(config, replicate, model.n),
-    ])
-    graph = sample_sbm(model, membership, seed, order=order)
-    return _nominate_all(graph, model, config, replicate)
+@dataclass(frozen=True)
+class _Simulation:
+    """What every replicate of a simulation run shares, built once per
+    run: the config, its model, the model's contiguous planted membership
+    and the spectral scheme's d. `replicate` is the run's replicate
+    function; worker processes receive the whole object, pickled."""
+
+    config: ExperimentConfig
+    model: BlockModel
+    membership: BlockAssignment
+    d: int
+
+    @classmethod
+    def of(cls, config):
+        model = build_model(config)
+        return cls(config, model, contiguous_assignment(model),
+                   _spectral_dimension(config, model))
+
+    def replicate(self, replicate):
+        config, model = self.config, self.model
+        seed = _replicate_seed(config.master_seed, replicate, 0)
+        # The sampler draws the graph straight into this vertex order: the
+        # seeds, then the ambiguous vertices in their shuffled order.
+        order = np.concatenate([
+            np.arange(model.m),
+            model.m + _ambiguous_permutation(config, replicate, model.n),
+        ])
+        graph = sample_sbm(model, self.membership, seed, order=order)
+        return _nominate_all(graph, model, config, replicate, self.d)
 
 
 def _ambiguous_permutation(config, replicate, n):
@@ -279,16 +303,19 @@ def _realdata_replicate(config, replicate):
     # The instance is the whole dataset graph in a new vertex order, so its
     # embedding is the dataset's with the rows in that order.
     embedding = functools.partial(dataset.embedding, order=order)
-    return _nominate_all(graph, model, config, replicate, embedding)
+    return _nominate_all(graph, model, config, replicate,
+                         _spectral_dimension(config, model), embedding)
 
 
-def _run_replicates(config, replicate_fn, workers=1):
-    indices = range(config.replicates)
+def _run_replicates(replicate_fn, replicates, workers=1):
+    """[replicate_fn(r) for r in range(replicates)], in worker processes
+    when workers > 1; replicate_fn must then pickle."""
+    indices = range(replicates)
     if workers <= 1:
-        return [replicate_fn(config, r) for r in indices]
+        return [replicate_fn(r) for r in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # order preserved by map, so aggregation stays deterministic
-        return list(pool.map(replicate_fn, [config] * config.replicates, indices))
+        return list(pool.map(replicate_fn, indices))
 
 
 def _experiment_result(config, per_replicate, n, n1, log_raw):
@@ -337,10 +364,11 @@ def _config_echo(config):
 def run_simulation(config, workers=1, log_raw=False):
     """Realize, nominate, and score `replicates` SBM graphs; aggregate
     per-position hit curves and MAP per scheme."""
-    model = build_model(config)
+    simulation = _Simulation.of(config)
+    model = simulation.model
     if "canonical" in config.schemes:
         check_enumeration(model.n_sizes, config.hyper.enumeration_guard)
-    per_replicate = _run_replicates(config, _simulation_replicate, workers)
+    per_replicate = _run_replicates(simulation.replicate, config.replicates, workers)
     return _experiment_result(config, per_replicate, model.n, model.n_sizes[0], log_raw)
 
 
@@ -477,7 +505,8 @@ def run_realdata(config, workers=1, log_raw=False):
         have = int((truth == k).sum())
         if want > have:
             raise ConfigError(f"block {k} has {have} vertices; cannot seed {want}")
-    per_replicate = _run_replicates(config, _realdata_replicate, workers)
+    per_replicate = _run_replicates(functools.partial(_realdata_replicate, config),
+                                    config.replicates, workers)
     # every replicate seeds the same number of vertices per block
     n = len(truth) - sum(seed_counts)
     n1 = int((truth == 1).sum()) - seed_counts[0]
@@ -507,7 +536,7 @@ def run_subsample_average(config):
     selected = np.zeros(len(truth), dtype=np.int64)
     for r in range(config.replicates):
         order, graph, model = _labeled_instance(config, r, seeds_per, sizes)
-        nomination = _nominate("likelihood", graph, model, config, r)
+        nomination = _nominate("likelihood", graph, model, config, r, d=None)
         picked = order[graph.seed_count:][nomination.positions()]
         position_sum[picked] += np.arange(1, len(picked) + 1)
         selected[picked] += 1

@@ -63,13 +63,20 @@ def solve_transport(cost, sizes):
         raise ValueError("sizes must be nonnegative and sum to the number of rows")
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
+    labels = _transport(cost, sizes)
+    return labels, float(cost[np.arange(len(labels)), labels].sum())
+
+
+def _transport(cost, sizes):
+    """solve_transport's labels, for a float n x K cost and int64 sizes
+    that have passed its checks. Frank-Wolfe's steps and the projection,
+    whose sizes sgm_match has checked, call it directly."""
     blocks = np.flatnonzero(sizes)
     columns = np.ascontiguousarray(cost.T[blocks])
     need = sizes[blocks]
     u = _block_potentials(columns, need)
     start = _best_blocks(columns - u[:, None])
-    labels = blocks[_balance(columns, need, start, u)]
-    return labels, float(cost[np.arange(len(labels)), labels].sum())
+    return blocks[_balance(columns, need, start, u)]
 
 
 def _best_blocks(reduced):
@@ -94,20 +101,22 @@ def _block_potentials(columns, sizes):
     reduced[k] = columns[k] - u[k] is kept up to date as u changes. The
     best other block is a running np.maximum (exact), and the two order
     statistics come from np.partition, which returns the values a sort
-    would."""
+    would. The best other block and the leads go to two length-n buffers
+    made once per call."""
     K, n = columns.shape
     u = np.zeros(K)
     if K == 1:
         return u
     reduced = columns.copy()
+    best, lead = np.empty(n), np.empty(n)
     others = [[j for j in range(K) if j != k] for k in range(K)]
     for _ in range(TRANSPORT_PASSES):
         for k, size in enumerate(sizes.tolist()):
             first, *rest = others[k]
-            best = reduced[first]
+            top = reduced[first]
             for j in rest:
-                best = np.maximum(best, reduced[j])
-            lead = columns[k] - best
+                top = np.maximum(top, reduced[j], out=best)
+            np.subtract(columns[k], top, out=lead)
             cut = n - size
             lead.partition((cut - 1, cut))
             u[k] = 0.5 * (lead[cut - 1] + lead[cut])
@@ -121,43 +130,52 @@ def _balance(columns, sizes, labels, u):
     columns is the K x n transposed cost. Every row i sits at its best
     reduced cost columns[k, i] - u[k], so moving a row from block a to
     block b loses a margin >= 0 of reduced cost. On the K-node graph whose
-    edge a -> b carries the smallest such loss over a's rows, one row moves
-    along each edge of a shortest path from an over-full to an under-full
-    block, and u drops by the path distances (capped at the target's),
-    which keeps every row at its best reduced cost. Each round moves one
-    unit of excess; labels and u are updated in place.
+    edge a -> b carries the smallest such loss over a's rows (the first
+    such row on ties, all K x K pairs from one masked (K, K, n) argmin),
+    one row moves along each edge of a shortest path from an over-full to
+    an under-full block, and u drops by the path distances (capped at the
+    target's), which keeps every row at its best reduced cost. The K-node
+    Bellman-Ford and the path walk run on Python floats and lists, whose
+    sums and comparisons are numpy's. Each round moves one unit of excess;
+    labels and u are updated in place.
     """
     K, n = columns.shape
-    rows, cols = np.arange(n), np.arange(K)
-    counts = np.bincount(labels, minlength=K)
-    while (counts != sizes).any():
+    rows, block_ids = np.arange(n), np.arange(K)[:, None, None]
+    counts = np.bincount(labels, minlength=K).tolist()
+    sizes = sizes.tolist()
+    inf = float("inf")
+    while counts != sizes:
         reduced = columns - u[:, None]
         margin = np.maximum(reduced[labels, rows] - reduced, 0.0)
-        weight = np.full((K, K), np.inf)
-        mover = np.zeros((K, K), dtype=np.intp)
-        for a in np.flatnonzero(counts):
-            members = np.flatnonzero(labels == a)
-            mover[a] = members[np.argmin(margin[:, members], axis=1)]
-            weight[a] = margin[cols, mover[a]]
-        np.fill_diagonal(weight, np.inf)
-        # Bellman-Ford from every over-full block; weights are nonnegative,
-        # so strict improvements keep the predecessor graph a forest
-        dist = np.where(counts > sizes, 0.0, np.inf)
-        pred = np.full(K, -1)
+        # losses[a, b, i]: moving row i from its block a to block b
+        losses = np.where(labels == block_ids, margin, np.inf)
+        mover = losses.argmin(axis=2)
+        weight = losses.reshape(K * K, n)[np.arange(K * K), mover.ravel()].reshape(K, K).tolist()
+        mover = mover.tolist()
+        # Bellman-Ford from every over-full block, each pass relaxing every
+        # node from the previous pass's distances (the first block on ties);
+        # weights are nonnegative, so strict improvements keep the
+        # predecessor graph a forest
+        dist = [0.0 if have > want else inf for have, want in zip(counts, sizes)]
+        pred = [-1] * K
         for _ in range(K - 1):
-            through = dist[:, None] + weight
-            via = np.argmin(through, axis=0)
-            best = through[via, cols]
-            shorter = best < dist
-            if not shorter.any():
+            relaxed = dist[:]
+            for b in range(K):
+                via, best = -1, inf
+                for a in range(K):
+                    through = dist[a] + weight[a][b]
+                    if through < best and a != b:
+                        via, best = a, through
+                if best < dist[b]:
+                    relaxed[b], pred[b] = best, via
+            if relaxed == dist:
                 break
-            dist[shorter] = best[shorter]
-            pred[shorter] = via[shorter]
-        target = int(np.argmin(np.where(counts < sizes, dist, np.inf)))
+            dist = relaxed
+        target = min((b for b in range(K) if counts[b] < sizes[b]), key=dist.__getitem__)
         b = target
         while pred[b] >= 0:
             a = pred[b]
-            labels[mover[a, b]] = b
+            labels[mover[a][b]] = b
             counts[a] -= 1
             counts[b] += 1
             b = a
@@ -259,7 +277,7 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
         Y, history, iters, converged = _frank_wolfe(
             Y0, sizes, const, C, A22, logodds, max_iter, tol
         )
-        ambiguous, _ = solve_transport(Y, sizes)
+        ambiguous = _transport(Y, sizes)
         R = onehot[ambiguous]
         AR = A22 @ R
         objective = _objective(R, AR, const, C, logodds)
@@ -371,7 +389,7 @@ def _frank_wolfe(Y, sizes, const, C, A22, L, max_iter, tol):
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        labels, _ = solve_transport(_gradient(AY, C, L), sizes)
+        labels = _transport(_gradient(AY, C, L), sizes)
         D = onehot[labels] - Y
         AD = A22 @ D
         ADL = AD @ L.T

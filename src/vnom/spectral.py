@@ -54,11 +54,12 @@ _LANCZOS_TOL = 1e-12
 # Lloyd's algorithm stops a restart unconverged after this many centroid updates.
 _MAX_ITER = 300
 
-# k-means runs its restarts together, in groups whose (group, N, K, d)
-# distance buffer holds at most this many float64 elements (1 MiB). All 10
-# restarts fit in one group while N*K*d <= 13,107 (configs/medium.json's
-# graphs have 4,680); configs/large.json's (60,240) run two at a time, so
-# its distance buffer stays below a tenth of its 12 MB packed graph.
+# k-means runs its restarts together, in groups whose buffer of coordinate
+# differences, (d, group, K, N) float64 (cluster-major, the vertex axis
+# contiguous; (group, K, N, d) from 8 coordinates on), holds at most this many
+# elements (1 MiB). All 10 restarts fit in one group while N*K*d <= 13,107
+# (configs/medium.json's graphs have 4,680); configs/large.json's (60,240) run
+# two at a time, so the buffer stays below a tenth of its 12 MB packed graph.
 _BATCH_ELEMENTS = 1 << 17
 
 
@@ -156,42 +157,71 @@ def _seed_centroids(points, K, rngs):
     return points[picks]
 
 
-def _sq_distances(repeated, centers, buf):
-    """(R, N, K) squared distances from every point to every restart's
-    centers, squared in the leading (R, N, K, d) part of buf. `repeated`
-    holds the (N, d) points K times over in each row, so the subtraction
-    runs over rows of K*d elements."""
+def _sq_distances(points, columns, centers, buf, out):
+    """(R, K, N) squared distances from every point to every restart's
+    centers, in the leading R*K*N elements of the flat buffer `out`;
+    columns is points.T, contiguous. Below 8 coordinates, the leading part
+    of the flat buffer `buf` takes the (d, R, K, N) differences, which are
+    squared and added coordinate by coordinate, left to right: numpy's
+    reduction adds that few terms in that order, so each distance gets the
+    bits of a sum over a (..., d) axis without its slow loop over a short
+    axis. From 8 terms on numpy sums pairwise, in an order these additions
+    would not reproduce, so buf then takes the (R, K, N, d) differences and
+    numpy sums them."""
     R, K, d = centers.shape
-    diff = buf[:R]
-    np.subtract(repeated, centers.reshape(R, 1, K * d), out=diff.reshape(R, -1, K * d))
-    np.square(diff, out=diff)
-    if 2 <= d < 8:
-        # Below 8 terms numpy's reduction adds left to right, so d - 1
-        # elementwise additions of the columns give the same bits without
-        # its slow inner loop over a short axis. From 8 terms on it sums
-        # pairwise, in an order these additions would not reproduce.
-        total = np.add(diff[..., 0], diff[..., 1])
+    size = R * K * len(points)
+    out = out[:size].reshape(R, K, -1)
+    if d < 8:
+        diff = buf[:d * size].reshape(d, R, K, -1)
+        np.subtract(columns[:, None, None, :], centers.transpose(2, 0, 1)[..., None], out=diff)
+        np.square(diff, out=diff)
+        if d == 1:
+            return diff[0]
+        np.add(diff[0], diff[1], out=out)
         for j in range(2, d):
-            np.add(total, diff[..., j], out=total)
-        return total
-    return diff.sum(axis=-1)
+            np.add(out, diff[j], out=out)
+        return out
+    diff = buf[:d * size].reshape(R, K, -1, d)
+    np.subtract(points, centers[:, :, None, :], out=diff)
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1, out=out)
+
+
+def _nearest(d2):
+    """Each point's nearest center in every restart, the first on ties
+    (np.argmin over axis 1 of the (R, K, N) distances), from running strict
+    comparisons of the K contiguous (R, N) slices in place of a reduction
+    over a length-K axis."""
+    R, K, N = d2.shape
+    if K == 1:
+        return np.zeros((R, N), dtype=np.intp)
+    labels = np.less(d2[:, 1], d2[:, 0]).astype(np.intp)
+    best = d2[:, 0]
+    for k in range(2, K):
+        best = np.minimum(best, d2[:, k - 1])
+        np.copyto(labels, k, where=d2[:, k] < best)
+    return labels
+
+
+def _cluster_index(labels, K):
+    """(R, N) labels as indices r*K + k into all restarts' clusters."""
+    return labels + K * np.arange(len(labels))[:, None]
 
 
 def _cluster_counts(labels, K):
     """(R, K) member counts of each restart's clusters."""
     R = len(labels)
-    flat = (labels + K * np.arange(R)[:, None]).ravel()
-    return np.bincount(flat, minlength=R * K).reshape(R, K)
+    return np.bincount(_cluster_index(labels, K).ravel(), minlength=R * K).reshape(R, K)
 
 
 def _repair_empty(d2, labels, counts):
     """Give each empty cluster, in index order, the point farthest from its
     own center among the clusters that have at least 2 members, so no
-    cluster is emptied in turn. One restart: d2 is (N, K); labels and
+    cluster is emptied in turn. One restart: d2 is (K, N); labels and
     counts are updated in place."""
     rows = np.arange(len(labels))
     for k in np.flatnonzero(counts == 0):
-        gaps = d2[rows, labels]
+        gaps = d2[labels, rows]
         gaps[counts[labels] < 2] = -1.0
         far = int(np.argmax(gaps))
         counts[labels[far]] -= 1
@@ -209,15 +239,19 @@ def _centroids(points, columns, labels, counts):
     if points.shape[1] == 1:
         return np.array([[points[row == k].mean(axis=0) for k in range(K)]
                          for row in labels])
-    flat = (labels + K * np.arange(R)[:, None]).ravel()
-    sums = np.stack([np.bincount(flat, weights=col[:flat.size], minlength=R * K)
-                     for col in columns], axis=-1)
-    return (sums / counts.reshape(-1, 1)).reshape(R, K, -1)
+    d = len(columns)
+    # bin j*R*K + r*K + k sums coordinate j of restart r's cluster k
+    flat = _cluster_index(labels, K)
+    bins = (flat.reshape(1, -1) + R * K * np.arange(d)[:, None]).ravel()
+    sums = np.bincount(bins, weights=columns[:, :flat.size].ravel(), minlength=d * R * K)
+    return (sums.reshape(d, -1) / counts.reshape(-1)).reshape(d, R, K).transpose(1, 2, 0)
 
 
 def _objectives(d2, labels):
-    """Each restart's sum of squared distances to its own centers."""
-    return np.take_along_axis(d2, labels[..., None], axis=-1)[..., 0].sum(axis=1)
+    """Each restart's sum of squared distances to its own centers, from
+    the (R, K, N) distances and (R, N) labels."""
+    R, K, N = d2.shape
+    return d2.reshape(R * K, N)[_cluster_index(labels, K), np.arange(N)].sum(axis=1)
 
 
 def _lloyd(points, centers):
@@ -240,17 +274,21 @@ def _lloyd(points, centers):
     final = np.empty_like(centers)
     objectives = np.empty(R)
     steps = np.full(R, _MAX_ITER)
-    buf = np.empty((R, len(points), K, d))
-    repeated = np.tile(points, K)
-    columns = np.tile(points.T, R)
+    # flat buffers of differences and distances for the whole call; a step
+    # with fewer restarts left uses the contiguous leading part of each
+    buf = np.empty(R * K * len(points) * d)
+    out = np.empty(R * K * len(points))
+    transposed = np.ascontiguousarray(points.T)
+    columns = np.tile(transposed, R)
     active = np.arange(R)
     current = saved = None
     for step in range(_MAX_ITER):
-        d2 = _sq_distances(repeated, centers, buf)
-        new = np.argmin(d2, axis=-1)
+        d2 = _sq_distances(points, transposed, centers, buf, out)
+        new = _nearest(d2)
         counts = _cluster_counts(new, K)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
-            _repair_empty(d2[i], new[i], counts[i])
+        if not counts.all():
+            for i in np.flatnonzero((counts == 0).any(axis=1)):
+                _repair_empty(d2[i], new[i], counts[i])
         if current is not None:
             done = (new == current).all(axis=1)
             if saved is not current:
@@ -272,7 +310,8 @@ def _lloyd(points, centers):
     else:
         labels[active] = current
         final[active] = centers
-        objectives[active] = _objectives(_sq_distances(repeated, centers, buf), current)
+        objectives[active] = _objectives(
+            _sq_distances(points, transposed, centers, buf, out), current)
     return labels, final, objectives, steps
 
 
@@ -289,6 +328,8 @@ def kmeans(X, K, restarts=10, rng_seed=0):
         raise ValueError(f"K must lie in 1..{N}, got {K}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     group = max(1, _BATCH_ELEMENTS // (N * K * d))
     best = None
     for first in range(0, restarts, group):

@@ -59,8 +59,9 @@ def replicate_graphs(name, count):
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_nominate_all", lambda graph, *args: seen.append(graph))
+        simulation = harness._Simulation.of(config)
         for replicate in range(count):
-            harness._simulation_replicate(config, replicate)
+            simulation.replicate(replicate)
     return config, harness.build_model(config), tuple(seen)
 
 

@@ -1,0 +1,83 @@
+"""Golden digests of the nomination lists.
+
+Each case runs a fixed subset of an experiment and hashes every
+replicate's nomination order, scheme by scheme, with SHA-256. A change
+that is meant to leave every list as it is must leave these digests as
+they are; a change that moves lists on purpose updates them here and says
+so in CHANGES.md."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vnom import harness
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = {
+    "small": {
+        "canonical": "dbe7b6d3bea76e6d2d0ba39dd6756c269f521e027bc4b4cd4819f6ff2936d7b9",
+        "likelihood": "553d76e3d750d470385f16799a26d6d89be444f4effaef72dfad55dfcf595f09",
+        "spectral": "fea3654189713d572a578a8c922799154a8df7a192b80dce2c3a3b59baec3921",
+    },
+    "medium": {
+        "likelihood": "e8cbef52f23d915cb9ea8b702425e45ffad2bde1b65920a4c39f3ee54c34b0d0",
+        "spectral": "a4939f0f83fff90444b01831c031d5a7c8ec84442737b1a6caa2d97b831f0846",
+    },
+    "realdata": {
+        "likelihood": "6c7b731f488f2284b462582afe8ff009f1d939d8e5b42ba07ddf89fc52143589",
+        "spectral": "632c60081e42cdfd251889fa0a195b5d521b3e303fa2892e342c541cb475d0c5",
+    },
+}
+
+
+def two_class_files(directory):
+    """A generated 300-vertex two-class graph (120 vertices in the denser
+    class 1, ids shuffled against the classes) as edge-list and labels
+    files."""
+    rng = np.random.default_rng(20261019)
+    classes = rng.permutation(np.repeat([1, 2], [120, 180]))
+    density = np.array([[0.08, 0.01], [0.01, 0.04]])
+    prob = density[classes[:, None] - 1, classes[None, :] - 1]
+    u, v = np.nonzero(np.triu(rng.random(prob.shape) < prob, k=1))
+    edges, labels = directory / "edges.txt", directory / "labels.txt"
+    edges.write_text("#vertices 300\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in zip(u, v)))
+    labels.write_text("".join(f"{i + 1} {c}\n" for i, c in enumerate(classes)))
+    return edges, labels
+
+
+def config_for(case, directory):
+    if case == "realdata":
+        edges, labels = two_class_files(directory)
+        return harness.parse_config({
+            "name": "golden-realdata", "mode": "realdata",
+            "schemes": ["likelihood", "spectral"], "replicates": 2, "master_seed": 5150,
+            "data": {"edges": str(edges), "labels": str(labels), "K": 2,
+                     "seed_counts": [20, 20]},
+        })
+    data = json.loads((CONFIG_DIR / f"{case}.json").read_text())
+    data["replicates"] = {"small": 200, "medium": 3}[case]
+    return harness.parse_config(data)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_nomination_lists_unchanged(case, monkeypatch, tmp_path):
+    config = config_for(case, tmp_path)
+    digests = {scheme: hashlib.sha256() for scheme in config.schemes}
+
+    def recorded(scheme, nominate):
+        def wrapper(*args, **kwargs):
+            nomination = nominate(*args, **kwargs)
+            digests[scheme].update(np.asarray(nomination.order, dtype="<i8").tobytes())
+            return nomination
+        return wrapper
+
+    for scheme in config.schemes:
+        name = f"{scheme}_nominate"
+        monkeypatch.setattr(harness, name, recorded(scheme, getattr(harness, name)))
+    run = harness.run_realdata if config.mode == "realdata" else harness.run_simulation
+    run(config)
+    assert {s: h.hexdigest() for s, h in digests.items()} == GOLDEN[case]

@@ -175,8 +175,9 @@ class TestRunSimulation:
                             lambda graph, *args: seen.append(graph))
         model = build_model(config)
         m = model.m
+        simulation = harness._Simulation.of(config)
         for r in range(3):
-            harness._simulation_replicate(config, r)
+            simulation.replicate(r)
             free = sample_sbm(model, contiguous_assignment(model),
                               harness._replicate_seed(config.master_seed, r, 0))
             perm = harness._ambiguous_permutation(config, r, model.n)

@@ -23,6 +23,7 @@ from vnom.core import (
 )
 from vnom.sgm import (
     TRANSPORT_PASSES,
+    _balance,
     _best_blocks,
     _block_potentials,
     _gradient,
@@ -105,6 +106,61 @@ def reference_block_potentials(cost, sizes):
             low, high = np.sort(lead, kind="stable")[cut - 1 : cut + 1]
             u[k] = 0.5 * (low + high)
     return u
+
+
+def reference_balance(columns, sizes, labels, u):
+    """The successive-shortest-path repair with per-block mover searches
+    and a numpy Bellman-Ford over K x K arrays, as solve_transport ran it
+    before its repair moved to Python scalars. Reference for sgm._balance:
+    labels and u are updated in place."""
+    K, n = columns.shape
+    rows, cols = np.arange(n), np.arange(K)
+    counts = np.bincount(labels, minlength=K)
+    while (counts != sizes).any():
+        reduced = columns - u[:, None]
+        margin = np.maximum(reduced[labels, rows] - reduced, 0.0)
+        weight = np.full((K, K), np.inf)
+        mover = np.zeros((K, K), dtype=np.intp)
+        for a in np.flatnonzero(counts):
+            members = np.flatnonzero(labels == a)
+            mover[a] = members[np.argmin(margin[:, members], axis=1)]
+            weight[a] = margin[cols, mover[a]]
+        np.fill_diagonal(weight, np.inf)
+        dist = np.where(counts > sizes, 0.0, np.inf)
+        pred = np.full(K, -1)
+        for _ in range(K - 1):
+            through = dist[:, None] + weight
+            via = np.argmin(through, axis=0)
+            best = through[via, cols]
+            shorter = best < dist
+            if not shorter.any():
+                break
+            dist[shorter] = best[shorter]
+            pred[shorter] = via[shorter]
+        target = int(np.argmin(np.where(counts < sizes, dist, np.inf)))
+        b = target
+        while pred[b] >= 0:
+            a = pred[b]
+            labels[mover[a, b]] = b
+            counts[a] -= 1
+            counts[b] += 1
+            b = a
+        u -= np.minimum(dist, dist[target])
+    return labels
+
+
+def assert_balance_matches_reference(columns, sizes, u):
+    """_balance from the rows' best blocks under u gives the reference's
+    labels and bit-identical potentials. Returns the start and the
+    balanced labels."""
+    start = _best_blocks(columns - u[:, None])
+    labels, potentials = start.copy(), u.copy()
+    _balance(columns, sizes, labels, potentials)
+    want, want_u = start.copy(), u.copy()
+    reference_balance(columns, sizes, want, want_u)
+    assert np.array_equal(labels, want)
+    assert same_bits(potentials, want_u)
+    return start, labels
 
 
 def dense_polish(adjacency, labels, m, L, objective):
@@ -235,6 +291,76 @@ class TestSolveTransport:
             assert same_bits(u, reference_block_potentials(cost, sizes))
             assert np.array_equal(_best_blocks(columns - u[:, None]),
                                   np.argmax(cost - u, axis=1))
+
+    def test_balance_matches_reference_on_integer_ties(self, rng):
+        # integer costs tie rows' margins, path lengths and block distances
+        for _ in range(300):
+            K = int(rng.integers(2, 6))
+            n = int(rng.integers(K, 61))
+            sizes = 1 + rng.multinomial(n - K, np.full(K, 1.0 / K))
+            columns = rng.integers(0, 3, size=(K, n)).astype(float)
+            assert_balance_matches_reference(columns, sizes, _block_potentials(columns, sizes))
+
+    def test_balance_multi_hop_path(self):
+        # Block 0 holds two rows and block 2 none. Moving a row straight
+        # from 0 to 2 loses 15; moving row 1 to block 1 and row 2 on to
+        # block 2 loses 1.5, so the shortest path has two edges.
+        columns = np.ascontiguousarray(np.array(
+            [[5.0, 4.0, -10.0], [5.0, 4.5, -10.0], [0.0, 5.0, 4.0]]).T)
+        start, labels = assert_balance_matches_reference(
+            columns, np.array([1, 1, 1]), np.zeros(3))
+        assert start.tolist() == [0, 0, 1] and labels.tolist() == [0, 1, 2]
+
+    def test_balance_matches_reference_on_multi_hop_paths(self, rng):
+        # Rows prefer low blocks and the sizes ask for high ones, with a
+        # loss growing with the square of the distance moved, so excess
+        # travels block by block. A row leaving a block that was not
+        # over-full marks a path of two or more edges.
+        multi_hop = 0
+        for _ in range(200):
+            K = int(rng.integers(3, 6))
+            n = int(rng.integers(K, 40))
+            prefer = rng.integers(0, K, size=n) // 2
+            columns = (-(np.arange(K)[:, None] - prefer[None, :]) ** 2
+                       + rng.integers(0, 2, size=(K, n))).astype(float)
+            sizes = 1 + rng.multinomial(n - K, np.arange(1, K + 1) / (K * (K + 1) / 2))
+            start, labels = assert_balance_matches_reference(columns, sizes, np.zeros(K))
+            full = np.bincount(start, minlength=K) <= sizes
+            multi_hop += bool((full[start] & (labels != start)).any())
+        assert multi_hop >= 20
+
+    def test_balance_matches_reference_with_zero_size_blocks(self, rng):
+        # zero-size blocks that start with rows must be emptied; empty ones
+        # have no movers and must stay empty
+        for _ in range(200):
+            K = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 40))
+            sizes = rng.multinomial(n, rng.dirichlet(np.full(K, 0.5)))
+            columns = rng.integers(0, 4, size=(K, n)).astype(float)
+            u = rng.integers(-1, 2, size=K).astype(float)
+            _, labels = assert_balance_matches_reference(columns, sizes, u)
+            assert np.bincount(labels, minlength=K).tolist() == sizes.tolist()
+
+    def test_frank_wolfe_core_calls_match_solve_transport(self, monkeypatch):
+        # Frank-Wolfe's steps and the projection skip solve_transport's
+        # checks and value; on their own inputs it returns the same labels.
+        calls = []
+        core = sgm._transport
+
+        def recorded(cost, sizes):
+            labels = core(cost, sizes)
+            calls.append((cost.copy(), sizes.copy(), labels.copy()))
+            return labels
+
+        monkeypatch.setattr(sgm, "_transport", recorded)
+        _, model, graphs = replicate_graphs("medium", 20)
+        for graph in graphs[:2]:
+            sgm_match(graph.adjacency, model.log_odds(), graph.seed_labels, model.n_sizes,
+                      restarts=2)
+        monkeypatch.undo()
+        assert len(calls) > 10
+        for cost, sizes, labels in calls:
+            assert np.array_equal(solve_transport(cost, sizes)[0], labels)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):

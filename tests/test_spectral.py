@@ -102,6 +102,10 @@ def assert_matches_reference(X, K, restarts=10, rng_seed=0, max_iter=300):
     assert (clustering.restart, clustering.iterations) == (restart, steps)
 
 
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def graph_from_adjacency(adj, seed_labels):
     return LabeledGraph(adjacency=np.asarray(adj, dtype=bool),
                         seed_labels=np.asarray(seed_labels))
@@ -388,6 +392,64 @@ class TestKmeans:
         assert np.array_equal(np.unique(clustering.labels), [1, 2, 3, 4])
         assert np.isfinite(clustering.centroids).all()
 
+    def test_realdata_shape_matches_reference(self):
+        # the shape of a two-class real-data embedding: 300 points, K = d = 2
+        rng = np.random.default_rng(300)
+        for trial in range(3):
+            X = np.concatenate([rng.normal([1.0, 0.5], 0.3, size=(120, 2)),
+                                rng.normal([0.8, -0.4], 0.4, size=(180, 2))])
+            assert_matches_reference(X[rng.permutation(300)], 2, rng_seed=trial)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_nearest_takes_first_center_on_ties(self, K):
+        rng = np.random.default_rng(K)
+        d2 = rng.integers(0, 3, size=(4, K, 50)).astype(float)
+        assert np.array_equal(spectral._nearest(d2), np.argmin(d2, axis=1))
+
+    def test_points_midway_between_centers_go_to_lower_cluster(self):
+        # Integer points on a line and a grid: the seeded centers leave
+        # points exactly midway between two of them, whose first label
+        # must be the lower cluster's, as np.argmin gives it.
+        line = np.arange(9.0)[:, None]
+        grid = np.array([[x, y] for x in range(-2, 3) for y in range(-2, 3)], dtype=float)
+        midway = 0
+        for X, K in ((line, 2), (line, 3), (grid, 2), (grid, 4)):
+            for seed in range(5):
+                for r in range(10):
+                    rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
+                    centers = _reference_seed_centroids(X, K, rng)
+                    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+                    midway += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+                assert_matches_reference(X, K, rng_seed=seed)
+        assert midway > 100
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_repairs_inside_a_batched_group(self, K):
+        # One Lloyd loop over restarts of which some start with duplicated
+        # centers or centers far from every point, so their clusters come
+        # up empty and are repaired, while the others run unrepaired.
+        rng = np.random.default_rng(K)
+        X = rng.normal(size=(40, 2))
+        starts = [X[rng.choice(40, K, replace=False)] for _ in range(6)]
+        starts[1] = np.repeat(X[:1], K, axis=0)
+        starts[3][1:] = 100.0 + np.arange(K - 1)[:, None]
+        starts[4] = np.repeat(X[5:6], K, axis=0)
+        centers = np.array(starts)
+        labels, final, objectives, steps = spectral._lloyd(X, centers.copy())
+        for r in range(len(centers)):
+            want = _reference_lloyd(X, centers[r].copy(), 300)
+            assert np.array_equal(labels[r], want[0])
+            assert same_bits(final[r], want[1])
+            assert objectives[r] == want[2]
+            assert steps[r] == want[3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        X = np.arange(12.0).reshape(6, 2)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(X, 2)
+
     @pytest.mark.parametrize("K", [3, 4, 5])
     def test_every_cluster_used_with_few_distinct_rows(self, K):
         rng = np.random.default_rng(K)
@@ -455,18 +517,20 @@ class TestSpectralNominate:
         config, model, graphs = replicate_graphs("medium", 20)
         graph = graphs[0]
         assert graph.num_vertices > spectral._DENSE_LIMIT
-        lanczos = harness._nominate("spectral", graph, model, config, 0)
+        d = harness._spectral_dimension(config, model)
+        lanczos = harness._nominate("spectral", graph, model, config, 0, d)
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
-        dense = harness._nominate("spectral", graph, model, config, 0)
+        dense = harness._nominate("spectral", graph, model, config, 0, d)
         assert np.array_equal(lanczos.order, dense.order)
 
     def test_medium_replicate_same_list_on_packed_rows_and_copy(self, monkeypatch):
         config, model, graphs = replicate_graphs("medium", 20)
         graph = graphs[0]
         assert graph.num_vertices > spectral._DENSE_LIMIT
-        copied = harness._nominate("spectral", graph, model, config, 0)
+        d = harness._spectral_dimension(config, model)
+        copied = harness._nominate("spectral", graph, model, config, 0, d)
         products = force_packed_products(monkeypatch)
-        packed = harness._nominate("spectral", graph, model, config, 0)
+        packed = harness._nominate("spectral", graph, model, config, 0, d)
         assert products
         assert np.array_equal(packed.order, copied.order)
 
