@@ -5,6 +5,7 @@ selection, and distance ranking."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -13,43 +14,42 @@ from vnom.metrics import NominationList, rank_with_ties
 
 # Up to this size the embedding takes a full dense decomposition
 # (numpy.linalg.eigh), which computes all N eigenpairs; above it the Lanczos
-# solver (SciPy's eigsh) finds the d <= K needed ones, and SciPy loads on the
-# first such graph (about 0.2 s, once per process). Fastest of 5 calls, one
-# BLAS thread, d = 3, configs/medium.json's model scaled to N vertices, ranges
-# over 3 runs, numpy eigh / SciPy eigh / eigsh: N = 150 1.9-2.5 / 2.3-2.9 /
-# 1.8 ms, N = 250 4.9-5.5 / 6.7-7.4 / 2.6-3.4 ms, N = 520 30-34 / 37-41 /
-# 11-12 ms, N = 1,000 186-202 / 245-255 / 64-65 ms. eigsh's time depends on
+# solver (_lanczos) finds the d <= K needed ones. Fastest of 5 calls, one BLAS
+# thread, d = 3, configs/medium.json's model scaled to N vertices, ranges over
+# 3 runs, eigh / Lanczos: N = 150 1.4 / 1.1-1.2 ms, N = 250 4.0 / 2.0 ms, N =
+# 520 20.9-21.0 / 6.9-7.1 ms, N = 1,000 121 / 48 ms. Lanczos's time depends on
 # the eigengap. The limit stays above the crossover: lowering it would move
-# graphs from one path to the other, and their embeddings in the last bits.
-# On the 20 configs/medium.json graphs the two paths' embeddings differ by at
-# most 3.8e-12 and their eigenvalues by 3.1e-13.
+# graphs from one path to the other, and their embeddings in the last bits. On
+# the 20 configs/medium.json graphs the two paths' embeddings differ by at
+# most 5.7e-12 and their eigenvalues by 1.2e-15, relative to the largest.
 _DENSE_LIMIT = 250
 
-# Above this many bytes of float64 adjacency (N > 2,896), eigsh multiplies by
-# the packed adjacency through byte lookup tables (core.packed_product)
-# instead of a float64 copy; on configs/large.json's model scaled to 3,040
-# and 5,040 vertices (2 graphs each) the two embeddings differ by at most
-# 2.9e-15. Fastest embed of 5 (of 3 at N = 10,040), one BLAS thread, that
-# model scaled to N vertices, packed against copied: N = 520 0.022 s against
-# 0.009 s, N = 1,000 0.070 s against 0.059 s, and over two runs N = 2,040
-# 0.106-0.107 s against 0.125-0.131 s, N = 3,040 0.174-0.175 s against
-# 0.245-0.257 s, N = 5,040 0.273-0.276 s against 0.471-0.503 s, N = 10,040
-# 0.515-0.531 s packed. The crossover lies between 1,000 and 2,040 vertices,
-# but the bound stays where it was: lowering it would move graphs to the
-# other path and their embeddings in the last bits. The packed path holds an
-# N²/8 byte transpose of the rows while eigsh runs: drawing and embedding
-# configs/large.json's first graph peaks at 89.6 MB RSS (one thread); a copy
-# would add 806 MB of float64 and the 101 MB boolean it is converted from.
+# Above this many bytes of float64 adjacency (N > 2,896), Lanczos multiplies
+# by the packed adjacency through byte lookup tables (core.packed_product)
+# instead of a float64 copy. Fastest embed of 5 (of 3 at N = 10,040), one BLAS
+# thread, configs/large.json's model scaled to N vertices, packed against
+# copied, over two runs: N = 520 0.017 s against 0.007 s, N = 1,000 0.053 s
+# against 0.044 s, N = 2,040 0.097-0.098 s against 0.114 s, N = 3,040
+# 0.171-0.172 s against 0.236 s, N = 5,040 0.264-0.265 s against 0.430-0.433
+# s, N = 10,040 0.487-0.490 s packed. The crossover lies between 1,000 and
+# 2,040 vertices, but the bound stays where it was: lowering it would move
+# graphs to the other path and their embeddings in the last bits. The packed
+# path holds an N²/8 byte transpose of the rows while Lanczos runs: drawing
+# and embedding configs/large.json's first graph peaks at 66.7 MB RSS (one
+# thread); a copy would add 806 MB of float64 and the 101 MB boolean it is
+# converted from.
 _DENSE_COPY_BYTES = 64 << 20
 
-# eigsh stops once each wanted Ritz pair's residual is at most this fraction of
-# its eigenvalue; ARPACK's default, 0, runs on to machine precision, which no
-# nomination list needs. One BLAS thread: each of the 5 configs/large.json
-# graphs took 38 lookup-table products instead of 55, and its embedding moved
-# by at most 2.5e-13; the 20 configs/medium.json graphs (on the float64 copy)
-# took a median of 129 instead of 175 (113-174 against 130-220), moving by at
-# most 3.8e-12. No list changed.
+# Lanczos stops once each wanted Ritz pair's residual is at most this
+# fraction of its eigenvalue. At machine epsilon (2.2e-16), which no
+# nomination list needs, each of the 5 configs/large.json graphs took 47
+# lookup-table products instead of 38, and the 20 configs/medium.json graphs
+# (on the float64 copy) a median of 146 instead of 119 (119-182 against
+# 101-137); one BLAS thread. No list changed.
 _LANCZOS_TOL = 1e-12
+
+# Lanczos raises ValueError after this many restarts without convergence.
+_LANCZOS_RESTARTS = 1000
 
 # Lloyd's algorithm stops a restart unconverged after this many centroid updates.
 _MAX_ITER = 300
@@ -104,41 +104,114 @@ def _fix_signs(vectors):
     return vectors
 
 
+def _extend(basis, j, w):
+    """One Lanczos step: orthogonalise w = A·basis[j] against basis[:j+1]
+    by classical Gram-Schmidt, with a second pass only when the first
+    cancels (the residual keeps at most 0.717 of |w|, the test of Daniel,
+    Gragg, Kaufman & Stewart that ARPACK uses), and store the unit residual
+    in basis[j+1]. Returns (alpha, beta): the Rayleigh quotient of
+    basis[j] and the residual's norm. When the second pass cancels too, w
+    lay in the basis's span (an invariant subspace): beta is 0 and
+    basis[j+1] is a fixed pseudo-random vector orthogonalised twice
+    against the basis instead."""
+    span = basis[: j + 1]
+    h = span @ w
+    r = w - h @ span
+    beta = np.linalg.norm(r)
+    if beta <= 0.717 * np.linalg.norm(w):
+        c = span @ r
+        r -= c @ span
+        h += c
+        first, beta = beta, np.linalg.norm(r)
+        if beta <= 0.717 * first:
+            beta = 0.0
+            r = np.random.default_rng(j).uniform(-1.0, 1.0, len(w))
+            for _ in range(2):
+                r -= (span @ r) @ span
+    basis[j + 1] = r / np.linalg.norm(r)
+    return h[j], beta
+
+
+def _lanczos(matvec, N, d, v0, tol):
+    """The d largest-modulus eigenpairs of the symmetric N x N operator
+    x -> matvec(x), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000), which is ARPACK's implicitly restarted Lanczos
+    with exact shifts in another form.
+
+    The basis holds ncv = min(N, max(2d + 1, 20)) orthonormal vectors
+    (ARPACK's default) plus the residual direction, (ncv + 1)·N floats,
+    and every new vector is orthogonalised against all of them
+    (_extend). When the basis is full, T = VᵀAV (tridiagonal, with an
+    arrow in the rows kept by the last restart) gives the Ritz pairs
+    (theta_i, V·s_i); a pair has converged when its residual |beta·s_i[-1]|
+    is at most tol·max(|theta_i|, eps^(2/3)), ARPACK's rule. Once all d
+    wanted pairs (the largest |theta|, the first on ties in ascending
+    order) have converged they are returned, eigenvalues ascending as eigh
+    returns them and eigenvectors as columns. Otherwise the basis
+    restarts from the wanted pairs plus half of the others, those of
+    largest |theta|, and the residual direction. Raises ValueError after
+    _LANCZOS_RESTARTS restarts without convergence."""
+    ncv = min(N, max(2 * d + 1, 20))
+    keep = d + (ncv - d) // 2
+    floor = np.finfo(float).eps ** (2 / 3)
+    basis = np.empty((ncv + 1, N))
+    T = np.zeros((ncv, ncv))
+    basis[0] = v0 / np.linalg.norm(v0)
+    start = 0
+    for _ in range(_LANCZOS_RESTARTS + 1):
+        for j in range(start, ncv):
+            T[j, j], beta = _extend(basis, j, matvec(basis[j]))
+            if j + 1 < ncv:
+                T[j + 1, j] = T[j, j + 1] = beta
+        theta, S = np.linalg.eigh(T)
+        order = np.argsort(-np.abs(theta), kind="stable")
+        wanted = order[:d]
+        residuals = np.abs(beta * S[-1, wanted])
+        if (residuals <= tol * np.maximum(np.abs(theta[wanted]), floor)).all():
+            wanted = np.sort(wanted)
+            return theta[wanted], basis[:ncv].T @ S[:, wanted]
+        kept = order[:keep]
+        basis[:keep] = S[:, kept].T @ basis[:ncv]
+        basis[keep] = basis[ncv]
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(theta[kept])
+        T[keep, :keep] = T[:keep, keep] = beta * S[-1, kept]
+        start = keep
+    raise ValueError(f"Lanczos found no {d} converged eigenpairs of the "
+                     f"{N}-vertex graph within {_LANCZOS_RESTARTS} restarts")
+
+
 def embed(graph, d):
     """Scaled spectral embedding from the d largest-modulus eigenpairs of
-    the 0/1 adjacency matrix."""
+    the 0/1 adjacency matrix: column j is eigenvector j (unit norm, signed
+    by _fix_signs) times sqrt(|eigenvalue j|), in order of descending
+    modulus (a stable sort, so +-lambda ties keep the solver's ascending
+    order). Graphs of at most _DENSE_LIMIT vertices, or with d > N/10,
+    take numpy's full eigh; larger ones the thick-restart Lanczos solver
+    (_lanczos), multiplying by a float64 copy of the adjacency up to
+    _DENSE_COPY_BYTES and by the packed rows (core.packed_product) above.
+    Raises ValueError if d is not in 1..N or Lanczos does not converge."""
     N = graph.num_vertices
     if not 1 <= d <= N:
         raise ValueError(f"d must lie in 1..{N}, got {d}")
     if N <= _DENSE_LIMIT or d > N // 10:
-        A = graph.adjacency.astype(float)
-        w, V = np.linalg.eigh(A)
-        idx = np.argsort(-np.abs(w), kind="stable")[:d]
-        vals = w[idx]
-        vecs = V[:, idx]
+        w, V = np.linalg.eigh(graph.adjacency.astype(float))
+    elif not graph.packed.any():
+        # A = 0: every eigenvalue is 0 and X = 0, as eigh would give
+        return Embedding(X=np.zeros((N, d)), eigenvalues=np.zeros(d))
     else:
-        if not graph.packed.any():
-            # ARPACK rejects A = 0; eigh gives zero eigenvalues and X = 0.
-            return Embedding(X=np.zeros((N, d)), eigenvalues=np.zeros(d))
-        # SciPy loads here, on the first graph that needs Lanczos, so that
-        # importing vnom loads no SciPy module.
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
         if N * N * 8 > _DENSE_COPY_BYTES:
             # N²/8 bytes of byte columns, made once for all the products
-            columns = np.ascontiguousarray(graph.packed.T)
-            A = LinearOperator(
-                (N, N), matvec=lambda x: packed_product(columns, x), dtype=np.float64
-            )
+            matvec = partial(packed_product, np.ascontiguousarray(graph.packed.T))
         else:
-            A = graph.adjacency.astype(np.float64)
+            matvec = graph.adjacency.astype(np.float64).dot
         # A fixed start vector with no symmetry, so a repeated top eigenvalue
         # (two identical components) is not lost to an orthogonal eigenvector.
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, N)
-        w, V = eigsh(A, k=d, which="LM", v0=v0, tol=_LANCZOS_TOL)
-        idx = np.argsort(-np.abs(w), kind="stable")
-        vals = w[idx]
-        vecs = V[:, idx]
+        w, V = _lanczos(matvec, N, d, v0, _LANCZOS_TOL)
+    idx = np.argsort(-np.abs(w), kind="stable")[:d]
+    vals = w[idx]
+    vecs = V[:, idx]
     vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))
     X = vecs * np.sqrt(np.abs(vals))
     return Embedding(X=X, eigenvalues=vals)

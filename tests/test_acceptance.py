@@ -242,26 +242,33 @@ def test_determinism_across_worker_counts(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _blas_threads_env(threads):
+    """The environment of a subprocess that runs this tree's vnom with
+    `threads` BLAS threads."""
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def test_determinism_across_blas_thread_counts(tmp_path):
-    # configs/medium.json embeds through ARPACK and BLAS matrix-vector
-    # products and matches graphs through BLAS products; the outputs must
-    # not depend on how many threads BLAS uses.
+    # configs/medium.json embeds through the Lanczos solver's BLAS
+    # matrix-vector products and reorthogonalisation and matches graphs
+    # through BLAS products; the outputs must not depend on how many
+    # threads BLAS uses.
     config = json.loads((CONFIG_DIR / "medium.json").read_text(encoding="utf-8"))
     config["replicates"] = 4
     config_path = tmp_path / "medium.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     blobs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         csv_path = tmp_path / f"curve_{threads}.csv"
         json_path = tmp_path / f"summary_{threads}.json"
         subprocess.run(
             [sys.executable, "-m", "vnom.cli", "experiment", "--config", str(config_path),
              "--log-raw", "--csv-out", str(csv_path), "--json-out", str(json_path)],
-            env=env, check=True, capture_output=True,
+            env=_blas_threads_env(threads), check=True, capture_output=True,
         )
         blobs.append((
             csv_path.read_bytes(),
@@ -269,6 +276,29 @@ def test_determinism_across_blas_thread_counts(tmp_path):
             (tmp_path / f"curve_{threads}.csv.raw.csv").read_bytes(),
         ))
     assert blobs[0] == blobs[1]
+
+
+def test_packed_embedding_same_bits_across_blas_thread_counts():
+    # Above the float-copy bound the products use no BLAS, but the Lanczos
+    # solver's reorthogonalisation and restarts do (matrix-vector and
+    # matrix-matrix products over the N-long basis vectors).
+    code = """
+import hashlib
+from vnom import spectral
+from vnom.core import BlockModel, contiguous_assignment, sample_sbm
+lam = [[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]]
+model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(1000, 1000, 1000), lam=lam)
+graph = sample_sbm(model, contiguous_assignment(model), 3)
+assert graph.num_vertices ** 2 * 8 > spectral._DENSE_COPY_BYTES
+emb = spectral.embed(graph, 3)
+print(hashlib.sha256(emb.X.tobytes() + emb.eigenvalues.tobytes()).hexdigest())
+"""
+    digests = [
+        subprocess.run([sys.executable, "-c", code], env=_blas_threads_env(threads),
+                       check=True, capture_output=True, text=True).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1]
 
 
 def test_label_blind_null():

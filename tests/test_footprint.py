@@ -1,4 +1,4 @@
-"""Import footprint: SciPy loads only in the calls that use it.
+"""Import footprint: no run of the program loads SciPy.
 
 Each check runs in a fresh interpreter, since this test process may have
 loaded SciPy already (the tests use it as a reference)."""
@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import two_class_files
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,16 +41,21 @@ vnom.harness.run_simulation(dataclasses.replace(config, replicates=3))
     assert _scipy_modules_after(code) == []
 
 
-def test_lanczos_embedding_loads_only_sparse_linalg():
-    code = """
-import numpy as np
-from vnom import spectral
+def test_lanczos_embedding_and_realdata_load_no_scipy(tmp_path):
+    edges, labels = two_class_files(tmp_path)
+    code = f"""
+from vnom import harness, spectral
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 model = BlockModel(m_sizes=(10, 10), n_sizes=(150, 150), lam=[[0.5, 0.2], [0.2, 0.4]])
 graph = sample_sbm(model, contiguous_assignment(model), 1)
 assert graph.num_vertices > spectral._DENSE_LIMIT
 spectral.embed(graph, 2)
+config = harness.parse_config({{
+    "name": "footprint", "mode": "realdata", "schemes": ["likelihood", "spectral"],
+    "replicates": 2, "master_seed": 1,
+    "data": {{"edges": {str(edges)!r}, "labels": {str(labels)!r}, "K": 2,
+             "seed_counts": [20, 20]}},
+}})
+harness.run_realdata(config)
 """
-    loaded = _scipy_modules_after(code)
-    assert "scipy.sparse.linalg" in loaded
-    assert "scipy.optimize" not in loaded
+    assert _scipy_modules_after(code) == []

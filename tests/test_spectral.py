@@ -190,37 +190,34 @@ class TestEmbed:
         recon = (emb.X * signs) @ emb.X.T
         assert np.allclose(recon, adj.astype(float), atol=1e-6)
 
-    def test_packed_eigsh_matches_dense_solvers(self, monkeypatch):
+    def test_packed_lanczos_matches_dense_solvers(self, monkeypatch):
         lam = np.array([[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]])
         model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(110, 90, 90), lam=lam)
         graph = sample_sbm(model, contiguous_assignment(model), 17)
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
         dense = embed(graph, 2)  # eigh: N <= _DENSE_LIMIT
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", 100)
-        copied = embed(graph, 2)  # eigsh on the float64 copy
+        copied = embed(graph, 2)  # Lanczos on the float64 copy
         products = force_packed_products(monkeypatch)
         packed = embed(graph, 2)
         assert products
         assert np.allclose(packed.X, copied.X, rtol=0.0, atol=1e-10)
         assert np.allclose(packed.eigenvalues, copied.eigenvalues, rtol=0.0, atol=1e-10)
-        assert np.allclose(packed.X, dense.X, rtol=0.0, atol=1e-8)
-        assert np.allclose(packed.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-8)
+        for lanczos in (copied, packed):
+            assert np.allclose(lanczos.X, dense.X, rtol=0.0, atol=1e-9)
+            assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-9)
 
     def test_packed_embedding_memory_is_bounded(self):
         # Above the copy bound the products read the packed graph's byte
-        # columns, an N^2 / 8 byte copy; eigsh's own arrays add about 380 N
-        # bytes, so N^2 / 4 holds them both from N = 3,040 on (3.4 MB of
-        # 3.9 MB here). Unpacking the whole N x N adjacency (N^2 bytes),
-        # converting it to float64 (8 N^2) or a second copy of the columns
-        # would push the traced peak past N^2 / 4.
+        # columns, an N^2 / 8 byte copy; the Lanczos solver's own arrays
+        # add about 240 N bytes, so N^2 / 4 holds them both from N = 3,040
+        # on (2.9 MB of 3.9 MB here). Unpacking the whole N x N adjacency
+        # (N^2 bytes), converting it to float64 (8 N^2) or a second copy of
+        # the columns would push the traced peak past N^2 / 4.
         model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(1300, 1300, 1300), lam=BASE_LAMBDA)
         graph = sample_sbm(model, contiguous_assignment(model), 3)
         N = graph.num_vertices
         assert N * N * 8 > spectral._DENSE_COPY_BYTES
-        # embed loads SciPy's Lanczos solver on first use. Load it before
-        # tracing starts: the import is not the embedding's working memory.
-        import scipy.sparse.linalg  # noqa: F401
-
         tracemalloc.start()
         try:
             emb = embed(graph, 2)
@@ -257,6 +254,63 @@ class TestEmbed:
         assert np.array_equal(lanczos.X, dense.X)
         assert np.array_equal(lanczos.eigenvalues, dense.eigenvalues)
         assert not lanczos.X.any()
+
+    def test_lanczos_continues_past_invariant_subspaces(self, monkeypatch):
+        # 100 disjoint triangles: each Krylov space from one start vector
+        # holds only 2 distinct eigenvalues, so the solver breaks down (a
+        # zero residual) and must continue from fresh vectors to find the
+        # top eigenvalue, 2, three times.
+        adj = np.kron(np.eye(100), ~np.eye(3, dtype=bool)).astype(bool)
+        graph = graph_from_adjacency(adj, [1])
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        betas = []
+        extend = spectral._extend
+
+        def recorded(basis, j, w):
+            alpha, beta = extend(basis, j, w)
+            betas.append(beta)
+            return alpha, beta
+
+        monkeypatch.setattr(spectral, "_extend", recorded)
+        lanczos = embed(graph, 3)
+        assert 0.0 in betas
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
+        dense = embed(graph, 3)
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-9)
+        # the eigenvectors of a repeated eigenvalue are not unique; check
+        # that X spans eigenvectors with orthogonal columns
+        A = adj.astype(float)
+        X = lanczos.X
+        assert np.allclose(A @ X, X * lanczos.eigenvalues, rtol=0.0, atol=1e-9)
+        assert np.allclose(X.T @ X, np.diag(np.abs(lanczos.eigenvalues)), rtol=0.0, atol=1e-9)
+
+    def test_lanczos_keeps_plus_minus_ties_in_eigh_order(self, monkeypatch):
+        # K_{100,225} is bipartite with eigenvalues +150 and -150, whose
+        # magnitudes both solvers return bit-equal here. The stable sort by
+        # -|lambda| then keeps the solver's order, so Lanczos must return
+        # its pairs ascending, as eigh does, to give the same X.
+        adj = np.zeros((325, 325), dtype=bool)
+        adj[:100, 100:] = True
+        adj |= adj.T
+        graph = graph_from_adjacency(adj, [1])
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        lanczos = embed(graph, 2)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", graph.num_vertices)
+        dense = embed(graph, 2)
+        for emb in (lanczos, dense):
+            assert abs(emb.eigenvalues[0]) == abs(emb.eigenvalues[1])
+            assert emb.eigenvalues[0] < 0 < emb.eigenvalues[1]
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-9)
+        assert np.allclose(lanczos.X, dense.X, rtol=0.0, atol=1e-9)
+
+    def test_lanczos_raises_when_not_converged(self, monkeypatch):
+        lam = np.array([[0.5, 0.3, 0.4], [0.3, 0.8, 0.6], [0.4, 0.6, 0.3]])
+        model = BlockModel(m_sizes=(10, 0, 0), n_sizes=(110, 90, 90), lam=lam)
+        graph = sample_sbm(model, contiguous_assignment(model), 17)
+        assert graph.num_vertices > spectral._DENSE_LIMIT
+        monkeypatch.setattr(spectral, "_LANCZOS_RESTARTS", 0)
+        with pytest.raises(ValueError, match="3 converged eigenpairs of the 300-vertex"):
+            embed(graph, 3)
 
     def test_d_out_of_range(self):
         graph = graph_from_adjacency(np.zeros((4, 4)), [1])
@@ -513,7 +567,7 @@ class TestSpectralNominate:
         nomination = spectral_nominate(graph, 2, d=1, rng_seed=0)
         assert nomination.order.tolist() == [3, 4, 5]
 
-    def test_medium_replicate_same_list_under_eigh_and_eigsh(self, monkeypatch):
+    def test_medium_replicate_same_list_under_eigh_and_lanczos(self, monkeypatch):
         config, model, graphs = replicate_graphs("medium", 20)
         graph = graphs[0]
         assert graph.num_vertices > spectral._DENSE_LIMIT
