@@ -183,19 +183,18 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
 
     # Seed-seed contribution, identical for every partition: log p of the
     # seed-induced subgraph, half the sum over ordered pairs.
-    A = graph.adjacency
-    edges, pairs = block_pair_counts(A[:m, :m], graph.seed_labels, K)
+    edges, pairs = block_pair_counts(graph.packed[:m], graph.seed_labels, K)
     seed_const = 0.5 * float(np.sum(edges * log_lam + (pairs - edges) * log_1m))
     # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
     sizes = np.asarray(model.n_sizes, dtype=float)
     pair_const = 0.5 * float(sizes @ log_1m @ sizes - sizes @ log_1m.diagonal())
     # Edges from each ambiguous vertex to the seeds of each block.
-    edges_to_seeds = block_edge_counts(A[m:, :m], graph.seed_labels, K)
+    edges_to_seeds = block_edge_counts(graph.packed[m:], graph.seed_labels, K)
     nonedges_to_seeds = np.asarray(model.m_sizes, dtype=float)[None, :] - edges_to_seeds
     # seed_terms[v, k] = log-weight of v's seed-incident pairs if b(v) = k+1
     seed_terms = edges_to_seeds @ log_lam.T + nonedges_to_seeds @ log_1m.T
 
-    Q = 0.5 * np.kron(A[m:, m:], log_lam - log_1m)
+    Q = 0.5 * np.kron(graph.rows(slice(m, None))[:, m:], log_lam - log_1m)
     Q[np.diag_indices_from(Q)] += seed_terms.ravel()
 
     x_buf = np.empty((_BLOCK, n * K))

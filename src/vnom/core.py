@@ -14,18 +14,6 @@ import numpy as np
 
 PROB_EPS = 1e-6
 
-# Rows of a boolean adjacency converted to float64 per tile by
-# adjacency_product. With the bundled OpenBLAS (one thread), tile heights that
-# are multiples of 16 gave every entry of its matrix-vector product the same
-# bits as one dgemv over the whole float64 matrix at N = 2,041, 3,001, 5,002
-# and 10,040; heights 1, 3, 5, 13 and 17 changed the last bits (up to
-# 1.6e-13) at some of those N. Products with several columns (dgemm) in
-# 16-row tiles changed the last bits (up to 8e-13 for N x 3 at N = 2,041 and
-# 5,002); they are exact for integer-valued X. A 16 x 10,040 float64 tile is
-# 1.25 MiB and stays in L2.
-_TILE_ROWS = 16
-
-
 class SizeMismatchError(ValueError):
     """An assignment, graph, or model disagree on vertex or block counts."""
 
@@ -379,26 +367,6 @@ def sample_sbm(model, membership, rng_seed, order=None):
     return LabeledGraph._symmetric(packed, labels[: model.m], labels[model.m :])
 
 
-def adjacency_product(adjacency, X):
-    """A·X in float64 for a boolean N x M matrix A and a float X of shape M
-    or M x K, without a float copy of A.
-
-    adjacency may be any 2-D view. Its rows are converted _TILE_ROWS at a
-    time into one reused float64 buffer, and each tile is multiplied by X
-    into its rows of the result.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    N, M = adjacency.shape
-    out = np.empty((N,) + X.shape[1:])
-    buf = np.empty((min(_TILE_ROWS, N), M))
-    for start in range(0, N, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, N)
-        tile = buf[: stop - start]
-        np.copyto(tile, adjacency[start:stop])
-        np.dot(tile, X, out=out[start:stop])
-    return out
-
-
 # Byte groups per chunk of packed_product's lookup tables: 32 tables of 256
 # float64 sums (64 KiB), rebuilt in one reused buffer for each chunk. At
 # N = 10,040 (one thread, fastest of 7 on configs/large.json's first graph,
@@ -441,21 +409,44 @@ def packed_product(columns, x):
     return y
 
 
-def block_edge_counts(adjacency, labels, K):
+# Bytes of the uint8 temporary that block_edge_counts ANDs and popcounts per
+# chunk of rows. Counting all rows of a random graph at N = 10,040 with 6
+# blocks (one thread, fastest of 5) took 30.6, 27.7, 27.4 and 28.4 ms with
+# 64 KiB, 256 KiB, 512 KiB and 1 MiB. 256 KiB keeps the traced peak of
+# scoring and log_likelihood below the N²/8 bytes of the packed rows from
+# N = 3,000 on.
+_COUNT_BYTES = 1 << 18
+
+
+def block_edge_counts(packed, labels, K):
     """E = A·H, the edge counts from each row vertex to each block.
 
-    adjacency is a boolean matrix whose columns carry the 1-based block
-    labels in `labels`; E[v, k] counts the edges from row v to the columns
-    labeled k+1. The N x K matrix E is the one kernel behind the block edge
-    counts (H^T·E) and the likelihood scheme's swap ratios. The float
-    product is exact, because it sums 0/1 values.
+    packed holds np.packbits rows of the adjacency, and labels gives the
+    1-based block of each of the leading len(labels) columns; E[v, k]
+    counts the set bits of row v among the columns labeled k+1 (labels
+    outside 1..K count toward no block). The N x K int64 matrix E is the
+    one kernel behind the block edge counts (H^T·E), the canonical scheme's
+    seed terms and the likelihood scheme's matcher and swap ratios. Each
+    entry is the popcount of the row ANDed with a packed mask of its
+    block's columns, so it is exact and nothing is unpacked; rows go
+    _COUNT_BYTES of temporary at a time.
     """
-    onehot = np.eye(K)[np.asarray(labels) - 1]
-    return adjacency_product(adjacency, onehot).astype(np.int64)
+    labels = np.asarray(labels)
+    masks = np.packbits(labels == np.arange(1, K + 1)[:, None], axis=1)
+    rows = packed[:, : masks.shape[1]]
+    counts = np.empty((len(rows), K), dtype=np.int64)
+    step = max(1, _COUNT_BYTES // max(1, masks.size))
+    for start in range(0, len(rows), step):
+        both = rows[start : start + step, None, :] & masks
+        np.bitwise_count(both, out=both).sum(axis=2, dtype=np.int64,
+                                             out=counts[start : start + step])
+    return counts
 
 
-def block_pair_counts(adjacency, labels, K):
-    """Ordered edge and vertex-pair counts per block pair.
+def block_pair_counts(packed, labels, K):
+    """Ordered edge and vertex-pair counts per block pair of the vertices
+    whose packed rows and columns carry the 1-based labels (one row per
+    label, as in block_edge_counts).
 
     Returns the K x K int64 matrices (edges, pairs): edges = H^T·A·H counts
     the ordered vertex pairs (v, w) with an edge, v in block k+1 and w in
@@ -463,9 +454,9 @@ def block_pair_counts(adjacency, labels, K):
     there, outer(sizes, sizes) - diag(sizes). A pair within a block counts
     twice.
     """
-    onehot = np.eye(K, dtype=np.int64)[np.asarray(labels) - 1]
+    onehot = (np.asarray(labels)[:, None] == np.arange(1, K + 1)).astype(np.int64)
     sizes = onehot.sum(axis=0)
-    edges = onehot.T @ block_edge_counts(adjacency, labels, K)
+    edges = onehot.T @ block_edge_counts(packed, labels, K)
     return edges, np.outer(sizes, sizes) - np.diag(sizes)
 
 
@@ -476,7 +467,7 @@ def log_likelihood(graph, assignment, model, eps=PROB_EPS):
         raise SizeMismatchError("assignment must cover all vertices")
     if assignment.labels.max() > model.K:
         raise SizeMismatchError("assignment uses more blocks than the model")
-    edges, pairs = block_pair_counts(graph.adjacency, assignment.labels, model.K)
+    edges, pairs = block_pair_counts(graph.packed, assignment.labels, model.K)
     lam = model.clamped_lam(eps)
     return 0.5 * float(np.sum(edges * np.log(lam) + (pairs - edges) * np.log1p(-lam)))
 
@@ -499,10 +490,8 @@ def estimate_lambda(graph, K, eps=PROB_EPS):
         empty = np.flatnonzero(sizes[k + 1 :] == 0)
         if len(empty):
             raise ValueError(f"block {k + empty[0] + 2} has no seeds")
-    # count the blocks of all seeds, then keep blocks 1..K
-    m, top = graph.seed_count, max(K, int(labels.max()))
-    edges, pairs = block_pair_counts(graph.rows(slice(0, m), count=m), labels, top)
-    return clamp_probabilities(edges[:K, :K] / pairs[:K, :K], eps)
+    edges, pairs = block_pair_counts(graph.packed[: graph.seed_count], labels, K)
+    return clamp_probabilities(edges / pairs, eps)
 
 
 def mix_lambda(base, theta):
@@ -538,9 +527,9 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
                     try:
                         declared = int(body.split()[1])
                     except (IndexError, ValueError):
-                        raise ParseError(
-                            f"{edges_path}:{lineno}: malformed '#vertices' header"
-                        ) from None
+                        declared = -1
+                    if declared < 0:
+                        raise ParseError(f"{edges_path}:{lineno}: malformed '#vertices' header")
                 continue
             parts = stripped.split()
             if len(parts) != 2:
@@ -616,8 +605,11 @@ def load_labels(path, K=None):
 def load_lambda(path):
     """Read a Lambda matrix from a JSON file with fields K and a row-major
     'lambda' array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict) or "K" not in data or "lambda" not in data:
         raise ParseError(f"{path}: expected JSON object with fields 'K' and 'lambda'")
     try:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vnom.core import PROB_EPS, BlockAssignment, adjacency_product
+from vnom.core import PROB_EPS, BlockAssignment, block_edge_counts
 from vnom.metrics import NominationList, rank_with_ties
 from vnom.sgm import sgm_match
 
@@ -83,9 +83,11 @@ def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
         score_out[v'] = mean(S[v, k'] - S[v, 0]) + S[v', 0] - S[v', k']
                         - pn[k'] - (pe[k'] - pn[k']) D[v', 0] / n1
 
-    Cost: one n x N edge-count product and O(n·K) arithmetic. Products over
-    the length-K axis are taken one column at a time, so vertices with equal
-    counts in the same block get bit-equal scores.
+    Cost: one core.block_edge_counts pass over the n packed ambiguous rows,
+    with 2K labels (seed and ambiguous columns of each block), and O(n·K)
+    arithmetic; no row is unpacked. Products over the length-K axis are
+    taken one column at a time, so vertices with equal counts in the same
+    block get bit-equal scores.
     """
     m, K = graph.seed_count, model.K
     labels0 = bhat.labels - 1
@@ -93,10 +95,10 @@ def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
     lam = model.clamped_lam(eps)
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
-    # one exact 0/1 product: columns k count edges to block k+1's seeds,
-    # columns K + k to its ambiguous vertices
-    counts = adjacency_product(graph.rows(slice(m, None)),
-                               np.eye(2 * K)[np.concatenate([labels0[:m], amb + K])])
+    # one count pass over the packed ambiguous rows: columns k count edges
+    # to block k+1's seeds, columns K + k to its ambiguous vertices
+    counts = block_edge_counts(graph.packed[m:], np.concatenate([labels0[:m], amb + K]) + 1,
+                               2 * K)
     D = counts[:, K:]
     E = counts[:, :K] + D
     sizes = np.bincount(labels0, minlength=K)
@@ -145,7 +147,8 @@ def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
     tie group, and a tie group is ordered by ascending vertex id. Scores
     that are equal in exact arithmetic (structurally equivalent vertices)
     so keep id order whatever rounding separates them. Scoring costs one
-    n x N edge-count product plus O(n·K); see _geo_mean_scores.
+    popcount pass over the packed ambiguous rows plus O(n·K); see
+    _geo_mean_scores.
     """
     if bhat is None:
         bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,

@@ -199,23 +199,24 @@ class SgmResult:
     converged: bool = False
 
 
-def _relaxation(adjacency, logodds, seed_labels):
-    """(const, C, A22, E_s) of the relaxed objective on block memberships,
+def _relaxation(packed, logodds, seed_labels):
+    """(const, C, E_s) of the relaxed objective on block memberships,
 
         f(Y) = const + <C, Y> + <Y, A22 Y L^T>,
 
-    which is <A, P B P^T> at P = diag(I, Q) for Y = Q S. With H_s the
-    seeds' one-hot labels, E_s = A21 H_s counts the edges from each
-    ambiguous vertex to the seeds of each block, const = <A11, H_s L H_s^T>
-    and C = (A21 H_s) L^T + (A12^T H_s) L = E_s (L^T + L), as A is
-    symmetric.
+    which is <A, P B P^T> at P = diag(I, Q) for Y = Q S, with A22 the
+    ambiguous-ambiguous block of A. packed holds the np.packbits rows of
+    A. With H_s the seeds' one-hot labels, E_s = A21 H_s counts the edges
+    from each ambiguous vertex to the seeds of each block,
+    const = <A11, H_s L H_s^T> and C = (A21 H_s) L^T + (A12^T H_s) L
+    = E_s (L^T + L), as A is symmetric.
     """
     m, K = len(seed_labels), len(logodds)
-    to_seeds = block_edge_counts(adjacency[:, :m], seed_labels, K)
+    to_seeds = block_edge_counts(packed, seed_labels, K)
     seed_blocks = np.eye(K, dtype=np.int64)[np.asarray(seed_labels, dtype=int) - 1]
     const = float(np.sum((seed_blocks.T @ to_seeds[:m]) * logodds))
     C = to_seeds[m:] @ (logodds.T + logodds)
-    return const, C, adjacency[m:, m:].astype(float), to_seeds[m:]
+    return const, C, to_seeds[m:]
 
 
 def _objective(Y, AY, const, C, L):
@@ -253,7 +254,8 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     seed_labels = np.asarray(seed_labels, dtype=int)
     sizes = np.asarray(n_sizes, dtype=np.int64)
     N, m, K = adjacency.shape[0], len(seed_labels), len(logodds)
-    if adjacency.shape != (N, N) or not _is_symmetric(np.packbits(adjacency, axis=1)):
+    packed = np.packbits(adjacency, axis=-1)
+    if adjacency.shape != (N, N) or not _is_symmetric(packed):
         raise ValueError("adjacency must be square and symmetric")
     if logodds.shape != (K, K) or sizes.shape != (K,):
         raise ValueError("logodds must be K x K with one size per block")
@@ -262,7 +264,8 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     if m and not (1 <= seed_labels.min() and seed_labels.max() <= K):
         raise ValueError("seed labels must lie in 1..K")
     n = N - m
-    const, C, A22, seed_counts = _relaxation(adjacency, logodds, seed_labels)
+    const, C, seed_counts = _relaxation(packed, logodds, seed_labels)
+    A22 = adjacency[m:, m:].astype(float)
 
     onehot = np.eye(K)
     slots = np.repeat(np.arange(K), sizes)
@@ -297,8 +300,10 @@ def _polish(adjacency, labels, m, L, objective, counts):
 
     labels holds the 1-based labels of all vertices, the m seeds first.
     counts is E, the ambiguous vertices' block edge counts under labels
-    (core.block_edge_counts of adjacency[m:]). With F = E L, swapping
-    ambiguous v in block a and v' in block c changes the objective by
+    (what core.block_edge_counts gives for the packed rows from m on);
+    the swaps read the ambiguous block of the boolean adjacency. With
+    F = E L, swapping ambiguous v in block a and v' in block c changes the
+    objective by
 
         2 (F[v, c] - F[v, a] + F[v', a] - F[v', c]
            - A[v, v'] (L[a, a] + L[c, c] - 2 L[a, c])),

@@ -93,6 +93,16 @@ def test_nominate_rejects_seed_block_above_k(scheme, sampled_files, lambda_file,
     assert "bad_labels.txt: vertex 4 has block 4 outside 1..3" in capsys.readouterr().err
 
 
+def test_nominate_invalid_lambda_json_names_the_file(sampled_files, tmp_path, capsys):
+    edges, labels = sampled_files
+    empty = tmp_path / "empty_lambda.json"
+    empty.write_text("", encoding="utf-8")
+    code = main(["nominate", "--scheme", "spectral", "--graph", edges,
+                 "--labels", labels, "--lambda", str(empty)])
+    assert code == EXIT_CONFIG == 2
+    assert f"error: {empty}: invalid JSON" in capsys.readouterr().err
+
+
 def test_nominate_requires_sizes(sampled_files, lambda_file, capsys):
     edges, labels = sampled_files
     code = main([

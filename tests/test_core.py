@@ -17,7 +17,6 @@ from vnom.core import (
     LabeledGraph,
     ParseError,
     SizeMismatchError,
-    adjacency_product,
     block_edge_counts,
     block_pair_counts,
     contiguous_assignment,
@@ -377,29 +376,6 @@ def random_adjacency(rng, N, p=0.3):
     return upper | upper.T
 
 
-class TestAdjacencyProduct:
-    @pytest.mark.parametrize("N", [0, 1, 5, 16, 37, 100])
-    @pytest.mark.parametrize("view", ["whole", "rows_past_m", "first_m_columns"])
-    @pytest.mark.parametrize("cols", [None, 1, 3])
-    def test_matches_dense_product(self, rng, N, view, cols):
-        adj = random_adjacency(rng, N)
-        m = N // 3
-        A = {"whole": adj, "rows_past_m": adj[m:, :m], "first_m_columns": adj[:, :m]}[view]
-        shape = (A.shape[1],) if cols is None else (A.shape[1], cols)
-        dense = A.astype(float)
-        counts = rng.integers(0, 2, size=shape).astype(float)
-        assert np.array_equal(adjacency_product(A, counts), dense @ counts)
-        X = rng.normal(size=shape)
-        result = adjacency_product(A, X)
-        assert result.dtype == np.float64 and result.shape == (A.shape[0],) + shape[1:]
-        assert np.allclose(result, dense @ X, rtol=0.0, atol=1e-12)
-
-    def test_no_columns(self, rng):
-        A = random_adjacency(rng, 20)[:, :0]
-        assert np.array_equal(adjacency_product(A, np.zeros(0)), np.zeros(20))
-        assert np.array_equal(adjacency_product(A, np.zeros((0, 2))), np.zeros((20, 2)))
-
-
 def byte_columns(adjacency):
     """packed_product's byte columns of a boolean matrix."""
     return np.ascontiguousarray(np.packbits(adjacency, axis=1).T)
@@ -448,42 +424,87 @@ class TestPackedProduct:
         assert np.array_equal(packed_product(byte_columns(np.eye(N, dtype=bool)), x), x)
 
 
+def count_nonzero_oracle(A, labels, K):
+    """E[v, k]: the set entries of row v of the boolean A among the leading
+    len(labels) columns labeled k+1, by np.count_nonzero."""
+    labels = np.asarray(labels)
+    A = A[:, : len(labels)]
+    expected = np.zeros((A.shape[0], K), dtype=np.int64)
+    for k in range(K):
+        expected[:, k] = np.count_nonzero(A[:, labels == k + 1], axis=1)
+    return expected
+
+
 class TestBlockEdgeCounts:
-    @pytest.mark.parametrize("N", [1, 14, 37, 300])
-    def test_matches_count_nonzero(self, rng, N):
+    @pytest.mark.parametrize("N", [0, 1, 5, 14, 16, 37, 100, 300])
+    @pytest.mark.parametrize("view", ["whole", "rows_past_m", "first_m_columns"])
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_matches_count_nonzero(self, rng, N, view, K):
         adj = random_adjacency(rng, N)
-        K = 4
-        labels = rng.integers(1, K, size=N)  # block 4 is empty
+        # block K is empty when K > 1, and label K + 1 counts toward no block
+        labels = np.where(rng.random(N) < 0.2, K + 1, rng.integers(1, max(K, 2), size=N))
         m = N // 3
-        for rows, columns in [(slice(None), slice(None)), (slice(m, None), slice(None, m))]:
-            A = adj[rows, columns]
-            labels0 = labels[columns] - 1
-            expected = np.zeros((A.shape[0], K), dtype=np.int64)
-            for k in range(K):
-                expected[:, k] = np.count_nonzero(A[:, labels0 == k], axis=1)
-            counts = block_edge_counts(A, labels[columns], K)
-            assert counts.dtype == np.int64
-            assert np.array_equal(counts, expected)
-            assert not counts[:, K - 1].any()
+        rows, columns = {"whole": (slice(None), N), "rows_past_m": (slice(m, None), m),
+                         "first_m_columns": (slice(None), m)}[view]
+        A = adj[rows]
+        counts = block_edge_counts(np.packbits(A, axis=1), labels[:columns], K)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, count_nonzero_oracle(A, labels[:columns], K))
+        assert K == 1 or not counts[:, K - 1].any()
+
+    def test_no_columns(self, rng):
+        packed = np.packbits(random_adjacency(rng, 20), axis=1)
+        assert np.array_equal(block_edge_counts(packed, [], 2), np.zeros((20, 2)))
+        assert np.array_equal(block_edge_counts(packed[:, :0], [], 2), np.zeros((20, 2)))
+
+    @pytest.mark.parametrize("N", [1, 5, 13, 37])
+    def test_padding_bits_do_not_count(self, N):
+        # Rows of all-ones bytes set the padding bits past column N too;
+        # only the N labeled columns count, and a label outside 1..K
+        # counts toward no block.
+        labels = np.arange(N) % 4 + 1
+        packed = np.full((3, -(-N // 8)), 0xFF, dtype=np.uint8)
+        expected = np.bincount(labels, minlength=5)[1:4]
+        assert np.array_equal(block_edge_counts(packed, labels, 3), np.tile(expected, (3, 1)))
+
+    def test_labels_shorter_than_the_row(self, rng):
+        # The bits past the labeled leading columns do not count, whether
+        # the labels end inside a byte or on a byte boundary.
+        adj = rng.random((9, 30)) < 0.5
+        packed = np.packbits(adj, axis=1)
+        for M in (0, 3, 8, 16, 21, 29):
+            labels = rng.integers(1, 4, size=M)
+            assert np.array_equal(block_edge_counts(packed, labels, 3),
+                                  count_nonzero_oracle(adj, labels, 3))
+
+    @pytest.mark.parametrize("count_bytes", [1, 40, 1000])
+    def test_any_chunk_height_gives_the_same_counts(self, rng, monkeypatch, count_bytes):
+        adj = random_adjacency(rng, 77)
+        labels = rng.integers(1, 4, size=77)
+        monkeypatch.setattr(core, "_COUNT_BYTES", count_bytes)
+        assert np.array_equal(block_edge_counts(np.packbits(adj, axis=1), labels, 3),
+                              count_nonzero_oracle(adj, labels, 3))
 
 
 class TestBlockPairCounts:
     LABELS = np.array([1, 1, 2, 2])
 
     def test_empty_graph(self):
-        edges, pairs = block_pair_counts(np.zeros((4, 4), dtype=bool), self.LABELS, 2)
+        edges, pairs = block_pair_counts(np.packbits(np.zeros((4, 4), dtype=bool), axis=1),
+                                         self.LABELS, 2)
         assert not edges.any()
         assert pairs.tolist() == [[2, 4], [4, 2]]
 
     def test_complete_graph_two_blocks(self):
-        edges, pairs = block_pair_counts(~np.eye(4, dtype=bool), self.LABELS, 2)
+        edges, pairs = block_pair_counts(np.packbits(~np.eye(4, dtype=bool), axis=1),
+                                         self.LABELS, 2)
         assert edges.tolist() == [[2, 4], [4, 2]]
         assert np.array_equal(edges, pairs)
 
     def test_single_cross_edge(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 2] = adj[2, 0] = True
-        edges, pairs = block_pair_counts(adj, self.LABELS, 2)
+        edges, pairs = block_pair_counts(np.packbits(adj, axis=1), self.LABELS, 2)
         assert edges.tolist() == [[0, 1], [1, 0]]
         assert (pairs - edges).tolist() == [[2, 3], [3, 2]]
 
@@ -497,7 +518,7 @@ class TestBlockPairCounts:
         adj = np.triu(adj, k=1)
         adj = adj | adj.T
         labels = rng.integers(1, K + 1, size=N)
-        edges, pairs = block_pair_counts(adj, labels, K)
+        edges, pairs = block_pair_counts(np.packbits(adj, axis=1), labels, K)
         sizes = np.bincount(labels, minlength=K + 1)[1:]
         assert np.array_equal(edges, edges.T)
         for k in range(K):
@@ -695,6 +716,13 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError):
             load_edge_list(edges)
 
+    @pytest.mark.parametrize("header", ["#vertices -3", "#vertices", "#vertices x"])
+    def test_malformed_header_rejected_at_its_line(self, tmp_path, header):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"1 2\n{header}\n")
+        with pytest.raises(ParseError, match=r"edges\.txt:2: malformed '#vertices' header"):
+            load_edge_list(edges)
+
     def test_labels_attach_to_prefix(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("#vertices 6\n1 5\n2 6\n")
@@ -756,6 +784,13 @@ class TestLoadLambda:
         )
         lam = load_lambda(path)
         assert np.allclose(lam, [[0.7, 0.2], [0.2, 0.6]])
+
+    @pytest.mark.parametrize("text", ["", '{"K": 2,'])
+    def test_invalid_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "lambda.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=r"lambda\.json: invalid JSON"):
+            load_lambda(path)
 
     def test_wrong_size(self, tmp_path):
         path = tmp_path / "lambda.json"

@@ -1,5 +1,7 @@
 """Likelihood maximization nomination: swap ratios and the two-stage list."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from vnom.core import (
     BlockAssignment,
     BlockModel,
     LabeledGraph,
-    block_edge_counts,
     contiguous_assignment,
     log_likelihood,
     sample_sbm,
@@ -183,9 +184,10 @@ def ratio_matrix_scores(graph, bhat, model, eps):
     lam = model.clamped_lam(eps)
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
-    E = block_edge_counts(graph.adjacency, bhat.labels, K)
+    onehot = np.eye(K, dtype=np.int64)[labels0]
+    E = graph.adjacency.astype(np.int64) @ onehot
     sizes = np.bincount(labels0, minlength=K)
-    S = E @ log_lam.T + (sizes - np.eye(K, dtype=np.int64)[labels0] - E) @ log_1m.T
+    S = E @ log_lam.T + (sizes - onehot - E) @ log_1m.T
     ambiguous = graph.ambiguous_vertices()
     in1 = ambiguous[labels0[m:] == 0]
     out1 = ambiguous[labels0[m:] != 0]
@@ -252,6 +254,28 @@ class TestGeoMeanScores:
                 assert len(g) == len(w)
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
             assert np.array_equal(nomination_order(got), nomination_order(want))
+
+
+def traced_peak(call, *args):
+    """The traced peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_counts_peak_below_the_packed_rows():
+    # Both count the packed rows in chunks: one unpacked row per vertex
+    # (N² bytes, or n·N for the ambiguous rows) would pass N²/8 bytes.
+    model = BlockModel(m_sizes=(10, 10, 10), n_sizes=(990, 990, 990), lam=BASE_LAMBDA)
+    bhat = contiguous_assignment(model)
+    graph = sample_sbm(model, bhat, 17)
+    N = graph.num_vertices
+    assert traced_peak(_geo_mean_scores, graph, bhat, model) < N * N / 8
+    assert traced_peak(log_likelihood, graph, bhat, model) < N * N / 8
 
 
 class TestTieRule:

@@ -171,7 +171,7 @@ def dense_polish(adjacency, labels, m, L, objective):
     labels = np.array(labels)
     amb = labels[m:]
     A = adjacency[m:]
-    F = block_edge_counts(A, labels, K) @ L
+    F = (A.astype(np.int64) @ np.eye(K, dtype=np.int64)[labels - 1]) @ L
     kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
     swaps = []
     for _ in range(max(100, 2 * len(amb))):
@@ -472,7 +472,8 @@ class TestSgmMatch:
         # interior point of the transportation polytope
         adjacency, L = random_graph(rng, 10), random_logodds(rng, 3)
         seed_labels = np.array([1, 3])
-        const, C, A22, _ = _relaxation(adjacency, L, seed_labels)
+        const, C, _ = _relaxation(np.packbits(adjacency, axis=1), L, seed_labels)
+        A22 = adjacency[2:, 2:].astype(float)
         Y = random_doubly_stochastic(rng, 8) @ np.eye(3)[[0, 0, 0, 1, 1, 2, 2, 2]]
         grad = _gradient(A22 @ Y, C, L)
         h = 1e-5
@@ -495,8 +496,8 @@ class TestSgmMatch:
             S = np.eye(K)[slots - 1]
             Q = random_doubly_stochastic(rng, len(slots))
             Y = Q @ S
-            const, C, A22, _ = _relaxation(adjacency, L, seed_labels)
-            AY = A22 @ Y
+            const, C, _ = _relaxation(np.packbits(adjacency, axis=1), L, seed_labels)
+            AY = adjacency[m:, m:].astype(float) @ Y
             labels = np.concatenate([seed_labels, slots]).astype(int)
             assert _objective(Y, AY, const, C, L) == pytest.approx(
                 flat_objective_nxn(Q, adjacency, L, labels, m), abs=1e-9)
@@ -546,7 +547,7 @@ class TestPolish:
                 [graph.seed_labels, rng.permutation(np.repeat(np.arange(1, K + 1), n_sizes))]
             )
             L = model.log_odds()
-            counts = block_edge_counts(graph.adjacency[model.m:], start, K)
+            counts = block_edge_counts(graph.packed[model.m:], start, K)
             labels, value, swaps = _polish(graph.adjacency, start, model.m, L,
                                            objective(graph.adjacency, L, start), counts)
             assert value == pytest.approx(objective(graph.adjacency, L, labels), abs=1e-9)
@@ -581,7 +582,7 @@ def polish_problem(rng, n_sizes, integer):
 class TestPolishSearch:
     def assert_same_as_dense(self, adjacency, start, m, L):
         value = objective(adjacency, L, start)
-        counts = block_edge_counts(adjacency[m:], start, len(L))
+        counts = block_edge_counts(np.packbits(adjacency[m:], axis=1), start, len(L))
         labels, final, swaps = _polish(adjacency, start, m, L, value, counts)
         want_labels, want_final, want_swaps = dense_polish(adjacency, start, m, L, value)
         assert swaps == want_swaps
@@ -637,7 +638,8 @@ class TestPolishSearch:
         def both(adjacency, labels, m, L, value, counts):
             # the matcher's counts are the recount's, and the polish agrees
             # with the dense search that recounts
-            assert np.array_equal(counts, block_edge_counts(adjacency[m:], labels, len(L)))
+            packed = np.packbits(adjacency[m:], axis=1)
+            assert np.array_equal(counts, block_edge_counts(packed, labels, len(L)))
             got = _polish(adjacency, labels, m, L, value, counts)
             want = dense_polish(adjacency, labels, m, L, value)
             assert got[2] == want[2] and got[1] == want[1]
