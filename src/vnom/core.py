@@ -505,6 +505,16 @@ def mix_lambda(base, theta):
     return theta * base + (1.0 - theta) * 0.5
 
 
+def _numbered_lines(path):
+    """(line number, line) for each line of a UTF-8 text file; a file that
+    is not UTF-8 is a ParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     """Read a 1-based whitespace edge list plus an optional seed-labels file
     (load_labels), whose vertices 1..m become the seeds.
@@ -516,34 +526,33 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     declared = num_vertices
     edges = []
     max_id = 0
-    with open(edges_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.lower().startswith("vertices"):
-                    try:
-                        declared = int(body.split()[1])
-                    except (IndexError, ValueError):
-                        declared = -1
-                    if declared < 0:
-                        raise ParseError(f"{edges_path}:{lineno}: malformed '#vertices' header")
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"{edges_path}:{lineno}: expected two vertex ids")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{edges_path}:{lineno}: non-integer vertex id") from None
-            if a < 1 or b < 1:
-                raise ParseError(f"{edges_path}:{lineno}: vertex ids are 1-based")
-            if a == b:
-                raise ParseError(f"{edges_path}:{lineno}: self-loop on vertex {a}")
-            edges.append((a, b))
-            max_id = max(max_id, a, b)
+    for lineno, line in _numbered_lines(edges_path):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            if body.lower().startswith("vertices"):
+                try:
+                    declared = int(body.split()[1])
+                except (IndexError, ValueError):
+                    declared = -1
+                if declared < 0:
+                    raise ParseError(f"{edges_path}:{lineno}: malformed '#vertices' header")
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(f"{edges_path}:{lineno}: expected two vertex ids")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{edges_path}:{lineno}: non-integer vertex id") from None
+        if a < 1 or b < 1:
+            raise ParseError(f"{edges_path}:{lineno}: vertex ids are 1-based")
+        if a == b:
+            raise ParseError(f"{edges_path}:{lineno}: self-loop on vertex {a}")
+        edges.append((a, b))
+        max_id = max(max_id, a, b)
 
     seed_labels = np.array([], dtype=int)
     if labels_path is not None:
@@ -574,27 +583,26 @@ def load_labels(path, K=None):
     once each; with K, blocks above K are rejected.
     """
     labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'vertex block'")
-            try:
-                v, blk = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from None
-            if v < 1:
-                raise ParseError(f"{path}:{lineno}: vertex ids are 1-based")
-            if blk < 1:
-                raise ParseError(f"{path}:{lineno}: block ids are 1-based")
-            if K is not None and blk > K:
-                raise ParseError(f"{path}:{lineno}: block {blk} outside 1..{K}")
-            if v in labels:
-                raise ParseError(f"{path}:{lineno}: vertex {v} listed twice")
-            labels[v] = blk
+    for lineno, line in _numbered_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'vertex block'")
+        try:
+            v, blk = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer field") from None
+        if v < 1:
+            raise ParseError(f"{path}:{lineno}: vertex ids are 1-based")
+        if blk < 1:
+            raise ParseError(f"{path}:{lineno}: block ids are 1-based")
+        if K is not None and blk > K:
+            raise ParseError(f"{path}:{lineno}: block {blk} outside 1..{K}")
+        if v in labels:
+            raise ParseError(f"{path}:{lineno}: vertex {v} listed twice")
+        labels[v] = blk
     # distinct ids from 1 up cover 1..M exactly when the largest is M
     M = max(labels, default=0)
     if M != len(labels):
@@ -608,7 +616,7 @@ def load_lambda(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict) or "K" not in data or "lambda" not in data:
         raise ParseError(f"{path}: expected JSON object with fields 'K' and 'lambda'")

@@ -19,9 +19,8 @@ def mle_block_assignment(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
     the block sizes."""
     if graph.seed_count != model.m or graph.ambiguous_count != model.n:
         raise ValueError("graph does not match the model's seed/ambiguous sizes")
-    result = sgm_match(graph.adjacency, model.log_odds(eps), graph.seed_labels,
-                       model.n_sizes, max_iter=max_iter, tol=tol,
-                       restarts=restarts, rng_seed=rng_seed)
+    result = sgm_match(graph, model.log_odds(eps), model.n_sizes, max_iter=max_iter,
+                       tol=tol, restarts=restarts, rng_seed=rng_seed)
     bhat = BlockAssignment(result.labels)
     bhat.check_membership(model, graph.seed_labels)
     return bhat

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vnom.core import _is_symmetric, block_edge_counts
+from vnom.core import block_edge_counts
 
 # Coordinate passes that set the block potentials before the exact
 # successive-shortest-path repair in solve_transport.
@@ -72,7 +72,7 @@ def _transport(cost, sizes):
     that have passed its checks. Frank-Wolfe's steps and the projection,
     whose sizes sgm_match has checked, call it directly."""
     blocks = np.flatnonzero(sizes)
-    columns = np.ascontiguousarray(cost.T[blocks])
+    columns = cost.T[blocks].copy()  # row-major, whatever order indexing gives
     need = sizes[blocks]
     u = _block_potentials(columns, need)
     start = _best_blocks(columns - u[:, None])
@@ -205,11 +205,11 @@ def _relaxation(packed, logodds, seed_labels):
         f(Y) = const + <C, Y> + <Y, A22 Y L^T>,
 
     which is <A, P B P^T> at P = diag(I, Q) for Y = Q S, with A22 the
-    ambiguous-ambiguous block of A. packed holds the np.packbits rows of
-    A. With H_s the seeds' one-hot labels, E_s = A21 H_s counts the edges
-    from each ambiguous vertex to the seeds of each block,
-    const = <A11, H_s L H_s^T> and C = (A21 H_s) L^T + (A12^T H_s) L
-    = E_s (L^T + L), as A is symmetric.
+    ambiguous-ambiguous block of A. packed holds the bit-packed rows of A
+    (LabeledGraph.packed). With H_s the seeds' one-hot labels,
+    E_s = A21 H_s counts the edges from each ambiguous vertex to the seeds
+    of each block, const = <A11, H_s L H_s^T> and
+    C = (A21 H_s) L^T + (A12^T H_s) L = E_s (L^T + L), as A is symmetric.
     """
     m, K = len(seed_labels), len(logodds)
     to_seeds = block_edge_counts(packed, seed_labels, K)
@@ -230,33 +230,25 @@ def _gradient(AY, C, L):
     return C + AY @ (L.T + L)
 
 
-def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
-              restarts=1, rng_seed=0):
+def sgm_match(graph, logodds, n_sizes, max_iter=20, tol=1e-6, restarts=1, rng_seed=0):
     """Approximately maximize <A, H L H^T> over block labelings H that keep
     the seeds' labels and put n_sizes[k] ambiguous vertices in block k+1.
 
-    adjacency is the symmetric N x N adjacency with the m = len(seed_labels)
-    seeds first; logodds is the symmetric K x K matrix L. Frank-Wolfe on
-    the n x K block memberships starts at the flat point (every row equal
-    to n_sizes / n) and runs until the relaxed objective changes by at
-    most tol (relative) or max_iter steps; each step's direction is an
-    exact transportation solve on the gradient, followed by exact line
-    search on the 1-D quadratic. Extra restarts begin at the one-hot
-    labels of random permutations of the contiguous slot labels; each
-    iterate is projected by one more transportation solve and then
-    polished by steepest-ascent label swaps. The best objective wins,
-    earliest start on ties.
+    graph is a LabeledGraph, whose seed_labels the m seeds keep; logodds is
+    the symmetric K x K matrix L. Frank-Wolfe on the n x K block
+    memberships starts at the flat point (every row equal to n_sizes / n)
+    and runs until the relaxed objective changes by at most tol (relative)
+    or max_iter steps; each step's direction is an exact transportation
+    solve on the gradient, followed by exact line search on the 1-D
+    quadratic. Extra restarts begin at the one-hot labels of random
+    permutations of the contiguous slot labels; each iterate is projected
+    by one more transportation solve and then polished by steepest-ascent
+    label swaps. The best objective wins, earliest start on ties.
     """
-    # Row-major whatever the caller's layout: A22 @ Y takes another BLAS
-    # path on a column-major A22, and its last bits can change the labels.
-    adjacency = np.ascontiguousarray(adjacency, dtype=bool)
     logodds = np.asarray(logodds, dtype=float)
-    seed_labels = np.asarray(seed_labels, dtype=int)
+    seed_labels = graph.seed_labels
     sizes = np.asarray(n_sizes, dtype=np.int64)
-    N, m, K = adjacency.shape[0], len(seed_labels), len(logodds)
-    packed = np.packbits(adjacency, axis=-1)
-    if adjacency.shape != (N, N) or not _is_symmetric(packed):
-        raise ValueError("adjacency must be square and symmetric")
+    N, m, K = graph.num_vertices, graph.seed_count, len(logodds)
     if logodds.shape != (K, K) or sizes.shape != (K,):
         raise ValueError("logodds must be K x K with one size per block")
     if (sizes < 0).any() or m + sizes.sum() != N or m == N:
@@ -264,8 +256,8 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     if m and not (1 <= seed_labels.min() and seed_labels.max() <= K):
         raise ValueError("seed labels must lie in 1..K")
     n = N - m
-    const, C, seed_counts = _relaxation(packed, logodds, seed_labels)
-    A22 = adjacency[m:, m:].astype(float)
+    const, C, seed_counts = _relaxation(graph.packed, logodds, seed_labels)
+    A22 = graph.rows(slice(m, None))[:, m:].astype(float)
 
     onehot = np.eye(K)
     slots = np.repeat(np.arange(K), sizes)
@@ -287,7 +279,7 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
         labels = np.concatenate([seed_labels, ambiguous + 1])
         # Sums of 0/1 products, so these block edge counts are exact.
         counts = seed_counts + AR
-        labels, objective, _ = _polish(adjacency, labels, m, logodds, objective, counts)
+        labels, objective, _ = _polish(A22, labels, m, logodds, objective, counts)
         if best is None or objective > best.objective + 1e-12:
             best = SgmResult(labels=labels, objective=objective,
                              relaxed_objectives=history, iterations=iters,
@@ -295,13 +287,13 @@ def sgm_match(adjacency, logodds, seed_labels, n_sizes, max_iter=20, tol=1e-6,
     return best
 
 
-def _polish(adjacency, labels, m, L, objective, counts):
+def _polish(A22, labels, m, L, objective, counts):
     """Steepest-ascent hill climb over label swaps of ambiguous vertices.
 
     labels holds the 1-based labels of all vertices, the m seeds first.
     counts is E, the ambiguous vertices' block edge counts under labels
     (what core.block_edge_counts gives for the packed rows from m on);
-    the swaps read the ambiguous block of the boolean adjacency. With
+    A22 is the ambiguous-ambiguous block of the adjacency as floats. With
     F = E L, swapping ambiguous v in block a and v' in block c changes the
     objective by
 
@@ -324,7 +316,6 @@ def _polish(adjacency, labels, m, L, objective, counts):
     K = len(L)
     labels = np.array(labels)
     amb = labels[m:]  # a view: swaps write through to labels
-    A = adjacency[m:, m:]
     F = counts @ L
     kappa = L.diagonal()[:, None] + L.diagonal()[None, :] - 2.0 * L
     swaps = []
@@ -337,7 +328,7 @@ def _polish(adjacency, labels, m, L, objective, counts):
                 if not len(Ia) or not len(Ic):
                     continue
                 found = _best_swap(F[Ia, c] - F[Ia, a], F[Ic, a] - F[Ic, c],
-                                   float(kappa[a, c]), A, Ia, Ic, half)
+                                   float(kappa[a, c]), A22, Ia, Ic, half)
                 if found is not None:
                     half, i, j = found
                     pick = (Ia[i], Ic[j], a, c)
@@ -346,7 +337,7 @@ def _polish(adjacency, labels, m, L, objective, counts):
             break
         v, w, a, c = pick
         amb[v], amb[w] = c + 1, a + 1
-        F += np.subtract(A[v], A[w], dtype=float)[:, None] * (L[c] - L[a])
+        F += (A22[v] - A22[w])[:, None] * (L[c] - L[a])
         objective += gain
         swaps.append((int(v), int(w), float(gain)))
     return labels, objective, swaps

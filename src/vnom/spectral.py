@@ -435,16 +435,11 @@ def choose_block1_centroid(clustering, seed_labels):
     return int(best)
 
 
-def spectral_nominate(graph, K, d=None, restarts=10, rng_seed=0, model=None,
-                      embedding=None):
+def spectral_nominate(graph, K, d, restarts=10, rng_seed=0, embedding=None):
     """Embed, cluster, pick the seed-majority centroid, and rank ambiguous
     vertices by ascending distance to it (ties by `rank_with_ties`).
     `embedding`, if given, is the graph's embed(graph, d), which is then
     not computed again."""
-    if d is None:
-        if model is None:
-            raise ValueError("d must be given when the model (Lambda) is unknown")
-        d = default_dimension(model.lam)
     if embedding is None:
         embedding = embed(graph, d)
     elif embedding.X.shape != (graph.num_vertices, d):

@@ -150,8 +150,7 @@ def test_sgm_quality():
     trials = 200
     for trial in range(trials):
         graph = sample_sbm(model, contiguous_assignment(model), 50_000 + trial)
-        result = sgm_match(graph.adjacency, logodds, graph.seed_labels, model.n_sizes,
-                           restarts=20, rng_seed=trial)
+        result = sgm_match(graph, logodds, model.n_sizes, restarts=20, rng_seed=trial)
         # the relaxed objective must never decrease across iterations
         hist = result.relaxed_objectives
         for prev, nxt in zip(hist, hist[1:]):

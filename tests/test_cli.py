@@ -103,6 +103,17 @@ def test_nominate_invalid_lambda_json_names_the_file(sampled_files, tmp_path, ca
     assert f"error: {empty}: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--graph", "--labels", "--lambda"])
+def test_nominate_non_utf8_file_names_it(option, sampled_files, lambda_file, tmp_path, capsys):
+    edges, labels = sampled_files
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    files = {"--graph": edges, "--labels": labels, "--lambda": lambda_file, option: str(binary)}
+    argv = ["nominate", "--scheme", "spectral"] + [a for pair in files.items() for a in pair]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {binary}: " in capsys.readouterr().err
+
+
 def test_nominate_requires_sizes(sampled_files, lambda_file, capsys):
     edges, labels = sampled_files
     code = main([
@@ -146,6 +157,13 @@ def test_experiment_bad_config_exit(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"mode": "simulation"}', encoding="utf-8")
     assert main(["experiment", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_experiment_non_utf8_config_names_it(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["experiment", "--config", str(path)]) == EXIT_CONFIG
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):

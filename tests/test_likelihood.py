@@ -64,8 +64,7 @@ class TestMleBlockAssignment:
         # polish still leaves no block-1 swap that raises the likelihood
         model = BlockModel(m_sizes=(4, 2, 2), n_sizes=(20, 20, 20), lam=BASE_LAMBDA)
         graph = sample_sbm(model, contiguous_assignment(model), 5)
-        result = sgm_match(graph.adjacency, model.log_odds(), graph.seed_labels,
-                           model.n_sizes, max_iter=1)
+        result = sgm_match(graph, model.log_odds(), model.n_sizes, max_iter=1)
         assert result.iterations == 1 and not result.converged
         bhat = mle_block_assignment(graph, model, max_iter=1)
         assert bhat.labels.tolist() == result.labels.tolist()
@@ -363,6 +362,27 @@ class TestLikelihoodNominate:
                 for g in (graph, fortran)
             ]
             assert np.array_equal(lists[0], lists[1]), replicate
+
+    def test_never_reads_the_unpacked_adjacency(self, monkeypatch):
+        # The matcher and the scores work from the packed rows: the N x N
+        # boolean adjacency is not unpacked on the likelihood path.
+        config, model, graphs = replicate_graphs("medium", 20)
+        hyper = config.hyper
+        graph = graphs[0]
+
+        def nominate():
+            return likelihood_nominate(
+                graph, model, eps=hyper.eps, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
+                restarts=hyper.sgm_restarts,
+                rng_seed=harness._replicate_seed(config.master_seed, 0, 1)).order
+
+        want = nominate()
+
+        def unpacked(self):
+            raise AssertionError("LabeledGraph.adjacency was read")
+
+        monkeypatch.setattr(LabeledGraph, "adjacency", property(unpacked))
+        assert np.array_equal(nominate(), want)
 
     def test_constant_lambda_gives_id_order_within_segments(self):
         lam = np.full((2, 2), 0.5)

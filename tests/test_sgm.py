@@ -16,6 +16,7 @@ from vnom.canonical import enumerate_partitions
 from vnom.core import (
     BlockAssignment,
     BlockModel,
+    LabeledGraph,
     block_edge_counts,
     contiguous_assignment,
     log_likelihood,
@@ -55,9 +56,10 @@ def objective(adjacency, L, labels):
     return float(np.sum(adjacency * L[np.ix_(lab, lab)]))
 
 
-def random_graph(rng, N, p=0.5):
+def random_graph(rng, N, p=0.5, seed_labels=()):
+    """A G(N, p) graph whose first len(seed_labels) vertices are seeds."""
     upper = np.triu(rng.random((N, N)) < p, 1)
-    return upper | upper.T
+    return LabeledGraph(upper | upper.T, seed_labels)
 
 
 def random_logodds(rng, K):
@@ -66,18 +68,18 @@ def random_logodds(rng, K):
 
 
 def random_problem(rng, max_n=8, max_k=3, max_m=3):
-    """A random graph, log-odds matrix, seed labels and ambiguous sizes."""
+    """A random seeded graph, log-odds matrix and ambiguous sizes."""
     K = int(rng.integers(1, max_k + 1))
     n_sizes = rng.multinomial(int(rng.integers(1, max_n + 1)), np.full(K, 1.0 / K))
     m = int(rng.integers(0, max_m + 1))
     seed_labels = rng.integers(1, K + 1, size=m)
     N = m + int(n_sizes.sum())
-    return random_graph(rng, N), random_logodds(rng, K), seed_labels, n_sizes
+    return random_graph(rng, N, seed_labels=seed_labels), random_logodds(rng, K), n_sizes
 
 
-def exhaustive_maximum(adjacency, L, seed_labels, n_sizes):
+def exhaustive_maximum(graph, L, n_sizes):
     return max(
-        objective(adjacency, L, np.concatenate([seed_labels, part]))
+        objective(graph.adjacency, L, np.concatenate([graph.seed_labels, part]))
         for part in enumerate_partitions(n_sizes)
     )
 
@@ -355,8 +357,7 @@ class TestSolveTransport:
         monkeypatch.setattr(sgm, "_transport", recorded)
         _, model, graphs = replicate_graphs("medium", 20)
         for graph in graphs[:2]:
-            sgm_match(graph.adjacency, model.log_odds(), graph.seed_labels, model.n_sizes,
-                      restarts=2)
+            sgm_match(graph, model.log_odds(), model.n_sizes, restarts=2)
         monkeypatch.undo()
         assert len(calls) > 10
         for cost, sizes, labels in calls:
@@ -390,7 +391,7 @@ class TestLogOdds:
         lam = np.full((3, 3), 0.5)
         model = BlockModel(m_sizes=(1, 1, 0), n_sizes=(2, 1, 1), lam=lam)
         graph = sample_sbm(model, contiguous_assignment(model), 3)
-        result = sgm_match(graph.adjacency, model.log_odds(), graph.seed_labels, model.n_sizes)
+        result = sgm_match(graph, model.log_odds(), model.n_sizes)
         assert result.labels[:2].tolist() == [1, 2]
         assert np.bincount(result.labels[2:], minlength=4)[1:].tolist() == [2, 1, 1]
 
@@ -429,51 +430,34 @@ def random_doubly_stochastic(rng, n, terms=6):
 
 class TestSgmMatch:
     def test_single_ambiguous_vertex(self, rng):
-        adjacency = random_graph(rng, 3)
-        result = sgm_match(adjacency, random_logodds(rng, 2), [1, 2], (0, 1))
+        graph = random_graph(rng, 3, seed_labels=[1, 2])
+        result = sgm_match(graph, random_logodds(rng, 2), (0, 1))
         assert result.labels.tolist() == [1, 2, 2]
 
     def test_attains_exhaustive_maximum(self, rng):
         # small generic instances: restarts and the polish reach the
         # global maximum of <A, H L H^T>
         for _ in range(10):
-            adjacency, L, seed_labels, n_sizes = random_problem(rng, max_n=7)
-            result = sgm_match(adjacency, L, seed_labels, n_sizes, restarts=10, rng_seed=1)
-            best = exhaustive_maximum(adjacency, L, seed_labels, n_sizes)
+            graph, L, n_sizes = random_problem(rng, max_n=7)
+            result = sgm_match(graph, L, n_sizes, restarts=10, rng_seed=1)
+            best = exhaustive_maximum(graph, L, n_sizes)
             assert result.objective == pytest.approx(best, abs=1e-8)
-            assert objective(adjacency, L, result.labels) == pytest.approx(best, abs=1e-8)
+            assert objective(graph.adjacency, L, result.labels) == pytest.approx(best, abs=1e-8)
 
     def test_monotone_relaxed_objective(self, rng):
         for _ in range(20):
-            adjacency, L, seed_labels, n_sizes = random_problem(rng, max_n=9)
-            result = sgm_match(adjacency, L, seed_labels, n_sizes)
+            graph, L, n_sizes = random_problem(rng, max_n=9)
+            result = sgm_match(graph, L, n_sizes)
             hist = result.relaxed_objectives
             for prev, nxt in zip(hist, hist[1:]):
                 assert nxt >= prev - 1e-8 * max(1.0, abs(prev))
 
-    def test_labels_do_not_depend_on_memory_layout(self):
-        # A column-major adjacency once took another BLAS path in A22 @ Y,
-        # whose last bits changed the labels of most medium replicates.
-        config, model, graphs = replicate_graphs("medium", 20)
-        hyper = config.hyper
-        for replicate, graph in enumerate(graphs[:4]):
-            adjacency = graph.adjacency
-            labels = [
-                sgm_match(layout, model.log_odds(hyper.eps), graph.seed_labels,
-                          model.n_sizes, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
-                          rng_seed=harness._replicate_seed(config.master_seed, replicate, 1)
-                          ).labels
-                for layout in (adjacency, np.asfortranarray(adjacency))
-            ]
-            assert np.array_equal(labels[0], labels[1]), replicate
-
     def test_gradient_matches_finite_differences(self, rng):
         # central finite differences of the relaxed objective at a random
         # interior point of the transportation polytope
-        adjacency, L = random_graph(rng, 10), random_logodds(rng, 3)
-        seed_labels = np.array([1, 3])
-        const, C, _ = _relaxation(np.packbits(adjacency, axis=1), L, seed_labels)
-        A22 = adjacency[2:, 2:].astype(float)
+        graph, L = random_graph(rng, 10, seed_labels=[1, 3]), random_logodds(rng, 3)
+        const, C, _ = _relaxation(graph.packed, L, graph.seed_labels)
+        A22 = graph.adjacency[2:, 2:].astype(float)
         Y = random_doubly_stochastic(rng, 8) @ np.eye(3)[[0, 0, 0, 1, 1, 2, 2, 2]]
         grad = _gradient(A22 @ Y, C, L)
         h = 1e-5
@@ -490,13 +474,14 @@ class TestSgmMatch:
         # f(Q S) and grad f(Q S) S^T reproduce the n x n objective and
         # gradient at any doubly stochastic Q
         for _ in range(20):
-            adjacency, L, seed_labels, n_sizes = random_problem(rng, max_n=9, max_m=4)
+            graph, L, n_sizes = random_problem(rng, max_n=9, max_m=4)
+            adjacency, seed_labels = graph.adjacency, graph.seed_labels
             m, K = len(seed_labels), len(L)
             slots = np.repeat(np.arange(1, K + 1), n_sizes)
             S = np.eye(K)[slots - 1]
             Q = random_doubly_stochastic(rng, len(slots))
             Y = Q @ S
-            const, C, _ = _relaxation(np.packbits(adjacency, axis=1), L, seed_labels)
+            const, C, _ = _relaxation(graph.packed, L, seed_labels)
             AY = adjacency[m:, m:].astype(float) @ Y
             labels = np.concatenate([seed_labels, slots]).astype(int)
             assert _objective(Y, AY, const, C, L) == pytest.approx(
@@ -509,29 +494,21 @@ class TestSgmMatch:
         # the returned labels must beat (or tie) projecting the flat start
         # directly
         for _ in range(10):
-            adjacency, L, seed_labels, n_sizes = random_problem(rng, max_n=11, max_m=2)
+            graph, L, n_sizes = random_problem(rng, max_n=11, max_m=2)
             n = int(n_sizes.sum())
             flat = np.tile(n_sizes / n, (n, 1))
             base, _ = solve_transport(flat, n_sizes)
-            base_labels = np.concatenate([seed_labels, base + 1])
-            result = sgm_match(adjacency, L, seed_labels, n_sizes)
-            assert result.objective >= objective(adjacency, L, base_labels) - 1e-9
+            base_labels = np.concatenate([graph.seed_labels, base + 1])
+            result = sgm_match(graph, L, n_sizes)
+            assert result.objective >= objective(graph.adjacency, L, base_labels) - 1e-9
 
     def test_dimension_mismatch_rejected(self):
-        adjacency = np.zeros((3, 3), dtype=bool)
+        graph = LabeledGraph(np.zeros((3, 3), dtype=bool), [1])
         with pytest.raises(ValueError):
-            sgm_match(adjacency, np.zeros((2, 2)), [1], (1, 2))
+            sgm_match(graph, np.zeros((2, 2)), (1, 2))
         with pytest.raises(ValueError):
-            sgm_match(adjacency, np.zeros((2, 2)), [1], (2,))
-        with pytest.raises(ValueError):
-            sgm_match(np.zeros((3, 4), dtype=bool), np.zeros((2, 2)), [1], (1, 1))
+            sgm_match(graph, np.zeros((2, 2)), (2,))
 
-
-    def test_asymmetric_adjacency_rejected(self):
-        adjacency = np.zeros((4, 4), dtype=bool)
-        adjacency[0, 3] = True
-        with pytest.raises(ValueError, match="square and symmetric"):
-            sgm_match(adjacency, np.zeros((2, 2)), [1], (2, 1))
 
 class TestPolish:
     def test_gains_are_twice_log_likelihood_differences(self, rng):
@@ -548,7 +525,8 @@ class TestPolish:
             )
             L = model.log_odds()
             counts = block_edge_counts(graph.packed[model.m:], start, K)
-            labels, value, swaps = _polish(graph.adjacency, start, model.m, L,
+            A22 = graph.adjacency[model.m:, model.m:].astype(float)
+            labels, value, swaps = _polish(A22, start, model.m, L,
                                            objective(graph.adjacency, L, start), counts)
             assert value == pytest.approx(objective(graph.adjacency, L, labels), abs=1e-9)
             current = start.copy()
@@ -576,14 +554,16 @@ def polish_problem(rng, n_sizes, integer):
     L = np.triu(L) + np.triu(L, 1).T
     start = np.concatenate(
         [seed_labels, rng.permutation(np.repeat(np.arange(1, K + 1), n_sizes))])
-    return random_graph(rng, N, p=float(rng.uniform(0.1, 0.9))), L, start, len(seed_labels)
+    graph = random_graph(rng, N, p=float(rng.uniform(0.1, 0.9)))
+    return graph.adjacency, L, start, len(seed_labels)
 
 
 class TestPolishSearch:
     def assert_same_as_dense(self, adjacency, start, m, L):
         value = objective(adjacency, L, start)
         counts = block_edge_counts(np.packbits(adjacency[m:], axis=1), start, len(L))
-        labels, final, swaps = _polish(adjacency, start, m, L, value, counts)
+        A22 = adjacency[m:, m:].astype(float)
+        labels, final, swaps = _polish(A22, start, m, L, value, counts)
         want_labels, want_final, want_swaps = dense_polish(adjacency, start, m, L, value)
         assert swaps == want_swaps
         assert final == want_final
@@ -633,15 +613,16 @@ class TestPolishSearch:
         # likelihood scheme runs it
         config, model, graphs = replicate_graphs("medium", 20)
         hyper = config.hyper
-        made = []
+        made, current = [], {}
 
-        def both(adjacency, labels, m, L, value, counts):
-            # the matcher's counts are the recount's, and the polish agrees
-            # with the dense search that recounts
-            packed = np.packbits(adjacency[m:], axis=1)
-            assert np.array_equal(counts, block_edge_counts(packed, labels, len(L)))
-            got = _polish(adjacency, labels, m, L, value, counts)
-            want = dense_polish(adjacency, labels, m, L, value)
+        def both(A22, labels, m, L, value, counts):
+            # the matcher's A22 and counts are the graph's, and the polish
+            # agrees with the dense search that recounts
+            graph = current["graph"]
+            assert same_bits(A22, graph.adjacency[m:, m:].astype(float))
+            assert np.array_equal(counts, block_edge_counts(graph.packed[m:], labels, len(L)))
+            got = _polish(A22, labels, m, L, value, counts)
+            want = dense_polish(graph.adjacency, labels, m, L, value)
             assert got[2] == want[2] and got[1] == want[1]
             assert got[0].tolist() == want[0].tolist()
             made.extend(got[2])
@@ -649,8 +630,9 @@ class TestPolishSearch:
 
         monkeypatch.setattr(sgm, "_polish", both)
         for replicate, graph in enumerate(graphs):
-            sgm_match(graph.adjacency, model.log_odds(hyper.eps), graph.seed_labels,
-                      model.n_sizes, max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
+            current["graph"] = graph
+            sgm_match(graph, model.log_odds(hyper.eps), model.n_sizes,
+                      max_iter=hyper.sgm_max_iter, tol=hyper.sgm_tol,
                       restarts=hyper.sgm_restarts,
                       rng_seed=harness._replicate_seed(config.master_seed, replicate, 1))
         assert len(made) > 0

@@ -543,20 +543,6 @@ class TestSpectralNominate:
         first = graph.true_labels[nomination.positions()[:6]]
         assert (first == 1).all()
 
-    def test_d_defaults_from_model_rank(self):
-        lam = np.full((2, 2), 0.5)
-        model = BlockModel(m_sizes=(1, 1), n_sizes=(2, 2), lam=lam)
-        graph = sample_sbm(model, contiguous_assignment(model), 3)
-        nomination = spectral_nominate(graph, 2, model=model, rng_seed=0)
-        assert len(nomination) == 4
-
-    def test_d_required_without_model(self):
-        lam = np.full((2, 2), 0.5)
-        model = BlockModel(m_sizes=(1, 1), n_sizes=(2, 2), lam=lam)
-        graph = sample_sbm(model, contiguous_assignment(model), 3)
-        with pytest.raises(ValueError):
-            spectral_nominate(graph, 2, rng_seed=0)
-
     def test_near_tied_distances_listed_by_vertex_id(self, monkeypatch):
         # Vertices 3 and 4 sit 1e-12 apart, closer than the tie tolerance:
         # they form one tie group, listed by vertex id, not by rounding.
