@@ -194,7 +194,10 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     # seed_terms[v, k] = log-weight of v's seed-incident pairs if b(v) = k+1
     seed_terms = edges_to_seeds @ log_lam.T + nonedges_to_seeds @ log_1m.T
 
-    Q = 0.5 * np.kron(graph.rows(slice(m, None))[:, m:], log_lam - log_1m)
+    # Q[(i, k), (j, l)] = A22[i, j] (log_lam - log_1m)[k, l] / 2: the
+    # Kronecker product by broadcasting (halving first is exact)
+    half = 0.5 * (log_lam - log_1m)
+    Q = (graph.rows(slice(m, None))[:, None, m:, None] * half[:, None, :]).reshape(n * K, n * K)
     Q[np.diag_indices_from(Q)] += seed_terms.ravel()
 
     x_buf = np.empty((_BLOCK, n * K))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,6 +516,12 @@ def _numbered_lines(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+# A line of an edge list that is not two ids of plain ASCII digits (few
+# enough for int64) between blanks and tabs: blank lines, comments, headers,
+# and anything malformed or unusual. Newlines are already "\n" in text mode.
+_OTHER_LINE = re.compile(r"^(?![ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*$).*$", re.M)
+
+
 def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     """Read a 1-based whitespace edge list plus an optional seed-labels file
     (load_labels), whose vertices 1..m become the seeds.
@@ -522,11 +529,40 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     Duplicate and reversed edges collapse; self-loops are rejected. The
     vertex universe comes from an optional '#vertices N' header (or the
     num_vertices argument); otherwise it is the largest id referenced.
+
+    One regular-expression pass finds the lines that are not two plain
+    ids; numpy parses and checks all the others at once, and these are
+    read one by one. An error is reported at the first line that has one,
+    in file order, with the message a line-by-line read gives.
     """
     declared = num_vertices
+    try:
+        with open(edges_path, "r", encoding="utf-8") as fh:
+            text = "".join(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{edges_path}: not UTF-8 text ({exc})") from None
+    others, plain, start, lineno = [], [], 0, 1
+    for match in _OTHER_LINE.finditer(text):
+        lineno += text.count("\n", start, match.start())
+        others.append((lineno, match.group()))
+        plain.append(text[start : match.start()])
+        start = match.end()
+    plain.append(text[start:])
+    # stripped, since np.fromstring reads a text of whitespace alone as [0]
+    ends = np.fromstring("".join(plain).strip(), dtype=np.intp, sep=" ").reshape(-1, 2)
+    # the first plain line whose ids are not 1-based or form a self-loop
+    wrong = np.flatnonzero((ends < 1).any(axis=1) | (ends[:, 0] == ends[:, 1]))[:1]
+    stop = None
+    if len(wrong):
+        # its line number: its rank among the plain lines, moved down past
+        # each other line before it
+        stop = int(wrong[0]) + 1
+        for other_lineno, _ in others:
+            stop += other_lineno <= stop
     edges = []
-    max_id = 0
-    for lineno, line in _numbered_lines(edges_path):
+    for lineno, line in others:
+        if stop is not None and lineno > stop:
+            break
         stripped = line.strip()
         if not stripped:
             continue
@@ -552,7 +588,11 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
         if a == b:
             raise ParseError(f"{edges_path}:{lineno}: self-loop on vertex {a}")
         edges.append((a, b))
-        max_id = max(max_id, a, b)
+    if stop is not None:
+        a, b = ends[wrong[0]].tolist()
+        problem = "vertex ids are 1-based" if min(a, b) < 1 else f"self-loop on vertex {a}"
+        raise ParseError(f"{edges_path}:{stop}: {problem}")
+    max_id = max([int(ends.max(initial=0)), *map(max, edges)])
 
     seed_labels = np.array([], dtype=int)
     if labels_path is not None:
@@ -568,7 +608,7 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
         raise ParseError(f"{edges_path}: empty graph with no declared vertices")
     # Each edge sets its bit in both rows of the packed adjacency; no N x N
     # boolean is made.
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
+    ends = np.concatenate([ends, np.array(edges, dtype=np.intp).reshape(-1, 2)]) - 1
     rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
     packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
     np.bitwise_or.at(packed, (rows, cols // 8), (0x80 >> cols % 8).astype(np.uint8))

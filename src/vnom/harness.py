@@ -8,7 +8,6 @@ import functools
 import json
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,6 +312,9 @@ def _run_replicates(replicate_fn, replicates, workers=1):
     indices = range(replicates)
     if workers <= 1:
         return [replicate_fn(r) for r in indices]
+    # imported here: the pool's modules cost a one-worker run about 9 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # order preserved by map, so aggregation stays deterministic
         return list(pool.map(replicate_fn, indices))
@@ -447,6 +449,22 @@ def _seed_counts(config, dataset):
     return seed_counts
 
 
+# Unpacked bytes of the dataset's rows that _packed_submatrix holds at a time.
+_STRIP_BYTES = 1 << 20
+
+
+def _packed_submatrix(graph, order):
+    """The packed rows of graph's adjacency at rows and columns `order`,
+    gathered strip by strip: each strip unpacks at most _STRIP_BYTES of the
+    rows (one row at least), so no len(order) x N boolean is made."""
+    step = max(1, _STRIP_BYTES // graph.num_vertices)
+    packed = np.empty((len(order), -(-len(order) // 8)), dtype=np.uint8)
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        packed[start : start + step] = np.packbits(graph.rows(rows)[:, order], axis=1)
+    return packed
+
+
 def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     """One replicate's instance of the labeled graph.
 
@@ -480,7 +498,7 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     order = np.concatenate([seed_ids, ambiguous_ids])
     # a principal submatrix of the checked dataset graph is symmetric
     graph = LabeledGraph._symmetric(
-        np.packbits(dataset.graph.rows(order)[:, order], axis=1),
+        _packed_submatrix(dataset.graph, order),
         seed_labels=truth[seed_ids],
         true_labels=truth[ambiguous_ids],
     )

@@ -63,20 +63,62 @@ def solve_transport(cost, sizes):
         raise ValueError("sizes must be nonnegative and sum to the number of rows")
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
-    labels = _transport(cost, sizes)
+    labels = _Transport(sizes)(cost)
     return labels, float(cost[np.arange(len(labels)), labels].sum())
 
 
-def _transport(cost, sizes):
-    """solve_transport's labels, for a float n x K cost and int64 sizes
-    that have passed its checks. Frank-Wolfe's steps and the projection,
-    whose sizes sgm_match has checked, call it directly."""
-    blocks = np.flatnonzero(sizes)
-    columns = cost.T[blocks].copy()  # row-major, whatever order indexing gives
-    need = sizes[blocks]
-    u = _block_potentials(columns, need)
-    start = _best_blocks(columns - u[:, None])
-    return blocks[_balance(columns, need, start, u)]
+class _Transport:
+    """solve_transport for one vector of int64 block sizes that has passed
+    its checks: called on a float n x K cost, it returns the labels.
+    sgm_match builds one per call for all of its Frank-Wolfe steps and its
+    projection, so what depends only on the sizes is made once: the
+    nonempty blocks (the only ones solved for) and their sizes, the
+    partition cut positions, each block's list of other blocks and two
+    length-n buffers for potentials."""
+
+    def __init__(self, sizes):
+        self.blocks = np.flatnonzero(sizes)
+        self.sizes = sizes[self.blocks]
+        K, n = len(self.blocks), int(self.sizes.sum())
+        self.cuts = [(n - size - 1, n - size) for size in self.sizes.tolist()]
+        self.others = [[j for j in range(K) if j != k] for k in range(K)]
+        self.best, self.lead = np.empty(n), np.empty(n)
+
+    def __call__(self, cost):
+        columns = cost.T[self.blocks].copy()  # row-major, whatever order indexing gives
+        u = self.potentials(columns)
+        start = _best_blocks(columns - u[:, None])
+        return self.blocks[_balance(columns, self.sizes, start, u)]
+
+    def potentials(self, columns):
+        """Coordinate passes on the transportation dual: with the other
+        potentials fixed, u[k] is set between the sizes[k]-th and the next
+        largest lead of block k over each row's best other block, so that
+        sizes[k] rows prefer block k (up to ties at the threshold).
+
+        columns holds the K x n transposed cost of the nonempty blocks,
+        one contiguous row per block; reduced[k] = columns[k] - u[k] is
+        kept up to date as u changes. The best other block is a running
+        np.maximum (exact) into one buffer, and the two order statistics
+        come from np.partition of the leads in the other, which returns
+        the values a sort would."""
+        K = len(columns)
+        u = np.zeros(K)
+        if K == 1:
+            return u
+        reduced = columns.copy()
+        best, lead = self.best, self.lead
+        for _ in range(TRANSPORT_PASSES):
+            for k, (low, high) in enumerate(self.cuts):
+                first, *rest = self.others[k]
+                top = reduced[first]
+                for j in rest:
+                    top = np.maximum(top, reduced[j], out=best)
+                np.subtract(columns[k], top, out=lead)
+                lead.partition((low, high))
+                u[k] = 0.5 * (lead[low] + lead[high])
+                np.subtract(columns[k], u[k], out=reduced[k])
+        return u
 
 
 def _best_blocks(reduced):
@@ -89,39 +131,6 @@ def _best_blocks(reduced):
         labels[reduced[k] > best] = k
         best = np.maximum(best, reduced[k])
     return labels
-
-
-def _block_potentials(columns, sizes):
-    """Coordinate passes on the transportation dual: with the other
-    potentials fixed, u[k] is set between the sizes[k]-th and the next
-    largest lead of block k over each row's best other block, so that
-    sizes[k] rows prefer block k (up to ties at the threshold).
-
-    columns holds the K x n transposed cost, one contiguous row per block;
-    reduced[k] = columns[k] - u[k] is kept up to date as u changes. The
-    best other block is a running np.maximum (exact), and the two order
-    statistics come from np.partition, which returns the values a sort
-    would. The best other block and the leads go to two length-n buffers
-    made once per call."""
-    K, n = columns.shape
-    u = np.zeros(K)
-    if K == 1:
-        return u
-    reduced = columns.copy()
-    best, lead = np.empty(n), np.empty(n)
-    others = [[j for j in range(K) if j != k] for k in range(K)]
-    for _ in range(TRANSPORT_PASSES):
-        for k, size in enumerate(sizes.tolist()):
-            first, *rest = others[k]
-            top = reduced[first]
-            for j in rest:
-                top = np.maximum(top, reduced[j], out=best)
-            np.subtract(columns[k], top, out=lead)
-            cut = n - size
-            lead.partition((cut - 1, cut))
-            u[k] = 0.5 * (lead[cut - 1] + lead[cut])
-            np.subtract(columns[k], u[k], out=reduced[k])
-    return u
 
 
 def _balance(columns, sizes, labels, u):
@@ -137,12 +146,16 @@ def _balance(columns, sizes, labels, u):
     target's), which keeps every row at its best reduced cost. The K-node
     Bellman-Ford and the path walk run on Python floats and lists, whose
     sums and comparisons are numpy's. Each round moves one unit of excess;
-    labels and u are updated in place.
+    labels and u are updated in place. Blocks of size zero may take part:
+    any rows they start with move out. The index arrays are made only when
+    the counts are off, which most calls' are not.
     """
     K, n = columns.shape
-    rows, block_ids = np.arange(n), np.arange(K)[:, None, None]
     counts = np.bincount(labels, minlength=K).tolist()
     sizes = sizes.tolist()
+    if counts == sizes:
+        return labels
+    rows, block_ids, pairs = np.arange(n), np.arange(K)[:, None, None], np.arange(K * K)
     inf = float("inf")
     while counts != sizes:
         reduced = columns - u[:, None]
@@ -150,7 +163,7 @@ def _balance(columns, sizes, labels, u):
         # losses[a, b, i]: moving row i from its block a to block b
         losses = np.where(labels == block_ids, margin, np.inf)
         mover = losses.argmin(axis=2)
-        weight = losses.reshape(K * K, n)[np.arange(K * K), mover.ravel()].reshape(K, K).tolist()
+        weight = losses.reshape(K * K, n)[pairs, mover.ravel()].reshape(K, K).tolist()
         mover = mover.tolist()
         # Bellman-Ford from every over-full block, each pass relaxing every
         # node from the previous pass's distances (the first block on ties);
@@ -219,15 +232,21 @@ def _relaxation(packed, logodds, seed_labels):
     return const, C, to_seeds[m:]
 
 
-def _objective(Y, AY, const, C, L):
-    """f(Y) given AY = A22 Y."""
-    return const + float(np.sum(C * Y)) + float(np.sum(Y * (AY @ L.T)))
+def _total(x):
+    """The sum of all entries of x, by what np.sum calls for an ndarray
+    (so bit for bit the same), without its Python wrapper."""
+    return float(np.add.reduce(x, axis=None))
 
 
-def _gradient(AY, C, L):
-    """grad f(Y) = C + A22 Y L^T + A22^T Y L given AY = A22 Y, with A22
-    symmetric."""
-    return C + AY @ (L.T + L)
+def _objective(Y, AYL, const, C):
+    """f(Y) given AYL = A22 Y L^T."""
+    return const + _total(C * Y) + _total(Y * AYL)
+
+
+def _gradient(AY, C, LS):
+    """grad f(Y) = C + A22 Y L^T + A22^T Y L given AY = A22 Y and
+    LS = L^T + L, with A22 symmetric."""
+    return C + AY @ LS
 
 
 def sgm_match(graph, logodds, n_sizes, max_iter=20, tol=1e-6, restarts=1, rng_seed=0):
@@ -267,15 +286,16 @@ def sgm_match(graph, logodds, n_sizes, max_iter=20, tol=1e-6, restarts=1, rng_se
         for _ in range(restarts - 1):
             starts.append(onehot[slots[rng.permutation(n)]])
 
+    transport = _Transport(sizes)
     best = None
     for Y0 in starts:
         Y, history, iters, converged = _frank_wolfe(
-            Y0, sizes, const, C, A22, logodds, max_iter, tol
+            Y0, transport, const, C, A22, logodds, max_iter, tol
         )
-        ambiguous = _transport(Y, sizes)
+        ambiguous = transport(Y)
         R = onehot[ambiguous]
         AR = A22 @ R
-        objective = _objective(R, AR, const, C, logodds)
+        objective = _objective(R, AR @ logodds.T, const, C)
         labels = np.concatenate([seed_labels, ambiguous + 1])
         # Sums of 0/1 products, so these block edge counts are exact.
         counts = seed_counts + AR
@@ -377,20 +397,26 @@ def _best_swap(x, y, kappa, A, rows, cols, floor):
     return best
 
 
-def _frank_wolfe(Y, sizes, const, C, A22, L, max_iter, tol):
+def _frank_wolfe(Y, transport, const, C, A22, L, max_iter, tol):
+    """Frank-Wolfe from Y with exact line search. AY = A22 Y and
+    AYL = AY L^T are carried with each iterate, so each is formed once
+    per step; the step's quadratic a alpha^2 + b alpha is
+    <D, AD L^T> alpha^2 + (<D, C> + <Y, AD L^T> + <D, AY L^T>) alpha."""
     onehot = np.eye(len(L))
+    LT, LS = L.T, L.T + L
     AY = A22 @ Y
-    f = _objective(Y, AY, const, C, L)
+    AYL = AY @ LT
+    f = _objective(Y, AYL, const, C)
     history = [f]
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        labels = _transport(_gradient(AY, C, L), sizes)
+        labels = transport(_gradient(AY, C, LS))
         D = onehot[labels] - Y
         AD = A22 @ D
-        ADL = AD @ L.T
-        a = float(np.sum(D * ADL))
-        b = float(np.sum(D * C)) + float(np.sum(Y * ADL)) + float(np.sum(D * (AY @ L.T)))
+        ADL = AD @ LT
+        a = _total(D * ADL)
+        b = _total(D * C) + _total(Y * ADL) + _total(D * AYL)
         if a < -1e-12:
             alpha = min(1.0, max(0.0, -b / (2.0 * a)))
         elif a > 1e-12:
@@ -401,7 +427,8 @@ def _frank_wolfe(Y, sizes, const, C, A22, L, max_iter, tol):
         if alpha > 0.0:
             Y = Y + alpha * D
             AY = AY + alpha * AD
-        f_new = _objective(Y, AY, const, C, L)
+            AYL = AY @ LT
+        f_new = _objective(Y, AYL, const, C)
         history.append(f_new)
         if abs(f_new - f) <= tol * max(1.0, abs(f)):
             f = f_new

@@ -4,6 +4,7 @@ selection, and distance ranking."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,19 +118,26 @@ def _extend(basis, j, w):
     span = basis[: j + 1]
     h = span @ w
     r = w - h @ span
-    beta = np.linalg.norm(r)
-    if beta <= 0.717 * np.linalg.norm(w):
+    beta = _norm(r)
+    if beta <= 0.717 * _norm(w):
         c = span @ r
         r -= c @ span
         h += c
-        first, beta = beta, np.linalg.norm(r)
+        first, beta = beta, _norm(r)
         if beta <= 0.717 * first:
             beta = 0.0
             r = np.random.default_rng(j).uniform(-1.0, 1.0, len(w))
             for _ in range(2):
                 r -= (span @ r) @ span
-    basis[j + 1] = r / np.linalg.norm(r)
+    basis[j + 1] = r / _norm(r)
     return h[j], beta
+
+
+def _norm(x):
+    """np.linalg.norm of a 1-D float64 vector, bit for bit (the square
+    root of x.dot(x), which is what it computes), without its Python
+    wrapper."""
+    return math.sqrt(x.dot(x))
 
 
 def _lanczos(matvec, N, d, v0, tol):

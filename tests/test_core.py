@@ -690,6 +690,28 @@ class TestLoadEdgeList:
         assert graph.num_vertices == N
         assert peak < N * N / 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n3 3\nx y\n", r":2: self-loop on vertex 3"),
+        ("1 2\nx y\n3 3\n", r":2: non-integer vertex id"),
+        ("#vertices 4\n\n# note\n0 1\n1 2 3\n", r":4: vertex ids are 1-based"),
+        ("2 1\n\n#vertices x\n4 4\n", r":3: malformed '#vertices' header"),
+    ])
+    def test_first_faulty_line_is_reported(self, tmp_path, text, message):
+        # plain "a b" lines and the other lines are checked in file order
+        edges = tmp_path / "edges.txt"
+        edges.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_edge_list(edges)
+
+    def test_unusual_ids_parse_as_int_does(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("#vertices 12\n+3 4\n1_0 2\r\n  05\t\t6  \n7\x0b8\n")
+        got = load_edge_list(edges).adjacency
+        want = np.zeros((12, 12), dtype=bool)
+        for a, b in [(3, 4), (10, 2), (5, 6), (7, 8)]:
+            want[a - 1, b - 1] = want[b - 1, a - 1] = True
+        assert np.array_equal(got, want)
+
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("3 3\n")

@@ -1,4 +1,5 @@
-"""Import footprint: no run of the program loads SciPy.
+"""Import footprint: no run of the program loads SciPy, and a one-worker
+run loads no process pool.
 
 Each check runs in a fresh interpreter, since this test process may have
 loaded SciPy already (the tests use it as a reference)."""
@@ -14,31 +15,40 @@ from test_golden import two_class_files
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _scipy_modules_after(code):
-    """The sorted names of the SciPy modules loaded after running `code`
-    in a fresh interpreter with this tree's vnom on the path."""
+def _modules_after(code, packages=("scipy",)):
+    """The sorted names of the modules of `packages` loaded after running
+    `code` in a fresh interpreter with this tree's vnom on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     code += (
         "\nimport json, sys\n"
+        f"packages = {list(packages)!r}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))))\n"
+        " if any(m == p or m.startswith(p + '.') for p in packages))))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_small_experiment_loads_no_scipy():
-    code = f"""
+SMALL_RUN = f"""
 import dataclasses
 import vnom, vnom.harness, vnom.cli
 config = vnom.harness.load_config({str(ROOT / "configs" / "small.json")!r})
 assert set(config.schemes) == set(vnom.harness.SCHEMES)
 vnom.harness.run_simulation(dataclasses.replace(config, replicates=3))
 """
-    assert _scipy_modules_after(code) == []
+
+
+def test_small_experiment_loads_no_scipy():
+    assert _modules_after(SMALL_RUN) == []
+
+
+def test_one_worker_run_loads_no_process_pool():
+    # only a run with workers > 1 needs concurrent.futures' process pool
+    loaded = _modules_after(SMALL_RUN, ("multiprocessing", "concurrent.futures.process"))
+    assert loaded == []
 
 
 def test_lanczos_embedding_and_realdata_load_no_scipy(tmp_path):
@@ -58,4 +68,4 @@ config = harness.parse_config({{
 }})
 harness.run_realdata(config)
 """
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code) == []

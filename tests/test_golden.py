@@ -1,10 +1,12 @@
-"""Golden digests of the nomination lists.
+"""Golden digests of the nomination lists and of the matcher's output.
 
 Each case runs a fixed subset of an experiment and hashes every
 replicate's nomination order, scheme by scheme, with SHA-256. A change
 that is meant to leave every list as it is must leave these digests as
 they are; a change that moves lists on purpose updates them here and says
-so in CHANGES.md."""
+so in CHANGES.md. The matcher digests hash every sgm_match result of the
+small and medium cases bit for bit, Frank-Wolfe history included, so a
+change to any iterate's rounding fails there even when no list moves."""
 
 import hashlib
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnom import harness
+from vnom import harness, likelihood
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -31,6 +33,14 @@ GOLDEN = {
         "likelihood": "6c7b731f488f2284b462582afe8ff009f1d939d8e5b42ba07ddf89fc52143589",
         "spectral": "632c60081e42cdfd251889fa0a195b5d521b3e303fa2892e342c541cb475d0c5",
     },
+}
+
+# SHA-256 over every sgm_match result of a case, in call order: labels as
+# int64, objective and relaxed_objectives as float64, iterations as int64
+# and converged as one byte, all little-endian.
+GOLDEN_MATCHER = {
+    "small": "9ebd66dfac7ec5655c0f2f72a81b51372113d9fd2fffdc6a40a86e0c955e3e8b",
+    "medium": "f629654f3aa8ed54f314b8f36982d97f4e3eae85e05e29737738878e98b2c0aa",
 }
 
 
@@ -81,3 +91,23 @@ def test_nomination_lists_unchanged(case, monkeypatch, tmp_path):
     run = harness.run_realdata if config.mode == "realdata" else harness.run_simulation
     run(config)
     assert {s: h.hexdigest() for s, h in digests.items()} == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MATCHER))
+def test_matcher_results_unchanged(case, monkeypatch, tmp_path):
+    config = config_for(case, tmp_path)
+    digest = hashlib.sha256()
+    match = likelihood.sgm_match
+
+    def recorded(*args, **kwargs):
+        result = match(*args, **kwargs)
+        digest.update(np.asarray(result.labels, dtype="<i8").tobytes())
+        digest.update(np.asarray([result.objective, *result.relaxed_objectives],
+                                 dtype="<f8").tobytes())
+        digest.update(np.asarray(result.iterations, dtype="<i8").tobytes())
+        digest.update(bytes([result.converged]))
+        return result
+
+    monkeypatch.setattr(likelihood, "sgm_match", recorded)
+    harness.run_simulation(config)
+    assert digest.hexdigest() == GOLDEN_MATCHER[case]

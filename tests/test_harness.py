@@ -2,6 +2,7 @@
 real-data protocol, and the subsample-average procedure."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,45 @@ class TestRunRealdata:
             assert core._is_symmetric(graph.packed)
             assert graph.packed.flags.c_contiguous
             assert np.array_equal(graph.adjacency, dataset.adjacency[np.ix_(order, order)])
+
+    def test_instance_gathered_in_strips(self, tmp_path, monkeypatch):
+        # A strip budget of three rows' bytes splits the gather into
+        # strips of three rows and a shorter last one.
+        model = BlockModel(m_sizes=(0, 0), n_sizes=(20, 21), lam=[[0.6, 0.3], [0.3, 0.5]])
+        dataset = sample_sbm(model, contiguous_assignment(model), 8)
+        edges, labels = write_sbm_dataset(tmp_path, model, 8)
+        config = parse_config({
+            "mode": "realdata", "schemes": ["spectral"], "replicates": 1,
+            "master_seed": 3, "data": {"edges": edges, "labels": labels, "K": 2},
+        })
+        monkeypatch.setattr(harness, "_STRIP_BYTES", 3 * 41 + 2)
+        for pool_sizes in (None, [15, 16]):
+            order, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
+            assert np.array_equal(graph.adjacency, dataset.adjacency[np.ix_(order, order)])
+
+    def test_instance_memory_is_bounded(self, tmp_path):
+        # The instance's packed rows are N^2 / 8 bytes; unpacking all of
+        # the rows would take N^2.
+        N = 3000
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(1, N + 1, size=(20000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        edges.write_text(f"#vertices {N}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        labels.write_text("".join(f"{v} {1 + v % 2}\n" for v in range(1, N + 1)))
+        config = parse_config({
+            "mode": "realdata", "schemes": ["spectral"], "replicates": 1, "master_seed": 3,
+            "data": {"edges": str(edges), "labels": str(labels), "K": 2},
+        })
+        harness._labeled_instance(config, 0, [20, 20])  # loads the dataset
+        tracemalloc.start()
+        try:
+            order, graph, _ = harness._labeled_instance(config, 1, [20, 20])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_vertices == len(order) == N
+        assert peak < N * N / 2
 
     def test_vertex_ids_do_not_leak_into_null_map(self, tmp_path):
         # Isolated vertices tie, so a tie-break by file id would list the

@@ -26,7 +26,7 @@ from vnom.sgm import (
     TRANSPORT_PASSES,
     _balance,
     _best_blocks,
-    _block_potentials,
+    _Transport,
     _gradient,
     _objective,
     _polish,
@@ -94,7 +94,7 @@ def transport_reference(cost, sizes):
 def reference_block_potentials(cost, sizes):
     """The transport potentials as computed over the n x K cost: a masked
     row maximum and a full stable sort per block. Reference for
-    sgm._block_potentials."""
+    sgm._Transport.potentials."""
     n, K = cost.shape
     u = np.zeros(K)
     if K == 1:
@@ -149,6 +149,48 @@ def reference_balance(columns, sizes, labels, u):
             b = a
         u -= np.minimum(dist, dist[target])
     return labels
+
+
+def reference_transport(cost, sizes):
+    """The transport labels from the references above: potentials, best
+    blocks and balance over the nonempty blocks only, which are the ones
+    sgm._Transport solves for."""
+    blocks = np.flatnonzero(sizes)
+    need, kept = sizes[blocks], cost[:, blocks]
+    u = reference_block_potentials(kept, need)
+    labels = np.argmax(kept - u, axis=1)
+    reference_balance(np.ascontiguousarray(kept.T), need, labels, u)
+    return blocks[labels]
+
+
+def zero_size_blocks(rng):
+    K = int(rng.integers(2, 6))
+    weights = rng.dirichlet(np.full(K, 0.5))
+    weights[rng.integers(K)] = 0.0
+    sizes = rng.multinomial(int(rng.integers(1, 40)), weights / weights.sum())
+    return sizes, rng.normal(size=(int(sizes.sum()), K))
+
+
+def one_block(rng):
+    # K = 1, or K > 1 with every row in one block
+    K = int(rng.integers(1, 4))
+    sizes = np.zeros(K, dtype=np.int64)
+    sizes[rng.integers(K)] = rng.integers(1, 20)
+    return sizes, rng.normal(size=(int(sizes.sum()), K))
+
+
+def one_row(rng):
+    K = int(rng.integers(1, 6))
+    sizes = np.zeros(K, dtype=np.int64)
+    sizes[rng.integers(K)] = 1
+    return sizes, rng.normal(size=(1, K))
+
+
+def tied_integer_costs(rng):
+    K = int(rng.integers(2, 6))
+    n = int(rng.integers(K, 40))
+    sizes = 1 + rng.multinomial(n - K, np.full(K, 1.0 / K))
+    return sizes, rng.integers(0, 3, size=(n, K)).astype(float)
 
 
 def assert_balance_matches_reference(columns, sizes, u):
@@ -289,10 +331,23 @@ class TestSolveTransport:
             cost = (rng.integers(0, 3, size=(n, K)).astype(float) if integer
                     else rng.normal(size=(n, K)))
             columns = np.ascontiguousarray(cost.T)
-            u = _block_potentials(columns, sizes)
+            u = _Transport(sizes).potentials(columns)
             assert same_bits(u, reference_block_potentials(cost, sizes))
             assert np.array_equal(_best_blocks(columns - u[:, None]),
                                   np.argmax(cost - u, axis=1))
+
+    @pytest.mark.parametrize("draw", [zero_size_blocks, one_block, one_row,
+                                      tied_integer_costs], ids=lambda f: f.__name__)
+    def test_solver_matches_references_on_edge_cases(self, rng, draw):
+        # one solver per size vector, reused across costs as sgm_match
+        # reuses it across its Frank-Wolfe steps
+        for _ in range(100):
+            sizes, base = draw(rng)
+            solver = _Transport(sizes)
+            for cost in (base, -base, np.zeros_like(base), base):
+                labels = solver(cost)
+                assert np.array_equal(labels, reference_transport(cost, sizes))
+                assert np.bincount(labels, minlength=len(sizes)).tolist() == sizes.tolist()
 
     def test_balance_matches_reference_on_integer_ties(self, rng):
         # integer costs tie rows' margins, path lengths and block distances
@@ -301,7 +356,8 @@ class TestSolveTransport:
             n = int(rng.integers(K, 61))
             sizes = 1 + rng.multinomial(n - K, np.full(K, 1.0 / K))
             columns = rng.integers(0, 3, size=(K, n)).astype(float)
-            assert_balance_matches_reference(columns, sizes, _block_potentials(columns, sizes))
+            assert_balance_matches_reference(columns, sizes,
+                                             _Transport(sizes).potentials(columns))
 
     def test_balance_multi_hop_path(self):
         # Block 0 holds two rows and block 2 none. Moving a row straight
@@ -344,24 +400,25 @@ class TestSolveTransport:
             assert np.bincount(labels, minlength=K).tolist() == sizes.tolist()
 
     def test_frank_wolfe_core_calls_match_solve_transport(self, monkeypatch):
-        # Frank-Wolfe's steps and the projection skip solve_transport's
-        # checks and value; on their own inputs it returns the same labels.
+        # Frank-Wolfe's steps and the projection share one solver per
+        # match and skip solve_transport's checks and value; on their own
+        # inputs a fresh solver returns the same labels.
         calls = []
-        core = sgm._transport
+        core = sgm._Transport.__call__
 
-        def recorded(cost, sizes):
-            labels = core(cost, sizes)
-            calls.append((cost.copy(), sizes.copy(), labels.copy()))
+        def recorded(solver, cost):
+            labels = core(solver, cost)
+            calls.append((cost.copy(), labels.copy()))
             return labels
 
-        monkeypatch.setattr(sgm, "_transport", recorded)
+        monkeypatch.setattr(sgm._Transport, "__call__", recorded)
         _, model, graphs = replicate_graphs("medium", 20)
         for graph in graphs[:2]:
             sgm_match(graph, model.log_odds(), model.n_sizes, restarts=2)
         monkeypatch.undo()
         assert len(calls) > 10
-        for cost, sizes, labels in calls:
-            assert np.array_equal(solve_transport(cost, sizes)[0], labels)
+        for cost, labels in calls:
+            assert np.array_equal(solve_transport(cost, model.n_sizes)[0], labels)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):
@@ -459,15 +516,15 @@ class TestSgmMatch:
         const, C, _ = _relaxation(graph.packed, L, graph.seed_labels)
         A22 = graph.adjacency[2:, 2:].astype(float)
         Y = random_doubly_stochastic(rng, 8) @ np.eye(3)[[0, 0, 0, 1, 1, 2, 2, 2]]
-        grad = _gradient(A22 @ Y, C, L)
+        grad = _gradient(A22 @ Y, C, L.T + L)
         h = 1e-5
         for _ in range(10):
             i, k = rng.integers(8), rng.integers(3)
             Yp, Ym = Y.copy(), Y.copy()
             Yp[i, k] += h
             Ym[i, k] -= h
-            fd = (_objective(Yp, A22 @ Yp, const, C, L)
-                  - _objective(Ym, A22 @ Ym, const, C, L)) / (2 * h)
+            fd = (_objective(Yp, A22 @ Yp @ L.T, const, C)
+                  - _objective(Ym, A22 @ Ym @ L.T, const, C)) / (2 * h)
             assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_block_form_equals_nxn_relaxation(self, rng):
@@ -484,10 +541,10 @@ class TestSgmMatch:
             const, C, _ = _relaxation(graph.packed, L, seed_labels)
             AY = adjacency[m:, m:].astype(float) @ Y
             labels = np.concatenate([seed_labels, slots]).astype(int)
-            assert _objective(Y, AY, const, C, L) == pytest.approx(
+            assert _objective(Y, AY @ L.T, const, C) == pytest.approx(
                 flat_objective_nxn(Q, adjacency, L, labels, m), abs=1e-9)
             np.testing.assert_allclose(
-                _gradient(AY, C, L) @ S.T, gradient_nxn(Q, adjacency, L, labels, m),
+                _gradient(AY, C, L.T + L) @ S.T, gradient_nxn(Q, adjacency, L, labels, m),
                 rtol=0, atol=1e-9)
 
     def test_objective_at_least_flat_projection(self, rng):
