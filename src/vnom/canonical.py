@@ -12,12 +12,9 @@ from vnom.core import PROB_EPS, block_edge_counts, block_pair_counts
 from vnom.metrics import NominationList, rank_with_ties
 
 DEFAULT_GUARD = 10**8
-_CACHE_LIMIT = 10**6
-_CHUNK = 200_000
-# Partitions scored per X·Q product; two float64 buffers of _BLOCK x n·K.
-_BLOCK = 1024
-
-_partition_cache = {}
+# Most entries in one float64 block (8 MiB): of log-weights, or of a half's
+# one-hot rows while their quadratic terms are summed.
+_TILE = 2**20
 
 
 class InfeasibleEnumerationError(ValueError):
@@ -78,82 +75,50 @@ def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
     yield from rec(0, list(n_sizes))
 
 
-def _partition_matrix(n_sizes, guard):
-    """All partitions as a (count, n·K) boolean one-hot matrix, cached for
-    small counts: column i·K + k is set when vertex i has label k+1.
+def _half_partitions(n_sizes, h1, h2):
+    """Every labeling of the first h1 and of the first h2 vertices (h1 <= h2)
+    that fits in blocks of sizes n_sizes, as two (rows, h·K) boolean one-hot
+    matrices (column i·K + k is set when vertex i has label k+1), each with
+    the row bounds of its groups.
 
-    The cache keeps only the most recent n_sizes, so it holds at most one
-    matrix of up to _CACHE_LIMIT rows.
+    The labelings are extended one vertex at a time, in the order of
+    enumerate_partitions, keeping only those with room left, so no K^h
+    matrix is built. Each matrix is sorted stably by a mixed-radix code of
+    block sizes, and a group is a run of rows with one code: H1 is coded by
+    the sizes its rows leave and H2 by the sizes its rows use, so group g of
+    H1 and group g of H2 complete each other.
     """
-    key = tuple(int(s) for s in n_sizes)
-    if key in _partition_cache:
-        return _partition_cache[key]
-    if check_enumeration(key, guard) <= _CACHE_LIMIT:
-        mat = _one_hot(np.concatenate(list(_label_chunks(key))), len(key))
-        _partition_cache.clear()
-        _partition_cache[key] = mat
-        return mat
-    return None
+    eye = np.eye(len(n_sizes), dtype=bool)
+    x = np.zeros((1, 0), dtype=bool)
+    left = np.array([n_sizes], dtype=np.min_scalar_type(max(n_sizes)))
+    levels = [(x, left)]
+    for _ in range(h2):
+        rows, ks = np.nonzero(left > 0)
+        placed = eye[ks]
+        x = np.concatenate([x[rows], placed], axis=1)
+        left = left[rows] - placed
+        levels.append((x, left))
+    # mixed radix with block 1 most significant: codes sort sizes lexicographically
+    radix = [math.prod(s + 1 for s in n_sizes[k + 1 :]) for k in range(len(n_sizes))]
+    (x1, left1), (x2, left2) = levels[h1], levels[h2]
+    halves = []
+    for x, sizes in ((x1, left1), (x2, n_sizes - left2)):
+        code = sizes @ radix
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        cuts = np.flatnonzero(code[1:] != code[:-1]) + 1
+        halves += [x[order], [0, *cuts.tolist(), len(order)]]
+    return halves
 
 
-def _extend(labels, remaining):
-    """Extend every label prefix by each label with room left in
-    `remaining`, prefix-major and label-minor, so rows in lexicographic
-    order stay in that order. Returns the new prefixes, their remaining
-    block sizes, and the parent row and block index of each new row."""
-    rows, ks = np.nonzero(remaining > 0)
-    labels = np.column_stack([labels[rows], (ks + 1).astype(np.int8)])
-    remaining = remaining[rows]
-    remaining[np.arange(len(rows)), ks] -= 1
-    return labels, remaining, rows, ks
-
-
-def _label_chunks(n_sizes):
-    """All partitions as rows of 1-based labels, in the order of
-    enumerate_partitions, in int8 matrices of at most _CHUNK rows built one
-    column at a time by _extend.
-
-    Prefixes are extended until none has more than _CHUNK completions. Each
-    run of consecutive prefixes whose completions fit in one chunk is then
-    extended to full length together.
-    """
-    n = sum(n_sizes)
-    labels = np.zeros((1, 0), dtype=np.int8)
-    remaining = np.array([n_sizes], dtype=np.int32)
-    # completions per prefix, as exact Python integers
-    counts = np.array([partition_count(n_sizes)], dtype=object)
-    while counts.max() > _CHUNK:
-        depth = labels.shape[1]
-        labels, remaining, rows, ks = _extend(labels, remaining)
-        # a child takes the share r_k / (n - depth) of its parent's
-        # completions, r_k being the room its label had before it was placed
-        room = remaining[np.arange(len(rows)), ks] + 1
-        counts = counts[rows] * room.astype(object) // (n - depth)
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(labels):
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + _CHUNK, side="right"))
-        chunk, left = labels[start:stop], remaining[start:stop]
-        for _ in range(n - labels.shape[1]):
-            chunk, left, _, _ = _extend(chunk, left)
-        yield chunk
-        start = stop
-
-
-def _one_hot(partitions, K):
-    """Rows of 1-based labels as a (count, n·K) boolean one-hot matrix."""
-    labels = np.asarray(partitions, dtype=np.int8)
-    return (labels[:, :, None] == np.arange(1, K + 1, dtype=np.int8)).reshape(len(labels), -1)
-
-
-def _chunked_partitions(n_sizes, guard):
-    mat = _partition_matrix(n_sizes, guard)
-    if mat is not None:
-        yield mat
-        return
-    for labels in _label_chunks(n_sizes):
-        yield _one_hot(labels, len(n_sizes))
+def _quadratic_terms(x, Q):
+    """xᵀQx for every row x of a boolean matrix, _TILE entries at a time."""
+    step = max(_TILE // (x.shape[1] + 1), 1)
+    q = np.empty(len(x))
+    for i in range(0, len(x), step):
+        y = x[i : i + step].astype(float)
+        q[i : i + step] = np.einsum("pj,pj->p", y @ Q, y)
+    return q
 
 
 def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_EPS):
@@ -170,13 +135,24 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     the seeds if i is in block k+1 (the diagonal carries it because
     x_i^2 = x_i). The constant c holds the seed-seed pairs and the sum of
     log(1 - Lambda) over the ambiguous pairs, which depends only on
-    n_sizes. The partitions are scored _BLOCK rows at a time through two
-    reused float buffers, one X·Q product and a row-wise dot each, and
-    summed as exp(log-weight - running maximum).
+    n_sizes.
+
+    The partitions are scored by meet-in-the-middle. With H1 the first
+    floor(n/2) ambiguous vertices and H2 the rest, x = (x1, x2) and
+
+        x^T Q x = q1 + q2 + x1 (2 Q12) x2^T,   qi = xi^T Qii xi.
+
+    Each pair of groups of _half_partitions that complete each other is
+    scored as one product with A1 = X1 (2 Q12), in row tiles of at most
+    _TILE log-weights (one row, if an H2 group alone is larger), and summed
+    as exp(log-weight - running maximum). The row sums of the weights,
+    applied to H1's block-1 columns, and their column sums, applied to
+    H2's, give the numerators.
     """
     m, n, K = model.m, model.n, model.K
     if graph.seed_count != m or graph.ambiguous_count != n:
         raise ValueError("graph does not match the model's seed/ambiguous sizes")
+    check_enumeration(model.n_sizes, guard)
     lam = model.clamped_lam(eps)
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
@@ -200,25 +176,32 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     Q = (graph.rows(slice(m, None))[:, None, m:, None] * half[:, None, :]).reshape(n * K, n * K)
     Q[np.diag_indices_from(Q)] += seed_terms.ravel()
 
-    x_buf = np.empty((_BLOCK, n * K))
-    xq_buf = np.empty((_BLOCK, n * K))
-    shift, total, numer = -np.inf, 0.0, np.zeros(n * K)
-    for chunk in _chunked_partitions(model.n_sizes, guard):
-        for start in range(0, len(chunk), _BLOCK):
-            x = x_buf[: min(_BLOCK, len(chunk) - start)]
-            np.copyto(x, chunk[start : start + len(x)])
-            xq = np.dot(x, Q, out=xq_buf[: len(x)])
-            logw = np.einsum("pj,pj->p", xq, x)
+    h1 = n // 2
+    x1, bounds1, x2, bounds2 = _half_partitions(model.n_sizes, h1, n - h1)
+    cut = h1 * K
+    q1, q2 = _quadratic_terms(x1, Q[:cut, :cut]), _quadratic_terms(x2, Q[cut:, cut:])
+    a1 = x1 @ (2 * Q[:cut, cut:])
+    # summed weight of the partitions through each H1 row and each H2 row
+    shift, w1, w2 = -np.inf, np.zeros(len(x1)), np.zeros(len(x2))
+    for lo1, hi1, lo2, hi2 in zip(bounds1[:-1], bounds1[1:], bounds2[:-1], bounds2[1:]):
+        y2 = x2[lo2:hi2].astype(float)
+        step = max(_TILE // (hi2 - lo2), 1)
+        for i in range(lo1, hi1, step):
+            j = min(i + step, hi1)
+            logw = a1[i:j] @ y2.T
+            logw += q1[i:j, None]
+            logw += q2[lo2:hi2]
             top = logw.max()
             if top > shift:
                 scale = math.exp(shift - top)
-                total *= scale
-                numer *= scale
+                w1 *= scale
+                w2 *= scale
                 shift = top
-            w = np.exp(logw - shift)
-            total += w.sum()
-            numer += w @ x
-    prob = numer[::K] / total
+            w = np.exp(np.subtract(logw, shift, out=logw), out=logw)
+            w1[i:j] = w.sum(axis=1)
+            w2[lo2:hi2] += w.sum(axis=0)
+    total = w1.sum()
+    prob = np.concatenate([w1 @ x1[:, ::K], w2 @ x2[:, ::K]]) / total
     log_denominator = shift + math.log(total) + pair_const + seed_const
     return CanonicalScores(prob=prob, log_denominator=float(log_denominator))
 

@@ -491,7 +491,10 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
         seed_ids.append(np.sort(seeds))
         pools.append(pool)
     seed_ids = np.concatenate(seed_ids)
-    ambiguous_ids = np.setdiff1d(np.concatenate(pools), seed_ids)
+    ambiguous = np.zeros(len(truth), dtype=bool)
+    ambiguous[np.concatenate(pools)] = True
+    ambiguous[seed_ids] = False
+    ambiguous_ids = np.flatnonzero(ambiguous)
     ambiguous_ids = ambiguous_ids[
         _ambiguous_permutation(config, replicate, len(ambiguous_ids))
     ]

@@ -254,27 +254,34 @@ def _blas_threads_env(threads):
 def test_determinism_across_blas_thread_counts(tmp_path):
     # configs/medium.json embeds through the Lanczos solver's BLAS
     # matrix-vector products and reorthogonalisation and matches graphs
-    # through BLAS products; the outputs must not depend on how many
-    # threads BLAS uses.
-    config = json.loads((CONFIG_DIR / "medium.json").read_text(encoding="utf-8"))
-    config["replicates"] = 4
-    config_path = tmp_path / "medium.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    blobs = []
-    for threads in ("1", "2"):
-        csv_path = tmp_path / f"curve_{threads}.csv"
-        json_path = tmp_path / f"summary_{threads}.json"
-        subprocess.run(
-            [sys.executable, "-m", "vnom.cli", "experiment", "--config", str(config_path),
-             "--log-raw", "--csv-out", str(csv_path), "--json-out", str(json_path)],
-            env=_blas_threads_env(threads), check=True, capture_output=True,
-        )
-        blobs.append((
-            csv_path.read_bytes(),
-            json_path.read_bytes(),
-            (tmp_path / f"curve_{threads}.csv.raw.csv").read_bytes(),
-        ))
-    assert blobs[0] == blobs[1]
+    # through BLAS products; a canonical-only copy of configs/small.json at
+    # n_sizes (6, 6, 5) scores its 5.7 million partitions through GEMMs of
+    # inner width ceil(n/2)·K. The outputs must not depend on how many
+    # threads BLAS uses, nor on how many workers run the replicates.
+    medium = json.loads((CONFIG_DIR / "medium.json").read_text(encoding="utf-8"))
+    medium["replicates"] = 4
+    canonical = json.loads((CONFIG_DIR / "small.json").read_text(encoding="utf-8"))
+    canonical.update(schemes=["canonical"], replicates=3)
+    canonical["model"]["n_sizes"] = [6, 6, 5]
+    for name, config in (("medium", medium), ("canonical", canonical)):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        blobs = []
+        for threads, workers in (("1", "1"), ("2", "2")):
+            csv_path = tmp_path / f"{name}_{threads}.csv"
+            json_path = tmp_path / f"{name}_{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "vnom.cli", "experiment", "--config", str(config_path),
+                 "--workers", workers, "--log-raw", "--csv-out", str(csv_path),
+                 "--json-out", str(json_path)],
+                env=_blas_threads_env(threads), check=True, capture_output=True,
+            )
+            blobs.append((
+                csv_path.read_bytes(),
+                json_path.read_bytes(),
+                (tmp_path / f"{name}_{threads}.csv.raw.csv").read_bytes(),
+            ))
+        assert blobs[0] == blobs[1], name
 
 
 def test_packed_embedding_same_bits_across_blas_thread_counts():

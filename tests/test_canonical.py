@@ -1,22 +1,28 @@
 """Exact canonical nomination against a rational brute-force oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import random_instance, random_symmetric_lambda
+from conftest import BASE_LAMBDA, random_instance, random_symmetric_lambda
 from vnom import canonical
 from vnom.canonical import (
-    DEFAULT_GUARD,
     InfeasibleEnumerationError,
     canonical_nominate,
     conditional_block1_probability,
     enumerate_partitions,
     partition_count,
 )
-from vnom.core import BlockModel, LabeledGraph, clamp_probabilities
+from vnom.core import (
+    BlockModel,
+    LabeledGraph,
+    clamp_probabilities,
+    contiguous_assignment,
+    sample_sbm,
+)
 
 
 def oracle_block1_probability(graph, model):
@@ -89,36 +95,25 @@ class TestEnumeratePartitions:
         with pytest.raises(InfeasibleEnumerationError):
             list(enumerate_partitions((10, 10, 10), guard=100))
 
-    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 1, 1), (0, 2, 1),
-                                       (2, 0, 2, 1), (3, 2, 2), (4, 3, 3)])
-    def test_cached_matrix_matches_generator(self, sizes):
-        mat = canonical._partition_matrix(sizes, DEFAULT_GUARD)
-        labels = np.array(list(enumerate_partitions(sizes)))
-        K = len(sizes)
-        assert mat.dtype == bool
-        assert np.array_equal(mat.reshape(len(labels), -1, K).argmax(axis=2) + 1, labels)
-        assert np.array_equal(mat.sum(axis=1), np.full(len(labels), labels.shape[1]))
-
-    @pytest.mark.parametrize("chunk", [1, 7, 50])
-    @pytest.mark.parametrize("sizes", [(1,), (5,), (2, 1), (0, 2, 1), (2, 0, 2, 1),
-                                       (3, 2, 2), (4, 3, 3)])
-    def test_chunks_past_cache_concatenate_to_generator(self, monkeypatch, sizes, chunk):
-        monkeypatch.setattr(canonical, "_partition_cache", {})
-        monkeypatch.setattr(canonical, "_CACHE_LIMIT", 0)
-        monkeypatch.setattr(canonical, "_CHUNK", chunk)
-        chunks = list(canonical._chunked_partitions(sizes, DEFAULT_GUARD))
-        assert canonical._partition_cache == {}
-        assert all(0 < len(c) <= chunk for c in chunks)
-        expected = canonical._one_hot(np.array(list(enumerate_partitions(sizes))), len(sizes))
-        assert np.array_equal(np.concatenate(chunks), expected)
-
-    def test_cache_keeps_only_latest_sizes(self):
-        first = canonical._partition_matrix((2, 1), DEFAULT_GUARD)
-        assert list(canonical._partition_cache) == [(2, 1)]
-        second = canonical._partition_matrix((1, 2, 1), DEFAULT_GUARD)
-        assert list(canonical._partition_cache) == [(1, 2, 1)]
-        # one-hot rows: n vertices x K blocks
-        assert first.shape == (3, 3 * 2) and second.shape == (12, 4 * 3)
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (0, 2, 1), (2, 0, 2, 1),
+                                       (3, 2, 2), (1,) * 5])
+    def test_half_partitions_join_into_every_partition(self, sizes):
+        # group g of the first half joined with group g of the second gives
+        # every partition exactly once
+        n, K = sum(sizes), len(sizes)
+        x1, bounds1, x2, bounds2 = canonical._half_partitions(sizes, n // 2, n - n // 2)
+        for x in (x1, x2):
+            assert x.dtype == bool and np.all(x.reshape(len(x), -1, K).sum(axis=2) == 1)
+        assert len(bounds1) == len(bounds2)
+        labels1 = x1.reshape(len(x1), -1, K).argmax(axis=2) + 1
+        labels2 = x2.reshape(len(x2), -1, K).argmax(axis=2) + 1
+        joined = [
+            tuple(a) + tuple(b)
+            for lo1, hi1, lo2, hi2 in zip(bounds1[:-1], bounds1[1:], bounds2[:-1], bounds2[1:])
+            for a in labels1[lo1:hi1]
+            for b in labels2[lo2:hi2]
+        ]
+        assert sorted(joined) == [tuple(p) for p in enumerate_partitions(sizes)]
 
 
 class TestConditionalProbability:
@@ -178,27 +173,52 @@ class TestConditionalProbability:
             expected = logsumexp(brute_log_weights(graph, model))
             assert scores.log_denominator == pytest.approx(expected, abs=1e-9, rel=0)
 
-    @pytest.mark.parametrize("patch", [
-        {"_CACHE_LIMIT": 0, "_CHUNK": 32},
-        {"_BLOCK": 16},
-        {"_CACHE_LIMIT": 0, "_CHUNK": 50, "_BLOCK": 16},
-    ])
-    def test_chunks_and_blocks_match_single_pass(self, monkeypatch, patch):
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 0), (1,) * 7, (2, 0, 2, 1)])
+    def test_edge_cases_match_rational_oracle(self, rng, sizes):
+        # n = 1 leaves the first half empty, K = 1 has one partition, seven
+        # singleton blocks give one group per split, and empty blocks leave
+        # their columns unused
+        K = len(sizes)
+        model = BlockModel(m_sizes=(1,) + (0,) * (K - 1), n_sizes=sizes,
+                           lam=random_symmetric_lambda(rng, K))
+        graph = sample_sbm(model, contiguous_assignment(model), int(rng.integers(2**32)))
+        scores = conditional_block1_probability(graph, model)
+        assert np.allclose(scores.prob, oracle_block1_probability(graph, model),
+                           atol=1e-12, rtol=0)
+        expected = logsumexp(brute_log_weights(graph, model))
+        assert scores.log_denominator == pytest.approx(expected, abs=1e-9, rel=0)
+
+    @pytest.mark.parametrize("tile", [1, 16])
+    def test_tiles_match_single_tile(self, monkeypatch, tile):
         # the truth, labels (3, 3, 2, 2, 1, 1, 1), is the heaviest partition
-        # and the last in enumeration order, so the running maximum grows in
-        # a later chunk or block and the earlier sums are rescaled
+        # and the last in enumeration order, so its split of the block sizes
+        # is scored last: the running maximum grows in a later tile or split
+        # and the earlier sums are rescaled
         lam = np.array([[0.8, 0.1, 0.2], [0.1, 0.7, 0.1], [0.2, 0.1, 0.9]])
         model = BlockModel(m_sizes=(1, 1, 1), n_sizes=(3, 2, 2), lam=lam)
         graph = block_graph(model, np.array([3, 3, 2, 2, 1, 1, 1]))
         heaviest = int(np.argmax(brute_log_weights(graph, model)))
         assert heaviest == partition_count(model.n_sizes) - 1
         expected = conditional_block1_probability(graph, model)
-        monkeypatch.setattr(canonical, "_partition_cache", {})
-        for name, value in patch.items():
-            monkeypatch.setattr(canonical, name, value)
+        monkeypatch.setattr(canonical, "_TILE", tile)
         got = conditional_block1_probability(graph, model)
         assert np.allclose(got.prob, expected.prob, atol=1e-12, rtol=0)
         assert got.log_denominator == pytest.approx(expected.log_denominator, abs=1e-12)
+
+    def test_memory_is_bounded(self):
+        # 5.7 million partitions: each half is enumerated once, as booleans,
+        # and no block of log-weights holds more than _TILE entries
+        model = BlockModel(m_sizes=(4, 0, 0), n_sizes=(6, 6, 5), lam=BASE_LAMBDA)
+        graph = sample_sbm(model, contiguous_assignment(model), 7)
+        assert partition_count(model.n_sizes) > 5 * 10**6
+        tracemalloc.start()
+        try:
+            scores = conditional_block1_probability(graph, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.prob.sum() == pytest.approx(6, abs=1e-9)
+        assert peak < 48 * 2**20
 
 
 class TestCanonicalNominate:

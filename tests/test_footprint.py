@@ -1,5 +1,5 @@
-"""Import footprint: no run of the program loads SciPy, and a one-worker
-run loads no process pool.
+"""Import footprint: no run of the program loads SciPy, a one-worker run
+loads no process pool, and a realdata run loads no numpy.ma.
 
 Each check runs in a fresh interpreter, since this test process may have
 loaded SciPy already (the tests use it as a reference)."""
@@ -68,4 +68,4 @@ config = harness.parse_config({{
 }})
 harness.run_realdata(config)
 """
-    assert _modules_after(code) == []
+    assert _modules_after(code, ("scipy", "numpy.ma")) == []
