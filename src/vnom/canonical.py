@@ -121,6 +121,15 @@ def _quadratic_terms(x, Q):
     return q
 
 
+def _tiles(bounds1, bounds2):
+    """For each pair of groups that complete each other, the H2 group's rows
+    and the H1 group's rows split into tiles of at most _TILE log-weights
+    against it (one row, if the H2 group alone is larger)."""
+    for lo1, hi1, lo2, hi2 in zip(bounds1[:-1], bounds1[1:], bounds2[:-1], bounds2[1:]):
+        step = max(_TILE // (hi2 - lo2), 1)
+        yield slice(lo2, hi2), [slice(i, min(i + step, hi1)) for i in range(lo1, hi1, step)]
+
+
 def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_EPS):
     """P[b(v) = 1 | observed graph class] for every ambiguous vertex, via
     the ratio of partition-restricted to total weighted sums.
@@ -143,8 +152,8 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
         x^T Q x = q1 + q2 + x1 (2 Q12) x2^T,   qi = xi^T Qii xi.
 
     Each pair of groups of _half_partitions that complete each other is
-    scored as one product with A1 = X1 (2 Q12), in row tiles of at most
-    _TILE log-weights (one row, if an H2 group alone is larger), and summed
+    scored as one product with A1 = X1 (2 Q12), in the row tiles of _tiles,
+    and summed
     as exp(log-weight - running maximum). The row sums of the weights,
     applied to H1's block-1 columns, and their column sums, applied to
     H2's, give the numerators.
@@ -183,14 +192,12 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     a1 = x1 @ (2 * Q[:cut, cut:])
     # summed weight of the partitions through each H1 row and each H2 row
     shift, w1, w2 = -np.inf, np.zeros(len(x1)), np.zeros(len(x2))
-    for lo1, hi1, lo2, hi2 in zip(bounds1[:-1], bounds1[1:], bounds2[:-1], bounds2[1:]):
-        y2 = x2[lo2:hi2].astype(float)
-        step = max(_TILE // (hi2 - lo2), 1)
-        for i in range(lo1, hi1, step):
-            j = min(i + step, hi1)
-            logw = a1[i:j] @ y2.T
-            logw += q1[i:j, None]
-            logw += q2[lo2:hi2]
+    for rows2, tiles in _tiles(bounds1, bounds2):
+        y2 = x2[rows2].astype(float)
+        for rows1 in tiles:
+            logw = a1[rows1] @ y2.T
+            logw += q1[rows1, None]
+            logw += q2[rows2]
             top = logw.max()
             if top > shift:
                 scale = math.exp(shift - top)
@@ -198,8 +205,8 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
                 w2 *= scale
                 shift = top
             w = np.exp(np.subtract(logw, shift, out=logw), out=logw)
-            w1[i:j] = w.sum(axis=1)
-            w2[lo2:hi2] += w.sum(axis=0)
+            w1[rows1] = w.sum(axis=1)
+            w2[rows2] += w.sum(axis=0)
     total = w1.sum()
     prob = np.concatenate([w1 @ x1[:, ::K], w2 @ x2[:, ::K]]) / total
     log_denominator = shift + math.log(total) + pair_const + seed_const

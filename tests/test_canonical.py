@@ -95,11 +95,8 @@ class TestEnumeratePartitions:
         with pytest.raises(InfeasibleEnumerationError):
             list(enumerate_partitions((10, 10, 10), guard=100))
 
-    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (0, 2, 1), (2, 0, 2, 1),
-                                       (3, 2, 2), (1,) * 5])
-    def test_half_partitions_join_into_every_partition(self, sizes):
-        # group g of the first half joined with group g of the second gives
-        # every partition exactly once
+    @staticmethod
+    def half_labels(sizes):
         n, K = sum(sizes), len(sizes)
         x1, bounds1, x2, bounds2 = canonical._half_partitions(sizes, n // 2, n - n // 2)
         for x in (x1, x2):
@@ -107,12 +104,38 @@ class TestEnumeratePartitions:
         assert len(bounds1) == len(bounds2)
         labels1 = x1.reshape(len(x1), -1, K).argmax(axis=2) + 1
         labels2 = x2.reshape(len(x2), -1, K).argmax(axis=2) + 1
+        return labels1, bounds1, labels2, bounds2
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 1, 1), (0, 2, 1),
+                                       (2, 0, 2, 1), (3, 2, 2), (4, 3, 3)])
+    def test_cached_matrix_matches_generator(self, sizes):
+        # the one-hot partition matrix is held as two halves: group g of the
+        # first half joined with group g of the second gives every partition
+        # exactly once
+        labels1, bounds1, labels2, bounds2 = self.half_labels(sizes)
         joined = [
             tuple(a) + tuple(b)
             for lo1, hi1, lo2, hi2 in zip(bounds1[:-1], bounds1[1:], bounds2[:-1], bounds2[1:])
             for a in labels1[lo1:hi1]
             for b in labels2[lo2:hi2]
         ]
+        assert sorted(joined) == [tuple(p) for p in enumerate_partitions(sizes)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    @pytest.mark.parametrize("sizes", [(1,), (5,), (2, 1), (0, 2, 1), (2, 0, 2, 1),
+                                       (3, 2, 2), (4, 3, 3)])
+    def test_chunks_past_cache_concatenate_to_generator(self, monkeypatch, sizes, chunk):
+        # the row tiles scored against each H2 group hold at most _TILE
+        # log-weights (one H1 row, if the group alone is larger) and together
+        # score every partition exactly once
+        monkeypatch.setattr(canonical, "_TILE", chunk)
+        labels1, bounds1, labels2, bounds2 = self.half_labels(sizes)
+        joined = []
+        for rows2, tiles in canonical._tiles(bounds1, bounds2):
+            width = rows2.stop - rows2.start
+            for rows1 in tiles:
+                assert 0 < (rows1.stop - rows1.start) * width <= max(chunk, width)
+                joined += [tuple(a) + tuple(b) for a in labels1[rows1] for b in labels2[rows2]]
         assert sorted(joined) == [tuple(p) for p in enumerate_partitions(sizes)]
 
 
@@ -188,8 +211,8 @@ class TestConditionalProbability:
         expected = logsumexp(brute_log_weights(graph, model))
         assert scores.log_denominator == pytest.approx(expected, abs=1e-9, rel=0)
 
-    @pytest.mark.parametrize("tile", [1, 16])
-    def test_tiles_match_single_tile(self, monkeypatch, tile):
+    @pytest.mark.parametrize("patch", [{"_TILE": 1}, {"_TILE": 16}, {"_TILE": 50}])
+    def test_chunks_and_blocks_match_single_pass(self, monkeypatch, patch):
         # the truth, labels (3, 3, 2, 2, 1, 1, 1), is the heaviest partition
         # and the last in enumeration order, so its split of the block sizes
         # is scored last: the running maximum grows in a later tile or split
@@ -200,7 +223,8 @@ class TestConditionalProbability:
         heaviest = int(np.argmax(brute_log_weights(graph, model)))
         assert heaviest == partition_count(model.n_sizes) - 1
         expected = conditional_block1_probability(graph, model)
-        monkeypatch.setattr(canonical, "_TILE", tile)
+        for name, value in patch.items():
+            monkeypatch.setattr(canonical, name, value)
         got = conditional_block1_probability(graph, model)
         assert np.allclose(got.prob, expected.prob, atol=1e-12, rtol=0)
         assert got.log_denominator == pytest.approx(expected.log_denominator, abs=1e-12)
