@@ -3,17 +3,18 @@ probabilities by exhaustive partition enumeration, in the log domain."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from vnom.core import PROB_EPS, block_edge_counts, block_pair_counts
+from vnom.core import PROB_EPS, block_edge_counts
 from vnom.metrics import NominationList, rank_with_ties
 
 DEFAULT_GUARD = 10**8
 # Most entries in one float64 block (8 MiB): of log-weights, or of a half's
-# one-hot rows while their quadratic terms are summed.
+# one-hot rows while their quadratic terms or A1 are formed.
 _TILE = 2**20
 
 
@@ -75,50 +76,77 @@ def enumerate_partitions(n_sizes, guard=DEFAULT_GUARD):
     yield from rec(0, list(n_sizes))
 
 
+@functools.lru_cache(maxsize=1)
 def _half_partitions(n_sizes, h1, h2):
     """Every labeling of the first h1 and of the first h2 vertices (h1 <= h2)
-    that fits in blocks of sizes n_sizes, as two (rows, h·K) boolean one-hot
-    matrices (column i·K + k is set when vertex i has label k+1), each with
-    the row bounds of its groups.
+    that fits in blocks of sizes n_sizes (a tuple of ints), as two
+    (rows, h·K) read-only boolean one-hot matrices (column i·K + k is set
+    when vertex i has label k+1), each with the tuple of row bounds of its
+    groups.
 
-    The labelings are extended one vertex at a time, in the order of
-    enumerate_partitions, keeping only those with room left, so no K^h
-    matrix is built. Each matrix is sorted stably by a mixed-radix code of
+    The labelings are extended one vertex at a time as label vectors, in
+    the order of enumerate_partitions, keeping only those with room left,
+    so no K^h matrix is built and each one-hot matrix is made once, from
+    its sorted labels. Each matrix is sorted stably by a mixed-radix code of
     block sizes, and a group is a run of rows with one code: H1 is coded by
     the sizes its rows leave and H2 by the sizes its rows use, so group g of
     H1 and group g of H2 complete each other.
+
+    The halves depend only on the arguments, so they are built once per
+    model: the latest model's are kept (maxsize=1), so what stays held
+    between calls is never more than one call's own halves.
     """
-    eye = np.eye(len(n_sizes), dtype=bool)
-    x = np.zeros((1, 0), dtype=bool)
-    left = np.array([n_sizes], dtype=np.min_scalar_type(max(n_sizes)))
-    levels = [(x, left)]
-    for _ in range(h2):
-        rows, ks = np.nonzero(left > 0)
-        placed = eye[ks]
-        x = np.concatenate([x[rows], placed], axis=1)
-        left = left[rows] - placed
-        levels.append((x, left))
+    K = len(n_sizes)
+    eye = np.eye(K, dtype=bool)
     # mixed radix with block 1 most significant: codes sort sizes lexicographically
-    radix = [math.prod(s + 1 for s in n_sizes[k + 1 :]) for k in range(len(n_sizes))]
-    (x1, left1), (x2, left2) = levels[h1], levels[h2]
+    radix = np.array([math.prod(s + 1 for s in n_sizes[k + 1 :]) for k in range(K)])
+    labels = np.zeros((1, 0), dtype=np.min_scalar_type(K))  # 0-based label of each vertex
+    left = np.array([n_sizes], dtype=np.min_scalar_type(max(n_sizes)))
+    code = left @ radix  # the code of the sizes each row leaves
+    first = (labels, code)
+    for level in range(1, h2 + 1):
+        rows, ks = np.nonzero(left > 0)
+        labels = np.concatenate([labels[rows], ks[:, None].astype(labels.dtype)], axis=1)
+        left = left[rows] - eye[ks]
+        code = code[rows] - radix[ks]
+        if level == h1:
+            first = (labels, code)
+    used = radix @ n_sizes - code  # the code of the sizes each H2 row uses
     halves = []
-    for x, sizes in ((x1, left1), (x2, n_sizes - left2)):
-        code = sizes @ radix
+    for labels, code in (first, (labels, used)):
         order = np.argsort(code, kind="stable")
         code = code[order]
         cuts = np.flatnonzero(code[1:] != code[:-1]) + 1
-        halves += [x[order], [0, *cuts.tolist(), len(order)]]
-    return halves
+        # one-hot from the sorted labels: no boolean matrix is copied
+        x = (labels[order][:, :, None] == np.arange(K)).reshape(len(order), labels.shape[1] * K)
+        x.flags.writeable = False
+        halves += [x, (0, *cuts.tolist(), len(order))]
+    return tuple(halves)
+
+
+def _float_tiles(x):
+    """The rows of a boolean matrix as float tiles of at most _TILE entries
+    (one row, if a row alone is larger): (row slice, float rows) pairs."""
+    step = max(_TILE // (x.shape[1] + 1), 1)
+    for i in range(0, len(x), step):
+        yield slice(i, i + step), x[i : i + step].astype(float)
 
 
 def _quadratic_terms(x, Q):
     """xᵀQx for every row x of a boolean matrix, _TILE entries at a time."""
-    step = max(_TILE // (x.shape[1] + 1), 1)
     q = np.empty(len(x))
-    for i in range(0, len(x), step):
-        y = x[i : i + step].astype(float)
-        q[i : i + step] = np.einsum("pj,pj->p", y @ Q, y)
+    for rows, y in _float_tiles(x):
+        q[rows] = np.einsum("pj,pj->p", y @ Q, y)
     return q
+
+
+def _product(x, R):
+    """x @ R for a boolean matrix x, _TILE entries of x at a time, so no
+    float copy of all of x is made."""
+    product = np.empty((len(x), R.shape[1]))
+    for rows, y in _float_tiles(x):
+        np.matmul(y, R, out=product[rows])
+    return product
 
 
 def _tiles(bounds1, bounds2):
@@ -144,19 +172,24 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     the seeds if i is in block k+1 (the diagonal carries it because
     x_i^2 = x_i). The constant c holds the seed-seed pairs and the sum of
     log(1 - Lambda) over the ambiguous pairs, which depends only on
-    n_sizes.
+    n_sizes. The seed terms and the seed-seed pairs come from one
+    block_edge_counts pass over every row against the seed labels: its
+    ambiguous rows are the edges to each seed block, and its seed rows
+    summed by block give the seed-seed edges.
 
     The partitions are scored by meet-in-the-middle. With H1 the first
     floor(n/2) ambiguous vertices and H2 the rest, x = (x1, x2) and
 
         x^T Q x = q1 + q2 + x1 (2 Q12) x2^T,   qi = xi^T Qii xi.
 
-    Each pair of groups of _half_partitions that complete each other is
-    scored as one product with A1 = X1 (2 Q12), in the row tiles of _tiles,
-    and summed
-    as exp(log-weight - running maximum). The row sums of the weights,
-    applied to H1's block-1 columns, and their column sums, applied to
-    H2's, give the numerators.
+    The halves come from _half_partitions, built once per model and kept
+    for the next call. Each pair of their groups that complete each other
+    is scored as one product with A1 = X1 (2 Q12), in the row tiles of
+    _tiles, and summed as exp(log-weight - running maximum). The row sums
+    of the weights, applied to H1's block-1 columns, and their column sums,
+    applied to H2's, give the numerators. A1 and the qi are formed from
+    float row tiles of the halves (_float_tiles), so no float copy of a
+    whole half is made.
     """
     m, n, K = model.m, model.n, model.K
     if graph.seed_count != m or graph.ambiguous_count != n:
@@ -166,17 +199,22 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     log_lam = np.log(lam)
     log_1m = np.log1p(-lam)
 
-    # Seed-seed contribution, identical for every partition: log p of the
-    # seed-induced subgraph, half the sum over ordered pairs.
-    edges, pairs = block_pair_counts(graph.packed[:m], graph.seed_labels, K)
+    # One count pass over every row: edges from each vertex to the seeds
+    # of each block. The seed rows give the seed-seed pairs, identical for
+    # every partition: log p of the seed-induced subgraph, half the sum
+    # over ordered pairs.
+    counts = block_edge_counts(graph.packed, graph.seed_labels, K)
+    seed_onehot = (graph.seed_labels[:, None] == np.arange(1, K + 1)).astype(np.int64)
+    seed_sizes = seed_onehot.sum(axis=0)
+    edges = seed_onehot.T @ counts[:m]
+    pairs = np.outer(seed_sizes, seed_sizes) - np.diag(seed_sizes)
     seed_const = 0.5 * float(np.sum(edges * log_lam + (pairs - edges) * log_1m))
     # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
     sizes = np.asarray(model.n_sizes, dtype=float)
     pair_const = 0.5 * float(sizes @ log_1m @ sizes - sizes @ log_1m.diagonal())
-    # Edges from each ambiguous vertex to the seeds of each block.
-    edges_to_seeds = block_edge_counts(graph.packed[m:], graph.seed_labels, K)
-    nonedges_to_seeds = np.asarray(model.m_sizes, dtype=float)[None, :] - edges_to_seeds
     # seed_terms[v, k] = log-weight of v's seed-incident pairs if b(v) = k+1
+    edges_to_seeds = counts[m:]
+    nonedges_to_seeds = np.asarray(model.m_sizes, dtype=float)[None, :] - edges_to_seeds
     seed_terms = edges_to_seeds @ log_lam.T + nonedges_to_seeds @ log_1m.T
 
     # Q[(i, k), (j, l)] = A22[i, j] (log_lam - log_1m)[k, l] / 2: the
@@ -189,7 +227,7 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     x1, bounds1, x2, bounds2 = _half_partitions(model.n_sizes, h1, n - h1)
     cut = h1 * K
     q1, q2 = _quadratic_terms(x1, Q[:cut, :cut]), _quadratic_terms(x2, Q[cut:, cut:])
-    a1 = x1 @ (2 * Q[:cut, cut:])
+    a1 = _product(x1, 2 * Q[:cut, cut:])
     # summed weight of the partitions through each H1 row and each H2 row
     shift, w1, w2 = -np.inf, np.zeros(len(x1)), np.zeros(len(x2))
     for rows2, tiles in _tiles(bounds1, bounds2):

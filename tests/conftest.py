@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnom import harness
+from vnom import canonical, harness
 from vnom.core import BlockModel, LabeledGraph, contiguous_assignment, mix_lambda, sample_sbm
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -63,6 +63,13 @@ def replicate_graphs(name, count):
         for replicate in range(count):
             simulation.replicate(replicate)
     return config, harness.build_model(config), tuple(seen)
+
+
+@pytest.fixture(autouse=True)
+def cold_half_partitions():
+    """Every test starts with no canonical half-partitions cached, so test
+    order cannot change what a test builds or measures."""
+    canonical._half_partitions.cache_clear()
 
 
 @pytest.fixture

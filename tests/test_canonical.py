@@ -1,5 +1,6 @@
 """Exact canonical nomination against a rational brute-force oracle."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import BASE_LAMBDA, random_instance, random_symmetric_lambda
-from vnom import canonical
+from conftest import BASE_LAMBDA, CONFIG_DIR, random_instance, random_symmetric_lambda
+from vnom import canonical, harness
 from vnom.canonical import (
     InfeasibleEnumerationError,
     canonical_nominate,
@@ -225,7 +226,19 @@ class TestConditionalProbability:
         expected = conditional_block1_probability(graph, model)
         for name, value in patch.items():
             monkeypatch.setattr(canonical, name, value)
+        tiles = []
+        split = canonical._tiles
+
+        def recorded(*args):
+            for rows2, rows1 in split(*args):
+                tiles.append(rows1)
+                yield rows2, rows1
+
+        monkeypatch.setattr(canonical, "_tiles", recorded)
         got = conditional_block1_probability(graph, model)
+        # the patched _TILE is read by this call: some H2 group meets more
+        # than one tile of H1 rows
+        assert max(len(rows1) for rows1 in tiles) > 1
         assert np.allclose(got.prob, expected.prob, atol=1e-12, rtol=0)
         assert got.log_denominator == pytest.approx(expected.log_denominator, abs=1e-12)
 
@@ -243,6 +256,69 @@ class TestConditionalProbability:
             tracemalloc.stop()
         assert scores.prob.sum() == pytest.approx(6, abs=1e-9)
         assert peak < 48 * 2**20
+
+    def test_memory_is_bounded_with_many_blocks(self):
+        # 11 singleton blocks, 39.9 million partitions: H2 has 332,640 rows
+        # of 66 columns. A1 is formed from float tiles of H1, and the halves
+        # are built from label vectors, so no float copy of H1 and no copy
+        # of H2 is made (93.9 MiB before, 74.1 after)
+        K = 11
+        model = BlockModel(m_sizes=(4,) + (0,) * (K - 1), n_sizes=(1,) * K,
+                           lam=np.full((K, K), 0.3) + 0.4 * np.eye(K))
+        graph = sample_sbm(model, contiguous_assignment(model), 7)
+        tracemalloc.start()
+        try:
+            scores = conditional_block1_probability(graph, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.prob.sum() == pytest.approx(1, abs=1e-9)
+        assert peak < 84 * 2**20
+
+
+class TestHalfPartitionCache:
+    @staticmethod
+    def instance(n_sizes, seed):
+        K = len(n_sizes)
+        model = BlockModel(m_sizes=(2,) + (1,) * (K - 1), n_sizes=n_sizes,
+                           lam=random_symmetric_lambda(np.random.default_rng(seed), K))
+        return sample_sbm(model, contiguous_assignment(model), seed), model
+
+    def test_alternating_models_match_cold_calls(self):
+        instances = [self.instance((4, 3, 3), 1), self.instance((3, 2, 2), 2)]
+        cold = []
+        for graph, model in instances:
+            canonical._half_partitions.cache_clear()
+            cold.append(conditional_block1_probability(graph, model))
+        for _ in range(2):
+            for (graph, model), expected in zip(instances, cold):
+                for _ in range(2):
+                    got = conditional_block1_probability(graph, model)
+                    assert np.array_equal(got.prob, expected.prob)
+                    assert got.log_denominator == expected.log_denominator
+
+    def test_cached_halves_are_read_only(self):
+        x1, bounds1, x2, bounds2 = canonical._half_partitions((4, 3, 3), 5, 5)
+        assert canonical._half_partitions((4, 3, 3), 5, 5)[0] is x1
+        for x in (x1, x2):
+            with pytest.raises(ValueError):
+                x[0, 0] = not x[0, 0]
+        assert isinstance(bounds1, tuple) and isinstance(bounds2, tuple)
+
+    def test_keeps_only_latest_model(self):
+        for n_sizes in [(4, 3, 3), (3, 2, 2)]:
+            graph, model = self.instance(n_sizes, 3)
+            conditional_block1_probability(graph, model)
+        info = canonical._half_partitions.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+        conditional_block1_probability(graph, model)
+        assert canonical._half_partitions.cache_info().hits == 1
+
+    def test_simulation_builds_halves_once(self):
+        config = harness.load_config(CONFIG_DIR / "small.json")
+        harness.run_simulation(dataclasses.replace(config, replicates=3))
+        info = canonical._half_partitions.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestCanonicalNominate:

@@ -6,8 +6,11 @@ that is meant to leave every list as it is must leave these digests as
 they are; a change that moves lists on purpose updates them here and says
 so in CHANGES.md. The matcher digests hash every sgm_match result of the
 small and medium cases bit for bit, Frank-Wolfe history included, so a
-change to any iterate's rounding fails there even when no list moves."""
+change to any iterate's rounding fails there even when no list moves. The
+canonical digest does the same for every canonical probability of the
+small case."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnom import harness, likelihood
+from vnom import canonical, harness, likelihood
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,6 +45,10 @@ GOLDEN_MATCHER = {
     "small": "9ebd66dfac7ec5655c0f2f72a81b51372113d9fd2fffdc6a40a86e0c955e3e8b",
     "medium": "f629654f3aa8ed54f314b8f36982d97f4e3eae85e05e29737738878e98b2c0aa",
 }
+
+# SHA-256 over every conditional_block1_probability result of the small
+# case, in call order: prob and log_denominator as little-endian float64.
+GOLDEN_CANONICAL = "3ca57b88130a01df2e266d86f8b2241a904da41cca47c96122d9802515f05556"
 
 
 def two_class_files(directory):
@@ -111,3 +118,18 @@ def test_matcher_results_unchanged(case, monkeypatch, tmp_path):
     monkeypatch.setattr(likelihood, "sgm_match", recorded)
     harness.run_simulation(config)
     assert digest.hexdigest() == GOLDEN_MATCHER[case]
+
+
+def test_canonical_probabilities_unchanged(monkeypatch, tmp_path):
+    config = config_for("small", tmp_path)
+    digest = hashlib.sha256()
+    probability = canonical.conditional_block1_probability
+
+    def recorded(*args, **kwargs):
+        scores = probability(*args, **kwargs)
+        digest.update(np.asarray([*scores.prob, scores.log_denominator], dtype="<f8").tobytes())
+        return scores
+
+    monkeypatch.setattr(canonical, "conditional_block1_probability", recorded)
+    harness.run_simulation(dataclasses.replace(config, schemes=("canonical",)))
+    assert digest.hexdigest() == GOLDEN_CANONICAL
