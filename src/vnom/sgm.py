@@ -51,7 +51,10 @@ def solve_transport(cost, sizes):
     its best reduced cost cost[i, k] - u[k], which is optimal for the block
     counts that produces; successive shortest paths on the K-node graph of
     row moves then bring the counts to `sizes` while every row stays at its
-    best reduced cost. The result is deterministic.
+    best reduced cost. When one block alone is over-full and one alone
+    under-full, the rows that tie between them move as one run, in index
+    order, which is what one-row shortest paths would do. The result is
+    deterministic.
     """
     cost = np.asarray(cost, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -145,10 +148,15 @@ def _balance(columns, sizes, labels, u):
     an under-full block, and u drops by the path distances (capped at the
     target's), which keeps every row at its best reduced cost. The K-node
     Bellman-Ford and the path walk run on Python floats and lists, whose
-    sums and comparisons are numpy's. Each round moves one unit of excess;
-    labels and u are updated in place. Blocks of size zero may take part:
-    any rows they start with move out. The index arrays are made only when
-    the counts are off, which most calls' are not.
+    sums and comparisons are numpy's. Each round moves one unit of excess,
+    except that a lone surplus/deficit pair (one block over-full, one
+    under-full, the rest at size) moves its zero-loss rows as one run, in
+    index order, up to the excess, which is what the one-unit rounds would
+    do; on sparse graphs, whose costs tie in long runs, that saves one
+    (K, K, n) pass per row moved. labels and u are updated in place.
+    Blocks of size zero may take part: any rows they start with move out.
+    The index arrays are made only when the counts are off, which most
+    calls' are not.
     """
     K, n = columns.shape
     counts = np.bincount(labels, minlength=K).tolist()
@@ -158,6 +166,21 @@ def _balance(columns, sizes, labels, u):
     rows, block_ids, pairs = np.arange(n), np.arange(K)[:, None, None], np.arange(K * K)
     inf = float("inf")
     while counts != sizes:
+        over = [k for k in range(K) if counts[k] > sizes[k]]
+        under = [k for k in range(K) if counts[k] < sizes[k]]
+        if len(over) == 1 and len(under) == 1:
+            # One surplus block a and one deficit block b: while a has a row
+            # that loses nothing in b, a round's path is the edge a -> b at
+            # distance 0, its mover a's first such row, and u stays as it is,
+            # so the first counts[a] - sizes[a] of those rows move at once.
+            (a,), (b,) = over, under
+            loss = (columns[a] - u[a]) - (columns[b] - u[b])
+            run = np.flatnonzero((labels == a) & (loss <= 0.0))[:counts[a] - sizes[a]]
+            if len(run):
+                labels[run] = b
+                counts[a] -= len(run)
+                counts[b] += len(run)
+                continue
         reduced = columns - u[:, None]
         margin = np.maximum(reduced[labels, rows] - reduced, 0.0)
         # losses[a, b, i]: moving row i from its block a to block b
@@ -184,7 +207,7 @@ def _balance(columns, sizes, labels, u):
             if relaxed == dist:
                 break
             dist = relaxed
-        target = min((b for b in range(K) if counts[b] < sizes[b]), key=dist.__getitem__)
+        target = min(under, key=dist.__getitem__)
         b = target
         while pred[b] >= 0:
             a = pred[b]

@@ -5,8 +5,10 @@ replicate's nomination order, scheme by scheme, with SHA-256. A change
 that is meant to leave every list as it is must leave these digests as
 they are; a change that moves lists on purpose updates them here and says
 so in CHANGES.md. The matcher digests hash every sgm_match result of the
-small and medium cases bit for bit, Frank-Wolfe history included, so a
-change to any iterate's rounding fails there even when no list moves. The
+small, medium and sparse real-data cases bit for bit, Frank-Wolfe history
+included, so a change to any iterate's rounding fails there even when no
+list moves; the sparse case is where the transport step's tie runs move
+most rows at once. The
 canonical digest does the same for every canonical probability of the
 small case."""
 
@@ -36,6 +38,9 @@ GOLDEN = {
         "likelihood": "6c7b731f488f2284b462582afe8ff009f1d939d8e5b42ba07ddf89fc52143589",
         "spectral": "632c60081e42cdfd251889fa0a195b5d521b3e303fa2892e342c541cb475d0c5",
     },
+    "realdata-sparse": {
+        "likelihood": "6b6f0d609864c6aaea689bb902994badf196db4f883e1760eb4ff249e4e205a7",
+    },
 }
 
 # SHA-256 over every sgm_match result of a case, in call order: labels as
@@ -44,6 +49,7 @@ GOLDEN = {
 GOLDEN_MATCHER = {
     "small": "9ebd66dfac7ec5655c0f2f72a81b51372113d9fd2fffdc6a40a86e0c955e3e8b",
     "medium": "f629654f3aa8ed54f314b8f36982d97f4e3eae85e05e29737738878e98b2c0aa",
+    "realdata-sparse": "8e0d88d91fae9671c5ae03bc297ca7495ee65626c496abdf4a1792ee4a1510a8",
 }
 
 # SHA-256 over every conditional_block1_probability result of the small
@@ -51,17 +57,19 @@ GOLDEN_MATCHER = {
 GOLDEN_CANONICAL = "3ca57b88130a01df2e266d86f8b2241a904da41cca47c96122d9802515f05556"
 
 
-def two_class_files(directory):
-    """A generated 300-vertex two-class graph (120 vertices in the denser
-    class 1, ids shuffled against the classes) as edge-list and labels
-    files."""
-    rng = np.random.default_rng(20261019)
-    classes = rng.permutation(np.repeat([1, 2], [120, 180]))
-    density = np.array([[0.08, 0.01], [0.01, 0.04]])
+def two_class_files(directory, seed=20261019, sizes=(120, 180),
+                    density=((0.08, 0.01), (0.01, 0.04))):
+    """A generated two-class graph (by default 300 vertices, 120 of them in
+    the denser class 1, ids shuffled against the classes) as edge-list and
+    labels files."""
+    rng = np.random.default_rng(seed)
+    N = sum(sizes)
+    classes = rng.permutation(np.repeat([1, 2], sizes))
+    density = np.array(density)
     prob = density[classes[:, None] - 1, classes[None, :] - 1]
     u, v = np.nonzero(np.triu(rng.random(prob.shape) < prob, k=1))
     edges, labels = directory / "edges.txt", directory / "labels.txt"
-    edges.write_text("#vertices 300\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in zip(u, v)))
+    edges.write_text(f"#vertices {N}\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in zip(u, v)))
     labels.write_text("".join(f"{i + 1} {c}\n" for i, c in enumerate(classes)))
     return edges, labels
 
@@ -72,6 +80,17 @@ def config_for(case, directory):
         return harness.parse_config({
             "name": "golden-realdata", "mode": "realdata",
             "schemes": ["likelihood", "spectral"], "replicates": 2, "master_seed": 5150,
+            "data": {"edges": str(edges), "labels": str(labels), "K": 2,
+                     "seed_counts": [20, 20]},
+        })
+    if case == "realdata-sparse":
+        # mean degree about 3.3: many vertices share their edge counts, so
+        # the transport step's costs tie in long runs
+        edges, labels = two_class_files(directory, seed=20261020, sizes=(480, 720),
+                                        density=((0.006, 0.0015), (0.0015, 0.003)))
+        return harness.parse_config({
+            "name": "golden-realdata-sparse", "mode": "realdata",
+            "schemes": ["likelihood"], "replicates": 2, "master_seed": 6160,
             "data": {"edges": str(edges), "labels": str(labels), "K": 2,
                      "seed_counts": [20, 20]},
         })
@@ -116,7 +135,8 @@ def test_matcher_results_unchanged(case, monkeypatch, tmp_path):
         return result
 
     monkeypatch.setattr(likelihood, "sgm_match", recorded)
-    harness.run_simulation(config)
+    run = harness.run_realdata if config.mode == "realdata" else harness.run_simulation
+    run(config)
     assert digest.hexdigest() == GOLDEN_MATCHER[case]
 
 

@@ -399,6 +399,74 @@ class TestSolveTransport:
             _, labels = assert_balance_matches_reference(columns, sizes, u)
             assert np.bincount(labels, minlength=K).tolist() == sizes.tolist()
 
+    def test_balance_matches_reference_on_long_tie_runs(self, rng):
+        # Two blocks, rows tied between them in the hundreds and sizes
+        # asking for hundreds of them to move: runs of zero-loss rows
+        # interleave with paths of positive length that lower u.
+        for _ in range(20):
+            n = int(rng.integers(300, 600))
+            columns = rng.integers(0, 3, size=(2, n)).astype(float)
+            start = np.bincount(_best_blocks(columns), minlength=2)
+            excess = int(rng.integers(100, start[0] + 1))
+            sizes = np.array([start[0] - excess, start[1] + excess])
+            _, labels = assert_balance_matches_reference(columns, sizes, np.zeros(2))
+            assert np.bincount(labels, minlength=2).tolist() == sizes.tolist()
+        # every row ties: all but the last row move, in index order
+        n = 500
+        _, labels = assert_balance_matches_reference(np.zeros((2, n)), np.array([1, n - 1]),
+                                                     np.zeros(2))
+        assert labels.tolist() == [1] * (n - 1) + [0]
+
+    def test_balance_matches_reference_with_one_or_several_unbalanced_pairs(self, rng):
+        # Starts with one over-full and one under-full block balance by
+        # runs of tied rows; starts with several of either take the
+        # one-unit rounds. Both must give the reference's labels and u.
+        one_pair = several = 0
+        for i in range(200):
+            K = int(rng.integers(3, 6))
+            n = int(rng.integers(2 * K, 80))
+            columns = rng.integers(0, 3, size=(K, n)).astype(float)
+            u = rng.integers(-1, 2, size=K).astype(float)
+            start = np.bincount(_best_blocks(columns - u[:, None]), minlength=K)
+            if i % 2 and start.max() > 0:
+                # move some of a nonempty block's excess to one other block
+                a = int(rng.choice(np.flatnonzero(start)))
+                b = int(rng.choice([k for k in range(K) if k != a]))
+                sizes = start.copy()
+                moved = int(rng.integers(1, start[a] + 1))
+                sizes[a] -= moved
+                sizes[b] += moved
+            else:
+                sizes = rng.multinomial(n, np.full(K, 1.0 / K))
+            _, labels = assert_balance_matches_reference(columns, sizes, u)
+            assert np.bincount(labels, minlength=K).tolist() == sizes.tolist()
+            over, under = (start > sizes).sum(), (start < sizes).sum()
+            one_pair += bool(over == 1 and under == 1)
+            several += bool(over > 1 or under > 1)
+        assert one_pair >= 20 and several >= 20
+
+    def test_balance_moves_a_tie_run_in_one_pass(self, monkeypatch):
+        # 500 rows prefer block 0, 2,000 tie and 500 prefer block 1; from
+        # the first-on-ties start block 0 holds 1,500 rows too many. The
+        # one-unit rounds took one masked (K, K, n) np.where per row moved.
+        prefer = np.repeat([0, 2, 1], [500, 2000, 500])
+        columns = np.stack([(prefer != 1), (prefer != 0)]).astype(float)
+        sizes = np.array([1000, 2000])
+        labels, u = _best_blocks(columns), np.zeros(2)
+        passes = []
+        where = np.where
+
+        def counted(*args):
+            passes.append(len(args))
+            return where(*args)
+
+        monkeypatch.setattr(np, "where", counted)
+        _balance(columns, sizes, labels, u)
+        monkeypatch.undo()
+        assert len(passes) <= 1
+        want = np.repeat([0, 1, 0, 1], [500, 1500, 500, 500])
+        assert np.array_equal(labels, want) and same_bits(u, np.zeros(2))
+
     def test_frank_wolfe_core_calls_match_solve_transport(self, monkeypatch):
         # Frank-Wolfe's steps and the projection share one solver per
         # match and skip solve_transport's checks and value; on their own
