@@ -126,10 +126,15 @@ def _half_partitions(n_sizes, h1, h2):
 
 def _float_tiles(x):
     """The rows of a boolean matrix as float tiles of at most _TILE entries
-    (one row, if a row alone is larger): (row slice, float rows) pairs."""
+    (one row, if a row alone is larger): (row slice, float rows) pairs.
+    Every tile is written into one buffer, so a tile is held only until
+    the next one is made."""
     step = max(_TILE // (x.shape[1] + 1), 1)
+    buf = np.empty((min(step, len(x)), x.shape[1]))
     for i in range(0, len(x), step):
-        yield slice(i, i + step), x[i : i + step].astype(float)
+        y = buf[: min(step, len(x) - i)]
+        y[...] = x[i : i + step]
+        yield slice(i, i + step), y
 
 
 def _quadratic_terms(x, Q):
@@ -230,10 +235,17 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     a1 = _product(x1, 2 * Q[:cut, cut:])
     # summed weight of the partitions through each H1 row and each H2 row
     shift, w1, w2 = -np.inf, np.zeros(len(x1)), np.zeros(len(x2))
+    # One buffer for an H2 group's float rows and one for a tile of
+    # log-weights (at most _TILE entries, or one row of the largest H2
+    # group), so no two of either are held at once.
+    g1, g2 = (max(hi - lo for lo, hi in zip(b[:-1], b[1:])) for b in (bounds1, bounds2))
+    y2buf, logbuf = np.empty((g2, x2.shape[1])), np.empty(min(max(_TILE, g2), g1 * g2))
     for rows2, tiles in _tiles(bounds1, bounds2):
-        y2 = x2[rows2].astype(float)
+        y2 = y2buf[: rows2.stop - rows2.start]
+        y2[...] = x2[rows2]
         for rows1 in tiles:
-            logw = a1[rows1] @ y2.T
+            size = (rows1.stop - rows1.start) * len(y2)
+            logw = np.dot(a1[rows1], y2.T, out=logbuf[:size].reshape(-1, len(y2)))
             logw += q1[rows1, None]
             logw += q2[rows2]
             top = logw.max()
@@ -245,6 +257,9 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
             w = np.exp(np.subtract(logw, shift, out=logw), out=logw)
             w1[rows1] = w.sum(axis=1)
             w2[rows2] += w.sum(axis=0)
+    # A1 is done with: freeing it before the numerators, which convert
+    # H2's block-1 columns to float, keeps the two from being held together
+    del a1
     total = w1.sum()
     prob = np.concatenate([w1 @ x1[:, ::K], w2 @ x2[:, ::K]]) / total
     log_denominator = shift + math.log(total) + pair_const + seed_const

@@ -154,9 +154,9 @@ def _balance(columns, sizes, labels, u):
     index order, up to the excess, which is what the one-unit rounds would
     do; on sparse graphs, whose costs tie in long runs, that saves one
     (K, K, n) pass per row moved. labels and u are updated in place.
-    Blocks of size zero may take part: any rows they start with move out.
-    The index arrays are made only when the counts are off, which most
-    calls' are not.
+    Every block must have a positive size: _Transport drops empty blocks
+    before it calls here. The index arrays are made only when the counts
+    are off, which most calls' are not.
     """
     K, n = columns.shape
     counts = np.bincount(labels, minlength=K).tolist()

@@ -275,6 +275,26 @@ class TestConditionalProbability:
         assert scores.prob.sum() == pytest.approx(1, abs=1e-9)
         assert peak < 84 * 2**20
 
+    def test_one_float_tile_held_with_many_blocks(self):
+        # The model above. The peak now comes while A1 is formed: the
+        # halves (20.9 MiB of H2, 2.9 of H1), A1 (27.9), the quadratic terms
+        # (2.9) and one float tile of H1 (7.9), 62.8 MiB in all. A second
+        # tile made while the first is held, or A1 kept alive while the
+        # numerators convert H2's block-1 columns to float (15.2 MiB), each
+        # pushed it past 70 MiB (74.1 with both).
+        K = 11
+        model = BlockModel(m_sizes=(4,) + (0,) * (K - 1), n_sizes=(1,) * K,
+                           lam=np.full((K, K), 0.3) + 0.4 * np.eye(K))
+        graph = sample_sbm(model, contiguous_assignment(model), 7)
+        canonical._half_partitions.cache_clear()
+        tracemalloc.start()
+        try:
+            conditional_block1_probability(graph, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 66 * 2**20
+
 
 class TestHalfPartitionCache:
     @staticmethod

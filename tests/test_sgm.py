@@ -387,18 +387,6 @@ class TestSolveTransport:
             multi_hop += bool((full[start] & (labels != start)).any())
         assert multi_hop >= 20
 
-    def test_balance_matches_reference_with_zero_size_blocks(self, rng):
-        # zero-size blocks that start with rows must be emptied; empty ones
-        # have no movers and must stay empty
-        for _ in range(200):
-            K = int(rng.integers(2, 6))
-            n = int(rng.integers(1, 40))
-            sizes = rng.multinomial(n, rng.dirichlet(np.full(K, 0.5)))
-            columns = rng.integers(0, 4, size=(K, n)).astype(float)
-            u = rng.integers(-1, 2, size=K).astype(float)
-            _, labels = assert_balance_matches_reference(columns, sizes, u)
-            assert np.bincount(labels, minlength=K).tolist() == sizes.tolist()
-
     def test_balance_matches_reference_on_long_tie_runs(self, rng):
         # Two blocks, rows tied between them in the hundreds and sizes
         # asking for hundreds of them to move: runs of zero-loss rows

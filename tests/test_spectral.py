@@ -106,6 +106,49 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def seed_generators(seed, restarts=10):
+    return [np.random.default_rng(np.random.SeedSequence((seed, r))) for r in range(restarts)]
+
+
+def duplicated_rows(rng, K, n_max=30):
+    """K to n_max points drawn from fewer than 2K distinct 2-D rows."""
+    distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
+    return distinct[rng.integers(len(distinct), size=int(rng.integers(K, n_max)))]
+
+
+def realdata_shape(rng):
+    """The shape of a two-class real-data embedding: 300 points, d = 2."""
+    X = np.concatenate([rng.normal([1.0, 0.5], 0.3, size=(120, 2)),
+                        rng.normal([0.8, -0.4], 0.4, size=(180, 2))])
+    return X[rng.permutation(300)]
+
+
+def assert_restarts_match_reference(monkeypatch, X, centers):
+    """Every restart of one _lloyd call equals its one-at-a-time reference
+    in labels, center bits, objective and step count. Returns the restart
+    rows the call's distances covered (summed over the (R, K, d) centers
+    passed to _sq_distances) and the rows a loop that keeps every restart
+    to its own stop would cover: one per step up to and including the
+    stopping step, or per step and for the final objective at the cap."""
+    rows = []
+    sq_distances = spectral._sq_distances
+
+    def counted(points, columns, centers, buf, out):
+        rows.append(len(centers))
+        return sq_distances(points, columns, centers, buf, out)
+
+    monkeypatch.setattr(spectral, "_sq_distances", counted)
+    labels, final, objectives, steps = spectral._lloyd(X, centers.copy())
+    monkeypatch.setattr(spectral, "_sq_distances", sq_distances)
+    for r in range(len(centers)):
+        want = _reference_lloyd(X, centers[r].copy(), 300)
+        assert np.array_equal(labels[r], want[0])
+        assert same_bits(final[r], want[1])
+        assert objectives[r] == want[2]
+        assert steps[r] == want[3]
+    return sum(rows), int((steps + 1).sum())
+
+
 def graph_from_adjacency(adj, seed_labels):
     return LabeledGraph(adjacency=np.asarray(adj, dtype=bool),
                         seed_labels=np.asarray(seed_labels))
@@ -381,9 +424,114 @@ class TestKmeans:
     def test_batched_restarts_match_on_duplicated_rows(self, K):
         rng = np.random.default_rng(K)
         for trial in range(8):
-            distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
-            X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
+            X = duplicated_rows(rng, K)
             assert_matches_reference(X, K, rng_seed=trial)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    def test_seeding_matches_one_restart_at_a_time(self, d):
+        # d >= 8 sums each squared distance pairwise, as np.linalg.norm
+        # does; below, the squares are added left to right
+        rng = np.random.default_rng(d)
+        for trial in range(6):
+            N = int(rng.integers(5, 80))
+            X = rng.normal(size=(N, d)) * 10.0 ** rng.integers(-2, 3, size=(N, 1))
+            centers = X[rng.integers(N, size=4)]
+            got = spectral._distances(X, np.ascontiguousarray(X.T), centers,
+                                      np.empty(4 * X.size), np.empty(4 * N))
+            assert same_bits(got, np.linalg.norm(X - centers[:, None], axis=-1))
+            for K in (1, 2, 3, 5):
+                seeded = spectral._seed_centroids(X, K, seed_generators(trial))
+                for r, rng_r in enumerate(seed_generators(trial)):
+                    assert same_bits(seeded[r], _reference_seed_centroids(X, K, rng_r))
+
+    def test_seeding_matches_one_restart_at_a_time_on_tied_grids(self):
+        # Integer grids: many points lie at equal distances from the chosen
+        # centers, and the farthest pick must be the first of them.
+        line = np.arange(9.0)[:, None]
+        square = np.array([[x, y] for x in range(-2, 3) for y in range(-2, 3)], dtype=float)
+        cube = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)],
+                        dtype=float)
+        for X in (line, square, cube):
+            for K in (2, 3, 4, 5):
+                for seed in range(5):
+                    seeded = spectral._seed_centroids(X, K, seed_generators(seed))
+                    for r, rng in enumerate(seed_generators(seed)):
+                        assert same_bits(seeded[r], _reference_seed_centroids(X, K, rng))
+
+    def test_coinciding_restarts_run_once_on_realdata_shapes(self, monkeypatch):
+        # Restarts whose labels coincide at a step numbered a power of two
+        # share every later step, so one of them runs on for both: fewer
+        # restart rows than one per restart per step, same results.
+        rng = np.random.default_rng(300)
+        rows = full = 0
+        for trial in range(3):
+            X = realdata_shape(rng)
+            centers = spectral._seed_centroids(X, 2, seed_generators(trial))
+            got, want = assert_restarts_match_reference(monkeypatch, X, centers)
+            assert got <= want
+            rows, full = rows + got, full + want
+        assert rows < full
+
+    def test_coinciding_restarts_run_once_on_cycling_inputs(self, monkeypatch):
+        # the inputs of test_cycling_restarts_stop_before_the_cap
+        K = 5
+        rng = np.random.default_rng(K)
+        rows = full = 0
+        for trial in range(20):
+            X = duplicated_rows(rng, K)
+            centers = spectral._seed_centroids(X, K, seed_generators(trial))
+            got, want = assert_restarts_match_reference(monkeypatch, X, centers)
+            assert got <= want
+            rows, full = rows + got, full + want
+        assert rows < full
+
+    @pytest.mark.parametrize("K, trials", [(5, 50), (6, 16)])
+    def test_restarts_coinciding_between_save_points_run_on(self, monkeypatch, K, trials):
+        # Between two steps numbered powers of two, restarts with equal
+        # labels may hold different saved labels: one of them can be in a
+        # cycle through its saved labels and stop steps before the other,
+        # which joined the cycle later. These inputs hold such pairs, so
+        # merging restarts there would give a wrong step count or labels.
+        rng = np.random.default_rng(100 + K)
+        for trial in range(trials):
+            X = duplicated_rows(rng, K, 40)
+            centers = spectral._seed_centroids(X, K, seed_generators(trial))
+            got, want = assert_restarts_match_reference(monkeypatch, X, centers)
+            assert got <= want
+
+    def test_hash_matches_are_confirmed(self, monkeypatch):
+        # With every hash weight 0, every row matches the first row's hash,
+        # so only the elementwise check keeps unequal restarts apart.
+        monkeypatch.setattr(spectral, "_row_hash_weights", lambda N: np.zeros(N, dtype=np.int64))
+        rng = np.random.default_rng(300)
+        for trial in range(3):
+            X = realdata_shape(rng)
+            assert_restarts_match_reference(
+                monkeypatch, X, spectral._seed_centroids(X, 2, seed_generators(trial)))
+
+    def test_coinciding_restarts_run_once_within_groups(self, monkeypatch):
+        # 10 restarts in groups of 4, 4 and 2: each group's restarts
+        # coincide only with each other, and the best is still the earliest
+        # of the restarts with the least objective.
+        rng = np.random.default_rng(301)
+        X = realdata_shape(rng)
+        monkeypatch.setattr(spectral, "_BATCH_ELEMENTS", 4 * 300 * 2 * 2)
+        groups = []
+        lloyd = spectral._lloyd
+
+        def recorded(points, centers):
+            groups.append(centers.copy())
+            return lloyd(points, centers)
+
+        monkeypatch.setattr(spectral, "_lloyd", recorded)
+        assert_matches_reference(X, 2, rng_seed=5)
+        monkeypatch.setattr(spectral, "_lloyd", lloyd)
+        assert [len(centers) for centers in groups] == [4, 4, 2]
+        rows = full = 0
+        for centers in groups:
+            got, want = assert_restarts_match_reference(monkeypatch, X, centers)
+            rows, full = rows + got, full + want
+        assert rows < full
 
     def test_cycling_restarts_stop_before_the_cap(self):
         # With fewer distinct rows than K, points can flip between centers
@@ -393,8 +541,7 @@ class TestKmeans:
         K = 5
         rng = np.random.default_rng(K)
         for trial in range(20):
-            distinct = rng.normal(size=(int(rng.integers(1, 2 * K)), 2))
-            X = distinct[rng.integers(len(distinct), size=int(rng.integers(K, 30)))]
+            X = duplicated_rows(rng, K)
             rngs = [np.random.default_rng(np.random.SeedSequence((trial, r))) for r in range(10)]
             labels, centers, objectives, steps = spectral._lloyd(
                 X, spectral._seed_centroids(X, K, rngs))
@@ -450,9 +597,7 @@ class TestKmeans:
         # the shape of a two-class real-data embedding: 300 points, K = d = 2
         rng = np.random.default_rng(300)
         for trial in range(3):
-            X = np.concatenate([rng.normal([1.0, 0.5], 0.3, size=(120, 2)),
-                                rng.normal([0.8, -0.4], 0.4, size=(180, 2))])
-            assert_matches_reference(X[rng.permutation(300)], 2, rng_seed=trial)
+            assert_matches_reference(realdata_shape(rng), 2, rng_seed=trial)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     def test_nearest_takes_first_center_on_ties(self, K):
