@@ -222,13 +222,10 @@ class LabeledGraph:
         adj.setflags(write=False)
         return adj
 
-    def rows(self, index, count=None):
+    def rows(self, index):
         """Rows `index` (an int, a slice or an index array) of the
-        adjacency as booleans, in their first `count` columns (all N by
-        default)."""
-        N = self.num_vertices
-        return np.unpackbits(self.packed[index], axis=-1,
-                             count=N if count is None else count).view(bool)
+        adjacency as booleans."""
+        return np.unpackbits(self.packed[index], axis=-1, count=self.num_vertices).view(bool)
 
     @property
     def num_vertices(self):

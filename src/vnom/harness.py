@@ -4,11 +4,12 @@ subsample-and-average-position procedure."""
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import json
 import numbers
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -253,20 +254,23 @@ def _nominate_all(graph, model, config, replicate, d, embedding=None):
 @dataclass(frozen=True)
 class _Simulation:
     """What every replicate of a simulation run shares, built once per
-    run: the config, its model, the model's contiguous planted membership
-    and the spectral scheme's d. `replicate` is the run's replicate
-    function; worker processes receive the whole object, pickled."""
+    run: the config, its model, the model's contiguous planted membership,
+    the spectral scheme's d, and the run's n and n1. `replicate` is the
+    run's only per-replicate code, as in every run object here; each
+    worker process receives the object once (_run_replicates)."""
 
     config: ExperimentConfig
     model: BlockModel
     membership: BlockAssignment
     d: int
+    n: int
+    n1: int
 
     @classmethod
     def of(cls, config):
         model = build_model(config)
         return cls(config, model, contiguous_assignment(model),
-                   _spectral_dimension(config, model))
+                   _spectral_dimension(config, model), model.n, model.n_sizes[0])
 
     def replicate(self, replicate):
         config, model = self.config, self.model
@@ -296,32 +300,41 @@ def _ambiguous_permutation(config, replicate, n):
     return rng.permutation(n)
 
 
-def _realdata_replicate(config, replicate):
-    dataset = _load_dataset(config)
-    order, graph, model = _labeled_instance(config, replicate, _seed_counts(config, dataset))
-    # The instance is the whole dataset graph in a new vertex order, so its
-    # embedding is the dataset's with the rows in that order.
-    embedding = functools.partial(dataset.embedding, order=order)
-    return _nominate_all(graph, model, config, replicate,
-                         _spectral_dimension(config, model), embedding)
+# The run object of the worker process, set once per process by _install_run.
+_worker_run = None
 
 
-def _run_replicates(replicate_fn, replicates, workers=1):
-    """[replicate_fn(r) for r in range(replicates)], in worker processes
-    when workers > 1; replicate_fn must then pickle."""
+def _install_run(run):
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_replicate(replicate):
+    return _worker_run.replicate(replicate)
+
+
+def _run_replicates(run, replicates, workers=1):
+    """[run.replicate(r) for r in range(replicates)], in worker processes
+    when workers > 1. Each worker receives `run` once, so what the run
+    object fills in on first use (a dataset's embeddings) stays for that
+    worker's later replicates."""
     indices = range(replicates)
     if workers <= 1:
-        return [replicate_fn(r) for r in indices]
+        return [run.replicate(r) for r in indices]
     # imported here: the pool's modules cost a one-worker run about 9 ms
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
+                             initargs=(run,)) as pool:
         # order preserved by map, so aggregation stays deterministic
-        return list(pool.map(replicate_fn, indices))
+        return list(pool.map(_worker_replicate, indices))
 
 
-def _experiment_result(config, per_replicate, n, n1, log_raw):
-    """Per-position hit curves and MAP per scheme over the replicates."""
+def _experiment_result(run, workers, log_raw):
+    """Run the replicates of a simulation or real-data run object and
+    aggregate per-position hit curves and MAP per scheme."""
+    config = run.config
+    per_replicate = _run_replicates(run, config.replicates, workers)
     schemes, raw = {}, {}
     for scheme in config.schemes:
         raw[scheme] = np.stack([rep[scheme][0] for rep in per_replicate])
@@ -334,9 +347,9 @@ def _experiment_result(config, per_replicate, n, n1, log_raw):
         )
     return ExperimentResult(
         name=config.name,
-        n=n,
-        n1=n1,
-        chance=n1 / n,
+        n=run.n,
+        n1=run.n1,
+        chance=run.n1 / run.n,
         replicates=config.replicates,
         master_seed=config.master_seed,
         schemes=schemes,
@@ -367,11 +380,9 @@ def run_simulation(config, workers=1, log_raw=False):
     """Realize, nominate, and score `replicates` SBM graphs; aggregate
     per-position hit curves and MAP per scheme."""
     simulation = _Simulation.of(config)
-    model = simulation.model
     if "canonical" in config.schemes:
-        check_enumeration(model.n_sizes, config.hyper.enumeration_guard)
-    per_replicate = _run_replicates(simulation.replicate, config.replicates, workers)
-    return _experiment_result(config, per_replicate, model.n, model.n_sizes[0], log_raw)
+        check_enumeration(simulation.model.n_sizes, config.hyper.enumeration_guard)
+    return _experiment_result(simulation, workers, log_raw)
 
 
 def _load_full_labels(path, K):
@@ -389,13 +400,14 @@ def _load_full_labels(path, K):
 @dataclass
 class _Dataset:
     """A labeled graph read from its files: `graph` holds its packed rows
-    in file order and no seeds, `truth` the block of every vertex.
-    `embeddings` caches spectral.embed(graph, d) by d, filled on first
-    use."""
+    in file order and no seeds, `truth` the block of every vertex, and
+    `digest` the digests of the files' bytes. `embeddings` caches
+    spectral.embed(graph, d) by d, filled on first use."""
 
     graph: LabeledGraph
     truth: np.ndarray
     K: int
+    digest: tuple
     embeddings: dict = field(default_factory=dict)
 
     def embedding(self, d, order):
@@ -408,7 +420,8 @@ class _Dataset:
         return spectral.Embedding(X=cached.X[order], eigenvalues=cached.eigenvalues)
 
 
-# Every dataset this process has read, by (edges path, labels path, K).
+# The dataset this process last read from each (edges path, labels path, K),
+# served while the digests of its files' bytes are unchanged.
 _dataset_cache = {}
 
 
@@ -417,17 +430,21 @@ def _load_dataset(config):
     if "edges" not in section or "labels" not in section or "K" not in section:
         raise ConfigError("data section requires 'edges', 'labels', and 'K'")
     K = _converted("data.K", section["K"], integral, "an integer")
-    key = (section["edges"], section["labels"], K)
-    if key not in _dataset_cache:
-        truth = _load_full_labels(section["labels"], K)
-        graph = load_edge_list(section["edges"], num_vertices=len(truth))
-        # A '#vertices' header overrides num_vertices.
-        if graph.num_vertices != len(truth):
-            raise ConfigError(
-                f"{section['edges']} declares {graph.num_vertices} vertices, but "
-                f"{section['labels']} labels {len(truth)}"
-            )
-        _dataset_cache[key] = _Dataset(graph, truth, K)
+    edges, labels = section["edges"], section["labels"]
+    key = (edges, labels, K)
+    # Hashed before the files are read, so a file rewritten during the read
+    # leaves a stale digest and is read again by the next run.
+    digest = tuple(hashlib.blake2b(Path(path).read_bytes()).digest() for path in (labels, edges))
+    if key in _dataset_cache and _dataset_cache[key].digest == digest:
+        return _dataset_cache[key]
+    truth = _load_full_labels(labels, K)
+    graph = load_edge_list(edges, num_vertices=len(truth))
+    # A '#vertices' header overrides num_vertices.
+    if graph.num_vertices != len(truth):
+        raise ConfigError(
+            f"{edges} declares {graph.num_vertices} vertices, but {labels} labels {len(truth)}"
+        )
+    _dataset_cache[key] = _Dataset(graph, truth, K, digest)
     return _dataset_cache[key]
 
 
@@ -439,14 +456,6 @@ def _counts(config, key, default=None):
         return None
     return _converted(f"data.{key}", value, lambda v: [integral(x) for x in v],
                       "a list of integers")
-
-
-def _seed_counts(config, dataset):
-    """data.seed_counts, checked against the dataset's blocks."""
-    seed_counts = _counts(config, "seed_counts")
-    if seed_counts is None or len(seed_counts) != dataset.K:
-        raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
-    return seed_counts
 
 
 # Unpacked bytes of the dataset's rows that _packed_submatrix holds at a time.
@@ -465,8 +474,8 @@ def _packed_submatrix(graph, order):
     return packed
 
 
-def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
-    """One replicate's instance of the labeled graph.
+def _labeled_instance(config, dataset, replicate, seed_counts, pool_sizes=None):
+    """One replicate's instance of the config's dataset.
 
     Per block k, seed_counts[k-1] seeds are drawn from a pool: the whole
     block, or pool_sizes[k-1] of its vertices drawn first. The ambiguous
@@ -477,7 +486,6 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     order, and its BlockModel with Lambda-hat estimated from the
     seed-induced subgraph.
     """
-    dataset = _load_dataset(config)
     truth, K = dataset.truth, dataset.K
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, replicate, 0))
@@ -513,57 +521,98 @@ def _labeled_instance(config, replicate, seed_counts, pool_sizes=None):
     return order, graph, model
 
 
+@dataclass(frozen=True)
+class _RealData:
+    """A real-data run object (see _Simulation). Every replicate seeds the
+    same number of vertices per block, so n and n1 are the run's."""
+
+    config: ExperimentConfig
+    dataset: _Dataset
+    seed_counts: list
+    n: int
+    n1: int
+
+    @classmethod
+    def of(cls, config):
+        dataset = _load_dataset(config)
+        truth = dataset.truth
+        seed_counts = _counts(config, "seed_counts")
+        if seed_counts is None or len(seed_counts) != dataset.K:
+            raise ConfigError("realdata mode requires 'seed_counts' with one entry per block")
+        for k, want in enumerate(seed_counts, start=1):
+            have = int((truth == k).sum())
+            if want > have:
+                raise ConfigError(f"block {k} has {have} vertices; cannot seed {want}")
+        return cls(config, dataset, seed_counts, len(truth) - sum(seed_counts),
+                   int((truth == 1).sum()) - seed_counts[0])
+
+    def replicate(self, replicate):
+        config = self.config
+        order, graph, model = _labeled_instance(config, self.dataset, replicate, self.seed_counts)
+        # The instance is the whole dataset graph in a new vertex order, so its
+        # embedding is the dataset's with the rows in that order.
+        return _nominate_all(graph, model, config, replicate, _spectral_dimension(config, model),
+                             lambda d: self.dataset.embedding(d, order))
+
+
 def run_realdata(config, workers=1, log_raw=False):
     """Seed-resampling protocol on a user-supplied labeled graph: per
     replicate, sample seeds per block, estimate Lambda-hat from their
     induced densities, nominate, and score against the held-out labels.
     Every replicate holds all of the graph's vertices, so the spectral
     scheme embeds the graph once per d and reuses it."""
-    dataset = _load_dataset(config)
-    truth = dataset.truth
-    seed_counts = _seed_counts(config, dataset)
-    for k, want in enumerate(seed_counts, start=1):
-        have = int((truth == k).sum())
-        if want > have:
-            raise ConfigError(f"block {k} has {have} vertices; cannot seed {want}")
-    per_replicate = _run_replicates(functools.partial(_realdata_replicate, config),
-                                    config.replicates, workers)
-    # every replicate seeds the same number of vertices per block
-    n = len(truth) - sum(seed_counts)
-    n1 = int((truth == 1).sum()) - seed_counts[0]
-    return _experiment_result(config, per_replicate, n, n1, log_raw)
+    return _experiment_result(_RealData.of(config), workers, log_raw)
+
+
+@dataclass(frozen=True)
+class _Subsample:
+    """A subsample run object (see _Simulation): per class, the subsample
+    size and the number of seeds drawn from it."""
+
+    config: ExperimentConfig
+    dataset: _Dataset
+    sizes: list
+    seeds_per_class: list
+
+    @classmethod
+    def of(cls, config):
+        dataset = _load_dataset(config)
+        if dataset.K != 2:
+            raise ConfigError("subsample mode expects exactly two classes")
+        sizes = _counts(config, "subsample_sizes", [125, 125])
+        seeds_per = _counts(config, "seeds_per_class", [50, 50])
+        if len(sizes) != 2 or len(seeds_per) != 2:
+            raise ConfigError("subsample_sizes and seeds_per_class need two entries")
+        for k in (1, 2):
+            have = int((dataset.truth == k).sum())
+            if sizes[k - 1] > have:
+                raise ConfigError(f"class {k} has {have} vertices; cannot sample {sizes[k-1]}")
+            if seeds_per[k - 1] >= sizes[k - 1]:
+                raise ConfigError("seeds_per_class must be below subsample_sizes")
+        return cls(config, dataset, sizes, seeds_per)
+
+    def replicate(self, replicate):
+        """The dataset ids of the replicate's ambiguous vertices, in the
+        order the likelihood scheme nominates them."""
+        order, graph, model = _labeled_instance(self.config, self.dataset, replicate,
+                                                self.seeds_per_class, self.sizes)
+        nomination = _nominate("likelihood", graph, model, self.config, replicate, d=None)
+        return order[graph.seed_count:][nomination.positions()]
 
 
 def run_subsample_average(config):
     """Subsample two classes repeatedly, nominate the ambiguous members
     with the likelihood scheme, and average each vertex's nomination
     position over its selections."""
-    dataset = _load_dataset(config)
-    truth = dataset.truth
-    if dataset.K != 2:
-        raise ConfigError("subsample mode expects exactly two classes")
-    sizes = _counts(config, "subsample_sizes", [125, 125])
-    seeds_per = _counts(config, "seeds_per_class", [50, 50])
-    if len(sizes) != 2 or len(seeds_per) != 2:
-        raise ConfigError("subsample_sizes and seeds_per_class need two entries")
-    for k in (1, 2):
-        have = int((truth == k).sum())
-        if sizes[k - 1] > have:
-            raise ConfigError(f"class {k} has {have} vertices; cannot sample {sizes[k-1]}")
-        if seeds_per[k - 1] >= sizes[k - 1]:
-            raise ConfigError("seeds_per_class must be below subsample_sizes")
-
+    run = _Subsample.of(config)
+    truth = run.dataset.truth
     position_sum = np.zeros(len(truth))
     selected = np.zeros(len(truth), dtype=np.int64)
-    for r in range(config.replicates):
-        order, graph, model = _labeled_instance(config, r, seeds_per, sizes)
-        nomination = _nominate("likelihood", graph, model, config, r, d=None)
-        picked = order[graph.seed_count:][nomination.positions()]
+    for picked in _run_replicates(run, config.replicates):
         position_sum[picked] += np.arange(1, len(picked) + 1)
         selected[picked] += 1
 
-    with np.errstate(invalid="ignore"):
-        mean_position = np.where(selected > 0, position_sum / np.maximum(selected, 1), np.nan)
+    mean_position = np.where(selected > 0, position_sum / np.maximum(selected, 1), np.nan)
     return {
         "vertex_class": truth,
         "times_selected": selected,

@@ -83,7 +83,6 @@ class Clustering:
     objective: float
     restart: int
     iterations: int
-    chosen_centroid: int | None = None
 
 
 def default_dimension(lam, rel_tol=1e-8):

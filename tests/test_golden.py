@@ -56,6 +56,9 @@ GOLDEN_MATCHER = {
 # case, in call order: prob and log_denominator as little-endian float64.
 GOLDEN_CANONICAL = "3ca57b88130a01df2e266d86f8b2241a904da41cca47c96122d9802515f05556"
 
+# SHA-256 of the subsample procedure's CSV table on two_class_files' graph.
+GOLDEN_SUBSAMPLE = "63781ad6582bdf2fac570d8b3f4fd341b31f9dbe4cd7a8a0a03d1d411f1b572d"
+
 
 def two_class_files(directory, seed=20261019, sizes=(120, 180),
                     density=((0.08, 0.01), (0.01, 0.04))):
@@ -153,3 +156,14 @@ def test_canonical_probabilities_unchanged(monkeypatch, tmp_path):
     monkeypatch.setattr(canonical, "conditional_block1_probability", recorded)
     harness.run_simulation(dataclasses.replace(config, schemes=("canonical",)))
     assert digest.hexdigest() == GOLDEN_CANONICAL
+
+
+def test_subsample_table_unchanged(tmp_path):
+    edges, labels = two_class_files(tmp_path)
+    config = harness.parse_config({
+        "name": "golden-subsample", "mode": "subsample", "replicates": 6, "master_seed": 7170,
+        "data": {"edges": str(edges), "labels": str(labels), "K": 2,
+                 "subsample_sizes": [40, 60], "seeds_per_class": [10, 15]},
+    })
+    table = harness.subsample_table_csv(harness.run_subsample_average(config))
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_SUBSAMPLE

@@ -2,6 +2,9 @@
 real-data protocol, and the subsample-average procedure."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -59,6 +62,18 @@ def write_sbm_dataset(tmp_path, model, rng_seed):
     graph = sample_sbm(model, contiguous_assignment(model), rng_seed)
     labels = np.concatenate([graph.seed_labels, graph.true_labels])
     return write_dataset(tmp_path, graph.adjacency, labels)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named vnom.harness attribute so that its calls are counted
+    in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 def null_graph_with_isolates(rng_seed, N=300, p=0.06, isolated_share=0.4):
@@ -263,7 +278,8 @@ class TestRunRealdata:
             "master_seed": 3, "data": {"edges": edges, "labels": labels, "K": 2},
         })
         for pool_sizes in (None, [15, 16]):
-            order, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
+            order, graph, _ = harness._labeled_instance(config, harness._load_dataset(config),
+                                                        0, [4, 5], pool_sizes)
             assert core._is_symmetric(graph.packed)
             assert graph.packed.flags.c_contiguous
             assert np.array_equal(graph.adjacency, dataset.adjacency[np.ix_(order, order)])
@@ -280,7 +296,8 @@ class TestRunRealdata:
         })
         monkeypatch.setattr(harness, "_STRIP_BYTES", 3 * 41 + 2)
         for pool_sizes in (None, [15, 16]):
-            order, graph, _ = harness._labeled_instance(config, 0, [4, 5], pool_sizes)
+            order, graph, _ = harness._labeled_instance(config, harness._load_dataset(config),
+                                                        0, [4, 5], pool_sizes)
             assert np.array_equal(graph.adjacency, dataset.adjacency[np.ix_(order, order)])
 
     def test_instance_memory_is_bounded(self, tmp_path):
@@ -297,10 +314,11 @@ class TestRunRealdata:
             "mode": "realdata", "schemes": ["spectral"], "replicates": 1, "master_seed": 3,
             "data": {"edges": str(edges), "labels": str(labels), "K": 2},
         })
-        harness._labeled_instance(config, 0, [20, 20])  # loads the dataset
+        dataset = harness._load_dataset(config)
+        harness._labeled_instance(config, dataset, 0, [20, 20])
         tracemalloc.start()
         try:
-            order, graph, _ = harness._labeled_instance(config, 1, [20, 20])
+            order, graph, _ = harness._labeled_instance(config, dataset, 1, [20, 20])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -393,7 +411,8 @@ class TestRunRealdata:
             assert np.all(lam == config.hyper.eps)
         assert all(0.0 <= ap <= 1.0 for ap in aps)
         assert (result.n, result.n1) == (14, 7)
-        _, graph, model = harness._labeled_instance(config, 0, [3, 3])
+        _, graph, model = harness._labeled_instance(config, harness._load_dataset(config),
+                                                    0, [3, 3])
         prob = conditional_block1_probability(graph, model).prob
         assert np.allclose(prob, 7 / 14, atol=1e-12, rtol=0)
 
@@ -436,8 +455,9 @@ class TestRunRealdata:
 
 
 class TestDatasetCache:
-    """run_realdata embeds each dataset once per d and gives every
-    replicate the cached rows in its own vertex order."""
+    """run_realdata reads each dataset once while its files are unchanged,
+    embeds it once per d and gives every replicate the cached rows in its
+    own vertex order."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
@@ -478,7 +498,7 @@ class TestDatasetCache:
         config = self.realdata_config(tmp_path, n_sizes)
         dataset = harness._load_dataset(config)
         for replicate in range(config.replicates):
-            order, graph, model = harness._labeled_instance(config, replicate, [8, 8])
+            order, graph, model = harness._labeled_instance(config, dataset, replicate, [8, 8])
             cached = dataset.embedding(2, order)
             fresh = spectral.embed(graph, 2)
             signs = np.sign(np.sum(cached.X * fresh.X, axis=0))
@@ -491,8 +511,9 @@ class TestDatasetCache:
 
     def test_embedding_of_another_shape_rejected(self, tmp_path):
         config = self.realdata_config(tmp_path, (30, 40))
-        order, graph, _ = harness._labeled_instance(config, 0, [8, 8])
-        embedding = harness._load_dataset(config).embedding(1, order)
+        dataset = harness._load_dataset(config)
+        order, graph, _ = harness._labeled_instance(config, dataset, 0, [8, 8])
+        embedding = dataset.embedding(1, order)
         with pytest.raises(ValueError, match="embedding must be 70 x 2"):
             spectral.spectral_nominate(graph, 2, d=2, embedding=embedding)
 
@@ -510,6 +531,46 @@ class TestDatasetCache:
             blobs.append([path.read_bytes() for path in (csv_path, raw_path, json_path)])
         assert blobs[0] == blobs[1]
 
+    def test_runs_read_and_resolve_the_dataset_once(self, tmp_path, monkeypatch):
+        config = self.realdata_config(tmp_path, (30, 40))
+        subsample = parse_config({
+            "mode": "subsample", "replicates": 3, "master_seed": 5,
+            "data": {**config.data, "subsample_sizes": [20, 20], "seeds_per_class": [5, 5]},
+        })
+        calls = count_calls(monkeypatch, ("load_edge_list", "_load_dataset"))
+        for run in (run_realdata, run_realdata, run_subsample_average):
+            run(config if run is run_realdata else subsample)
+        # three runs of 5, 5 and 3 replicates on unchanged files
+        assert calls == {"load_edge_list": 1, "_load_dataset": 3}
+
+    def test_rewritten_edge_file_is_read_again(self, tmp_path):
+        strong = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.7, 0.1], [0.1, 0.7]])
+        null = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.3, 0.3], [0.3, 0.3]])
+        edges, labels = write_sbm_dataset(tmp_path, strong, 3)
+        data = {
+            "name": "rewritten", "mode": "realdata", "schemes": ["likelihood", "spectral"],
+            "replicates": 4, "master_seed": 8,
+            "data": {"edges": edges, "labels": labels, "K": 2, "seed_counts": [6, 6]},
+        }
+        first = harness._summary_json(run_realdata(parse_config(data)))
+        stat = os.stat(edges)
+        assert write_sbm_dataset(tmp_path, null, 3) == (edges, labels)
+        # the old modification time, so that a check of the time alone sees no change
+        os.utime(edges, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        second = harness._summary_json(run_realdata(parse_config(data)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\nfrom vnom import harness\n"
+             "config = harness.parse_config(json.loads(sys.argv[1]))\n"
+             "sys.stdout.write(harness._summary_json(harness.run_realdata(config)))\n",
+             json.dumps(data)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert second == fresh.stdout != first
+
     def test_entry_holds_packed_rows(self, tmp_path):
         run_realdata(self.realdata_config(tmp_path, (30, 43)))
         (entry,) = harness._dataset_cache.values()
@@ -519,6 +580,27 @@ class TestDatasetCache:
         arrays = [v for v in vars(entry).values() if isinstance(v, np.ndarray)]
         arrays += [entry.graph.packed, entry.graph.seed_labels]
         assert all(a.nbytes < N * N for a in arrays)
+
+
+# The vnom.harness attributes that perfbench replaces with timing wrappers.
+PERFBENCH_HOOKS = ("sample_sbm", "sample_sbm_blockwise", "load_edge_list", "estimate_lambda",
+                   "canonical_nominate", "likelihood_nominate", "spectral_nominate",
+                   "average_precision")
+
+
+def test_perfbench_hooks_are_called_through_the_module(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, PERFBENCH_HOOKS)
+    monkeypatch.setattr(harness, "_dataset_cache", {})
+    model = BlockModel(m_sizes=(0, 0), n_sizes=(8, 8), lam=[[0.6, 0.2], [0.2, 0.5]])
+    edges, labels = write_sbm_dataset(tmp_path, model, 2)
+    run_simulation(parse_config({**TINY_CONFIG, "replicates": 1}))
+    run_realdata(parse_config({
+        "mode": "realdata", "schemes": list(harness.SCHEMES), "replicates": 1,
+        "master_seed": 2, "data": {"edges": edges, "labels": labels, "K": 2,
+                                   "seed_counts": [3, 3]},
+    }))
+    # perfbench still patches the blockwise alias, which the harness no longer calls
+    assert {name for name, count in calls.items() if count == 0} == {"sample_sbm_blockwise"}
 
 
 class TestRunSubsampleAverage:
