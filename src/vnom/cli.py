@@ -23,6 +23,7 @@ from vnom.core import (
     sample_sbm,
 )
 from vnom.harness import (
+    SCHEMES,
     ConfigError,
     emit_results,
     load_config,
@@ -64,7 +65,7 @@ def build_parser():
     p.add_argument("--truth-out", help="also write the hidden ambiguous labels")
 
     p = sub.add_parser("nominate", help="run one scheme on a graph from files")
-    p.add_argument("--scheme", choices=["canonical", "likelihood", "spectral"], required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--labels", required=True, help="seed labels file")
     p.add_argument("--lambda", dest="lambda_path", required=True)

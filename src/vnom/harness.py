@@ -122,6 +122,14 @@ def _converted(key, value, convert, rule):
         raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
 
 
+def _natural(value):
+    """integral(value), refusing a negative one."""
+    n = integral(value)
+    if n < 0:
+        raise ValueError(f"negative: {value!r}")
+    return n
+
+
 def parse_config(data):
     """Validate a config dict (strict: unknown keys are errors)."""
     if not isinstance(data, dict):
@@ -150,7 +158,7 @@ def parse_config(data):
         mode=data["mode"],
         schemes=tuple(data.get("schemes", ())),
         replicates=_converted("replicates", data["replicates"], integral, "an integer"),
-        master_seed=_converted("master_seed", data["master_seed"], integral, "an integer"),
+        master_seed=_converted("master_seed", data["master_seed"], _natural, "an integer >= 0"),
         model=model,
         data=section,
         hyper=Hyperparameters.from_dict(data.get("hyperparameters", {})),
@@ -256,8 +264,8 @@ class _Simulation:
     """What every replicate of a simulation run shares, built once per
     run: the config, its model, the model's contiguous planted membership,
     the spectral scheme's d, and the run's n and n1. `replicate` is the
-    run's only per-replicate code, as in every run object here; each
-    worker process receives the object once (_run_replicates)."""
+    run's only per-replicate code, as in every run object here; a worker
+    unpickles the object once per chunk of replicates (_run_replicates)."""
 
     config: ExperimentConfig
     model: BlockModel
@@ -300,34 +308,19 @@ def _ambiguous_permutation(config, replicate, n):
     return rng.permutation(n)
 
 
-# The run object of the worker process, set once per process by _install_run.
-_worker_run = None
-
-
-def _install_run(run):
-    global _worker_run
-    _worker_run = run
-
-
-def _worker_replicate(replicate):
-    return _worker_run.replicate(replicate)
-
-
 def _run_replicates(run, replicates, workers=1):
     """[run.replicate(r) for r in range(replicates)], in worker processes
-    when workers > 1. Each worker receives `run` once, so what the run
-    object fills in on first use (a dataset's embeddings) stays for that
-    worker's later replicates."""
-    indices = range(replicates)
+    when workers > 1. The replicates go out in one chunk per worker, so a
+    worker unpickles `run` once, and what the run object fills in on first
+    use (a dataset's embeddings) stays for the rest of its chunk."""
     if workers <= 1:
-        return [run.replicate(r) for r in indices]
+        return [run.replicate(r) for r in range(replicates)]
     # imported here: the pool's modules cost a one-worker run about 9 ms
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
-                             initargs=(run,)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # order preserved by map, so aggregation stays deterministic
-        return list(pool.map(_worker_replicate, indices))
+        return list(pool.map(run.replicate, range(replicates), chunksize=-(-replicates // workers)))
 
 
 def _experiment_result(run, workers, log_raw):
@@ -450,12 +443,12 @@ def _load_dataset(config):
 
 def _counts(config, key, default=None):
     """The data section's list of vertex counts `key`, as ints, or
-    ConfigError naming the key when an entry is not an integer."""
+    ConfigError naming the key when an entry is not an integer >= 0."""
     value = config.data.get(key, default)
     if value is None:
         return None
-    return _converted(f"data.{key}", value, lambda v: [integral(x) for x in v],
-                      "a list of integers")
+    return _converted(f"data.{key}", value, lambda v: [_natural(x) for x in v],
+                      "a list of integers >= 0")
 
 
 # Unpacked bytes of the dataset's rows that _packed_submatrix holds at a time.

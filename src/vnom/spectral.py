@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -351,35 +351,16 @@ def _objectives(d2, labels):
     return d2.reshape(R * K, N)[_cluster_index(labels, K), np.arange(N)].sum(axis=1)
 
 
-@lru_cache(maxsize=1)
-def _row_hash_weights(N):
-    """Fixed pseudo-random int64 multipliers for hashing length-N integer
-    rows as row @ weights (wrapping). Equal rows hash equal and unequal
-    rows almost never do; multipliers linear in the index would not do, as
-    many small label changes would then cancel. _coinciding confirms every
-    match anyway. The read-only table is drawn from a fixed seed once per
-    row length, and the latest is kept, so a call pays no draw: drawing on
-    each call made small-mc's 14-vertex k-means calls 8% slower."""
-    info = np.iinfo(np.int64)
-    weights = np.random.default_rng(0).integers(info.min, info.max, N, dtype=np.int64,
-                                                endpoint=True)
-    weights.flags.writeable = False
-    return weights
-
-
 def _coinciding(labels):
-    """The rows of the integer labels (R, N) that equal an earlier row, and
-    for each the first row equal to it, as two lists. Rows are matched by
-    their hash and confirmed equal by their bytes (0.3 µs a pair at
-    N = 100, against 1.8 for np.array_equal); a row whose hash matches an
-    unequal earlier row's counts as distinct."""
-    first, twins, firsts = {}, [], []
-    for i, key in enumerate((labels @ _row_hash_weights(labels.shape[1])).tolist()):
-        j = first.setdefault(key, i)
-        if j != i and labels[i].tobytes() == labels[j].tobytes():
-            twins.append(i)
-            firsts.append(j)
-    return twins, firsts
+    """{i: j} for each row i of the integer labels (R, N) that equals an
+    earlier row, j the first row equal to it. Rows are keyed by their
+    bytes, so equal keys are equal rows."""
+    first, twins = {}, {}
+    for i, row in enumerate(labels):
+        j = first.setdefault(row.tobytes(), i)
+        if j != i:
+            twins[i] = j
+    return twins
 
 
 def _lloyd(points, centers):
@@ -440,10 +421,10 @@ def _lloyd(points, centers):
         if step & (step - 1) == 0:
             # step 0 is not checked: restarts were never seen to share its labels
             if step and len(active) > 1:
-                twins, firsts = _coinciding(new)
+                twins = _coinciding(new)
                 if twins:
                     ids = active.tolist()
-                    twin_of.update((ids[i], ids[j]) for i, j in zip(twins, firsts))
+                    twin_of.update((ids[i], ids[j]) for i, j in twins.items())
                     keep = [i for i in range(len(ids)) if i not in twins]
                     active = active.take(keep)
                     new, counts = new.take(keep, axis=0), counts.take(keep, axis=0)

@@ -258,6 +258,7 @@ BAD_FIELDS = [
     ("model.m_sizes", [1.5, 1]), ("model.n_sizes", [3, 2.5]), ("data.K", 2.5),
     ("replicates", True), ("model.K", False), ("model.m_sizes", [True, 1]),
     ("data.K", True), ("master_seed", float("inf")), ("replicates", float("nan")),
+    ("master_seed", -1),
 ]
 
 
@@ -275,6 +276,9 @@ def test_experiment_names_a_field_that_fails_conversion(key, value, tmp_path, ca
     ("experiment", "seed_counts", [12.7, 12.2]),
     ("subsample", "subsample_sizes", [20.5, 20]),
     ("subsample", "seeds_per_class", [8, 7.9]),
+    ("experiment", "seed_counts", [12, -1]),
+    ("subsample", "subsample_sizes", [-20, 20]),
+    ("subsample", "seeds_per_class", [8, -8]),
 ])
 def test_fractional_data_count_names_its_key(command, key, value, tmp_path, capsys):
     # int() would run [12.7, 12.2] as [12, 12]

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BASE_LAMBDA
+from conftest import BASE_LAMBDA, CONFIG_DIR
+from test_golden import two_class_files
 from vnom.canonical import InfeasibleEnumerationError, conditional_block1_probability
 from vnom import core, harness, spectral
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
@@ -208,6 +209,41 @@ class TestRunSimulation:
         cfg["hyperparameters"] = {"enumeration_guard": 1000}
         with pytest.raises(InfeasibleEnumerationError):
             run_simulation(parse_config(cfg))
+
+
+# Runs each config at 1, 2 and 3 workers under the start method argv[1] and
+# checks that the summaries agree.
+_WORKER_RUNS = """
+import json, multiprocessing, sys
+from vnom import harness
+multiprocessing.set_start_method(sys.argv[1])
+for data in sys.argv[2:]:
+    config = harness.parse_config(json.loads(data))
+    run = harness.run_simulation if config.mode == "simulation" else harness.run_realdata
+    summaries = [harness._summary_json(run(config, workers=w)) for w in (1, 2, 3)]
+    assert summaries[1] == summaries[0] == summaries[2], config.name
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_agree_under_start_methods_that_pickle_the_run(method, tmp_path):
+    # Under spawn and forkserver, as under fork, each chunk of replicates
+    # reaches its worker as a pickled run.replicate. Five real-data
+    # replicates split unevenly over the workers; two simulation replicates
+    # are fewer than three workers.
+    edges, labels = two_class_files(tmp_path)
+    realdata = {"name": "realdata", "mode": "realdata", "schemes": ["likelihood", "spectral"],
+                "replicates": 5, "master_seed": 5150,
+                "data": {"edges": str(edges), "labels": str(labels), "K": 2,
+                         "seed_counts": [20, 20]}}
+    small = json.loads((CONFIG_DIR / "small.json").read_text(encoding="utf-8"))
+    small["replicates"] = 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WORKER_RUNS, method, json.dumps(realdata),
+                           json.dumps(small)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestEmitResults:

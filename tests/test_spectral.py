@@ -499,15 +499,26 @@ class TestKmeans:
             got, want = assert_restarts_match_reference(monkeypatch, X, centers)
             assert got <= want
 
-    def test_hash_matches_are_confirmed(self, monkeypatch):
-        # With every hash weight 0, every row matches the first row's hash,
-        # so only the elementwise check keeps unequal restarts apart.
-        monkeypatch.setattr(spectral, "_row_hash_weights", lambda N: np.zeros(N, dtype=np.int64))
-        rng = np.random.default_rng(300)
-        for trial in range(3):
-            X = realdata_shape(rng)
-            assert_restarts_match_reference(
-                monkeypatch, X, spectral._seed_centroids(X, 2, seed_generators(trial)))
+    def test_coinciding_matches_pairwise_row_comparison(self):
+        # Small label alphabets and planted copies make duplicate rows
+        # common, and many rows equal two or more earlier rows: each twin
+        # must name the first of them.
+        rng = np.random.default_rng(302)
+        twin_count = later_matches = 0
+        for trial in range(300):
+            R, N = int(rng.integers(1, 11)), int(rng.integers(1, 40))
+            labels = rng.integers(0, int(rng.integers(1, 4)), (R, N))
+            for _ in range(int(rng.integers(0, R + 1))):
+                labels[rng.integers(R)] = labels[rng.integers(R)]
+            twins = {}
+            for i in range(R):
+                equal = [j for j in range(i) if np.array_equal(labels[i], labels[j])]
+                if equal:
+                    twins[i] = equal[0]
+                    later_matches += len(equal) > 1
+            assert spectral._coinciding(labels) == twins
+            twin_count += len(twins)
+        assert twin_count and later_matches
 
     def test_coinciding_restarts_run_once_within_groups(self, monkeypatch):
         # 10 restarts in groups of 4, 4 and 2: each group's restarts
