@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vnom.core import PROB_EPS, block_edge_counts
+from vnom.core import PROB_EPS, block_edge_counts, pair_counts
 from vnom.metrics import NominationList, rank_with_ties
 
 DEFAULT_GUARD = 10**8
@@ -200,19 +200,14 @@ def conditional_block1_probability(graph, model, guard=DEFAULT_GUARD, eps=PROB_E
     if graph.seed_count != m or graph.ambiguous_count != n:
         raise ValueError("graph does not match the model's seed/ambiguous sizes")
     check_enumeration(model.n_sizes, guard)
-    lam = model.clamped_lam(eps)
-    log_lam = np.log(lam)
-    log_1m = np.log1p(-lam)
+    log_lam, log_1m = model.log_probabilities(eps)
 
     # One count pass over every row: edges from each vertex to the seeds
     # of each block. The seed rows give the seed-seed pairs, identical for
     # every partition: log p of the seed-induced subgraph, half the sum
     # over ordered pairs.
     counts = block_edge_counts(graph.packed, graph.seed_labels, K)
-    seed_onehot = (graph.seed_labels[:, None] == np.arange(1, K + 1)).astype(np.int64)
-    seed_sizes = seed_onehot.sum(axis=0)
-    edges = seed_onehot.T @ counts[:m]
-    pairs = np.outer(seed_sizes, seed_sizes) - np.diag(seed_sizes)
+    edges, pairs = pair_counts(counts[:m], graph.seed_labels, K)
     seed_const = 0.5 * float(np.sum(edges * log_lam + (pairs - edges) * log_1m))
     # Ambiguous-ambiguous non-edge term: sum over i < j of log(1-Lambda)[b_i, b_j].
     sizes = np.asarray(model.n_sizes, dtype=float)

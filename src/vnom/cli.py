@@ -51,6 +51,15 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _integer_at_least(low):
+    """An argparse type for integers >= low, whose error names the flag."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="vn", description="Vertex nomination toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,7 +68,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lambda_path", required=True, help="Lambda JSON file")
     p.add_argument("--m-sizes", type=_sizes, required=True)
     p.add_argument("--n-sizes", type=_sizes, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer_at_least(0), default=0)
     p.add_argument("--edges-out", required=True)
     p.add_argument("--labels-out", required=True)
     p.add_argument("--truth-out", help="also write the hidden ambiguous labels")
@@ -71,11 +80,11 @@ def build_parser():
     p.add_argument("--lambda", dest="lambda_path", required=True)
     p.add_argument("--sizes", type=_sizes, help="ambiguous block sizes n1,..,nK")
     p.add_argument("--d", type=int, help="embedding dimension (spectral)")
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=_integer_at_least(0), default=0)
 
     p = sub.add_parser("experiment", help="run a config-driven experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_integer_at_least(1), default=1)
     p.add_argument("--log-raw", action="store_true")
     p.add_argument("--csv-out")
     p.add_argument("--json-out")

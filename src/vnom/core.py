@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +100,15 @@ class BlockModel:
     def clamped_lam(self, eps=PROB_EPS):
         return clamp_probabilities(self.lam, eps)
 
+    def log_probabilities(self, eps=PROB_EPS):
+        """(log Lambda, log(1 - Lambda)) of the clamped Lambda, both K x K."""
+        lam = self.clamped_lam(eps)
+        return np.log(lam), np.log1p(-lam)
+
     def log_odds(self, eps=PROB_EPS):
         """The K x K matrix log(Lambda / (1 - Lambda)) of the clamped Lambda."""
-        lam = self.clamped_lam(eps)
-        return np.log(lam) - np.log1p(-lam)
+        log_lam, log_1m = self.log_probabilities(eps)
+        return log_lam - log_1m
 
 
 # Columns per block of the packed transposes that symmetrise a drawn graph
@@ -452,10 +456,16 @@ def block_pair_counts(packed, labels, K):
     there, outer(sizes, sizes) - diag(sizes). A pair within a block counts
     twice.
     """
+    return pair_counts(block_edge_counts(packed, labels, K), labels, K)
+
+
+def pair_counts(counts, labels, K):
+    """block_pair_counts' (edges, pairs) from `counts`, the block_edge_counts
+    rows of the labeled vertices, one row per label, counted against those
+    same labels: a pass over more rows gives them as its leading rows."""
     onehot = (np.asarray(labels)[:, None] == np.arange(1, K + 1)).astype(np.int64)
     sizes = onehot.sum(axis=0)
-    edges = onehot.T @ block_edge_counts(packed, labels, K)
-    return edges, np.outer(sizes, sizes) - np.diag(sizes)
+    return onehot.T @ counts, np.outer(sizes, sizes) - np.diag(sizes)
 
 
 def log_likelihood(graph, assignment, model, eps=PROB_EPS):
@@ -466,8 +476,8 @@ def log_likelihood(graph, assignment, model, eps=PROB_EPS):
     if assignment.labels.max() > model.K:
         raise SizeMismatchError("assignment uses more blocks than the model")
     edges, pairs = block_pair_counts(graph.packed, assignment.labels, model.K)
-    lam = model.clamped_lam(eps)
-    return 0.5 * float(np.sum(edges * np.log(lam) + (pairs - edges) * np.log1p(-lam)))
+    log_lam, log_1m = model.log_probabilities(eps)
+    return 0.5 * float(np.sum(edges * log_lam + (pairs - edges) * log_1m))
 
 
 def estimate_lambda(graph, K, eps=PROB_EPS):
@@ -504,19 +514,15 @@ def mix_lambda(base, theta):
 
 
 def _numbered_lines(path):
-    """(line number, line) for each line of a UTF-8 text file; a file that
-    is not UTF-8 is a ParseError that names it."""
+    """(line number, stripped line) for each line of a UTF-8 text file that
+    is not blank. The whole file is decoded first, so a file that is not
+    UTF-8 is a ParseError that names it, ahead of any error in its lines."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-# A line of an edge list that is not two ids of plain ASCII digits (few
-# enough for int64) between blanks and tabs: blank lines, comments, headers,
-# and anything malformed or unusual. Newlines are already "\n" in text mode.
-_OTHER_LINE = re.compile(r"^(?![ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*$).*$", re.M)
+    return [(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
 
 
 def load_edge_list(edges_path, labels_path=None, num_vertices=None):
@@ -526,43 +532,12 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     Duplicate and reversed edges collapse; self-loops are rejected. The
     vertex universe comes from an optional '#vertices N' header (or the
     num_vertices argument); otherwise it is the largest id referenced.
-
-    One regular-expression pass finds the lines that are not two plain
-    ids; numpy parses and checks all the others at once, and these are
-    read one by one. An error is reported at the first line that has one,
-    in file order, with the message a line-by-line read gives.
+    Blank lines and comment lines (starting with '#', other than the
+    header) are skipped. An error names the first line that has one.
     """
     declared = num_vertices
-    try:
-        with open(edges_path, "r", encoding="utf-8") as fh:
-            text = "".join(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{edges_path}: not UTF-8 text ({exc})") from None
-    others, plain, start, lineno = [], [], 0, 1
-    for match in _OTHER_LINE.finditer(text):
-        lineno += text.count("\n", start, match.start())
-        others.append((lineno, match.group()))
-        plain.append(text[start : match.start()])
-        start = match.end()
-    plain.append(text[start:])
-    # stripped, since np.fromstring reads a text of whitespace alone as [0]
-    ends = np.fromstring("".join(plain).strip(), dtype=np.intp, sep=" ").reshape(-1, 2)
-    # the first plain line whose ids are not 1-based or form a self-loop
-    wrong = np.flatnonzero((ends < 1).any(axis=1) | (ends[:, 0] == ends[:, 1]))[:1]
-    stop = None
-    if len(wrong):
-        # its line number: its rank among the plain lines, moved down past
-        # each other line before it
-        stop = int(wrong[0]) + 1
-        for other_lineno, _ in others:
-            stop += other_lineno <= stop
-    edges = []
-    for lineno, line in others:
-        if stop is not None and lineno > stop:
-            break
-        stripped = line.strip()
-        if not stripped:
-            continue
+    ids = []  # the two ends of each edge, in file order
+    for lineno, stripped in _numbered_lines(edges_path):
         if stripped.startswith("#"):
             body = stripped[1:].strip()
             if body.lower().startswith("vertices"):
@@ -584,12 +559,8 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
             raise ParseError(f"{edges_path}:{lineno}: vertex ids are 1-based")
         if a == b:
             raise ParseError(f"{edges_path}:{lineno}: self-loop on vertex {a}")
-        edges.append((a, b))
-    if stop is not None:
-        a, b = ends[wrong[0]].tolist()
-        problem = "vertex ids are 1-based" if min(a, b) < 1 else f"self-loop on vertex {a}"
-        raise ParseError(f"{edges_path}:{stop}: {problem}")
-    max_id = max([int(ends.max(initial=0)), *map(max, edges)])
+        ids += a, b
+    max_id = max(ids, default=0)
 
     seed_labels = np.array([], dtype=int)
     if labels_path is not None:
@@ -605,7 +576,7 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
         raise ParseError(f"{edges_path}: empty graph with no declared vertices")
     # Each edge sets its bit in both rows of the packed adjacency; no N x N
     # boolean is made.
-    ends = np.concatenate([ends, np.array(edges, dtype=np.intp).reshape(-1, 2)]) - 1
+    ends = np.array(ids, dtype=np.intp).reshape(-1, 2) - 1
     rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
     packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
     np.bitwise_or.at(packed, (rows, cols // 8), (0x80 >> cols % 8).astype(np.uint8))
@@ -620,9 +591,8 @@ def load_labels(path, K=None):
     once each; with K, blocks above K are rejected.
     """
     labels = {}
-    for lineno, line in _numbered_lines(path):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, stripped in _numbered_lines(path):
+        if stripped.startswith("#"):
             continue
         parts = stripped.split()
         if len(parts) != 2:

@@ -15,7 +15,7 @@ import numpy as np
 
 import vnom
 from vnom import spectral
-from vnom.canonical import canonical_nominate, check_enumeration
+from vnom.canonical import DEFAULT_GUARD, canonical_nominate, check_enumeration
 from vnom.core import (
     PROB_EPS,
     BlockAssignment,
@@ -52,7 +52,7 @@ class Hyperparameters:
     sgm_tol: float = 1e-6
     sgm_restarts: int = 1
     eps: float = PROB_EPS
-    enumeration_guard: int = 10**8
+    enumeration_guard: int = DEFAULT_GUARD
 
     def __post_init__(self):
         def check(key, integer, valid, rule):
@@ -352,20 +352,11 @@ def _experiment_result(run, workers, log_raw):
 
 
 def _config_echo(config):
-    echo = {
-        "name": config.name,
-        "mode": config.mode,
-        "schemes": list(config.schemes),
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-    }
-    if config.model is not None:
-        echo["model"] = config.model
-    if config.data is not None:
-        echo["data"] = config.data
-    echo["hyperparameters"] = {
-        k: getattr(config.hyper, k) for k in config.hyper.__dataclass_fields__
-    }
+    """The config as the summary JSON echoes it: every field that is set,
+    with the hyperparameters as a dict under their config key."""
+    echo = {k: v for k, v in vars(config).items() if v is not None and k != "hyper"}
+    echo["schemes"] = list(config.schemes)
+    echo["hyperparameters"] = dict(vars(config.hyper))
     return echo
 
 

@@ -39,9 +39,7 @@ def swap_log_ratio(graph, bhat, model, v, v_prime, eps=PROB_EPS):
         raise ValueError("both vertices must be ambiguous")
     if labels[v] != 1 or labels[v_prime] == 1:
         raise ValueError("need b-hat(v) = 1 and b-hat(v') != 1")
-    lam = model.clamped_lam(eps)
-    log_lam = np.log(lam)
-    log_1m = np.log1p(-lam)
+    log_lam, log_1m = model.log_probabilities(eps)
     k2 = labels[v_prime] - 1
     lw = labels - 1
     keep = np.ones(graph.num_vertices, dtype=bool)
@@ -91,9 +89,7 @@ def _geo_mean_scores(graph, bhat, model, eps=PROB_EPS):
     m, K = graph.seed_count, model.K
     labels0 = bhat.labels - 1
     amb = labels0[m:]
-    lam = model.clamped_lam(eps)
-    log_lam = np.log(lam)
-    log_1m = np.log1p(-lam)
+    log_lam, log_1m = model.log_probabilities(eps)
     # one count pass over the packed ambiguous rows: columns k count edges
     # to block k+1's seeds, columns K + k to its ambiguous vertices
     counts = block_edge_counts(graph.packed[m:], np.concatenate([labels0[:m], amb + K]) + 1,

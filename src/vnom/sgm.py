@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vnom.core import block_edge_counts
+from vnom.core import block_edge_counts, pair_counts
 
 # Coordinate passes that set the block potentials before the exact
 # successive-shortest-path repair in solve_transport.
@@ -249,8 +249,7 @@ def _relaxation(packed, logodds, seed_labels):
     """
     m, K = len(seed_labels), len(logodds)
     to_seeds = block_edge_counts(packed, seed_labels, K)
-    seed_blocks = np.eye(K, dtype=np.int64)[np.asarray(seed_labels, dtype=int) - 1]
-    const = float(np.sum((seed_blocks.T @ to_seeds[:m]) * logodds))
+    const = float(np.sum(pair_counts(to_seeds[:m], seed_labels, K)[0] * logodds))
     C = to_seeds[m:] @ (logodds.T + logodds)
     return const, C, to_seeds[m:]
 

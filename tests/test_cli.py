@@ -15,6 +15,22 @@ SMALL_LAMBDA = {
 }
 
 
+TINY_SPECTRAL_CONFIG = {
+    "name": "cli-tiny",
+    "mode": "simulation",
+    "schemes": ["spectral"],
+    "replicates": 2,
+    "master_seed": 5,
+    "model": {
+        "K": 3,
+        "base_lambda": SMALL_LAMBDA["lambda"],
+        "theta": 1.0,
+        "m_sizes": [4, 0, 0],
+        "n_sizes": [4, 3, 3],
+    },
+}
+
+
 @pytest.fixture
 def lambda_file(tmp_path):
     path = tmp_path / "lambda.json"
@@ -114,6 +130,36 @@ def test_nominate_non_utf8_file_names_it(option, sampled_files, lambda_file, tmp
     assert f"error: {binary}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sample", "--seed", "-1"),
+    ("spectral", "--rng-seed", "-1"),
+    ("likelihood", "--rng-seed", "-1"),
+    ("experiment", "--workers", "0"),
+    ("experiment", "--workers", "-2"),
+])
+def test_out_of_range_integer_names_its_flag(command, flag, value, sampled_files, lambda_file,
+                                             tmp_path, capsys):
+    edges, labels = sampled_files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_SPECTRAL_CONFIG), encoding="utf-8")
+    argv = {
+        "sample": ["sample", "--lambda", lambda_file, "--m-sizes", "4,0,0",
+                   "--n-sizes", "4,3,3", "--edges-out", str(tmp_path / "e.txt"),
+                   "--labels-out", str(tmp_path / "l.txt")],
+        "spectral": ["nominate", "--scheme", "spectral", "--graph", edges,
+                     "--labels", labels, "--lambda", lambda_file],
+        "likelihood": ["nominate", "--scheme", "likelihood", "--graph", edges,
+                       "--labels", labels, "--lambda", lambda_file, "--sizes", "4,3,3"],
+        "experiment": ["experiment", "--config", str(config)],
+    }[command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [flag, value])
+    assert exit_.value.code == EXIT_CONFIG
+    low = 1 if flag == "--workers" else 0
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= {low}, got '{value}'" in err
+
+
 def test_nominate_requires_sizes(sampled_files, lambda_file, capsys):
     edges, labels = sampled_files
     code = main([
@@ -124,22 +170,8 @@ def test_nominate_requires_sizes(sampled_files, lambda_file, capsys):
 
 
 def test_experiment_runs_config(tmp_path, capsys):
-    config = {
-        "name": "cli-tiny",
-        "mode": "simulation",
-        "schemes": ["spectral"],
-        "replicates": 2,
-        "master_seed": 5,
-        "model": {
-            "K": 3,
-            "base_lambda": SMALL_LAMBDA["lambda"],
-            "theta": 1.0,
-            "m_sizes": [4, 0, 0],
-            "n_sizes": [4, 3, 3],
-        },
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(json.dumps(TINY_SPECTRAL_CONFIG), encoding="utf-8")
     csv_out = tmp_path / "curve.csv"
     json_out = tmp_path / "summary.json"
     code = main([

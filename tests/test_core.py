@@ -82,6 +82,17 @@ class TestBlockModel:
         assert clamped[0, 1] == 1.0 - PROB_EPS
         assert clamped[1, 1] == 0.5
 
+    def test_log_probabilities_of_the_clamped_lambda(self):
+        lam = np.array([[0.0, 1.0], [1.0, 0.5]])
+        model = BlockModel(m_sizes=(1, 1), n_sizes=(1, 1), lam=lam)
+        for eps in (PROB_EPS, 0.01):
+            clamped = model.clamped_lam(eps)
+            log_lam, log_1m = model.log_probabilities(eps)
+            assert np.array_equal(log_lam, np.log(clamped))
+            assert np.array_equal(log_1m, np.log1p(-clamped))
+            assert np.array_equal(model.log_odds(eps), log_lam - log_1m)
+            assert np.isfinite(log_lam).all() and np.isfinite(log_1m).all()
+
 
 class TestSampleSbm:
     def test_all_ones_gives_complete_graph(self):
@@ -529,6 +540,26 @@ class TestBlockPairCounts:
                 assert edges[k, l] == adj[np.ix_(ik, il)].sum()
 
 
+class TestPairCounts:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seed_rows_of_one_pass_match_the_seed_subgraph(self, seed):
+        # the rows of the seeds in a count pass over the whole graph give
+        # what a pass over the seed-induced subgraph gives
+        rng = np.random.default_rng(seed)
+        N, m, K = 30, 17, 3
+        adj = np.triu(rng.random((N, N)) < 0.4, k=1)
+        packed = np.packbits(adj | adj.T, axis=1)
+        seeds = rng.integers(1, K + 1, size=m)
+        counts = block_edge_counts(packed, seeds, K)
+        got = core.pair_counts(counts[:m], seeds, K)
+        want = block_pair_counts(packed[:m], seeds, K)
+        assert all(np.array_equal(g, w) and g.dtype == np.int64 for g, w in zip(got, want))
+
+    def test_no_labeled_rows(self):
+        edges, pairs = core.pair_counts(np.zeros((0, 2), dtype=np.int64), np.zeros(0, int), 2)
+        assert not edges.any() and not pairs.any() and edges.shape == pairs.shape == (2, 2)
+
+
 class TestLogLikelihood:
     def test_uniform_half(self):
         model = two_block_model(np.full((2, 2), 0.5))
@@ -697,7 +728,7 @@ class TestLoadEdgeList:
         ("2 1\n\n#vertices x\n4 4\n", r":3: malformed '#vertices' header"),
     ])
     def test_first_faulty_line_is_reported(self, tmp_path, text, message):
-        # plain "a b" lines and the other lines are checked in file order
+        # lines are checked in file order
         edges = tmp_path / "edges.txt"
         edges.write_text(text)
         with pytest.raises(ParseError, match=message):
@@ -736,6 +767,12 @@ class TestLoadEdgeList:
         edges = tmp_path / "edges.txt"
         edges.write_text("#vertices 2\n1 3\n")
         with pytest.raises(ParseError):
+            load_edge_list(edges)
+
+    def test_id_beyond_int64_is_compared_with_the_header(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("#vertices 2\n1 12345678901234567890\n")
+        with pytest.raises(ParseError, match="vertex 12345678901234567890 referenced but only 2"):
             load_edge_list(edges)
 
     @pytest.mark.parametrize("header", ["#vertices -3", "#vertices", "#vertices x"])
@@ -783,6 +820,20 @@ class TestLoadEdgeList:
         labels.write_text("1 1\n3 2\n")
         with pytest.raises(ParseError, match=r"cover vertices 1\.\.3"):
             load_edge_list(edges, labels)
+
+
+@pytest.mark.parametrize("read, line", [
+    (load_edge_list, "1 2 3\n"),
+    (load_labels, "2\n"),
+], ids=["edges", "labels"])
+def test_non_utf8_file_fails_as_such_before_any_line_error(tmp_path, read, line):
+    # line 2 is malformed, and the first byte that is not UTF-8 lies past
+    # the first 8 KiB, where a line-by-line decode would not yet have read
+    path = tmp_path / "file.txt"
+    path.write_bytes(("1 2\n" + line + "# padding\n" * 1000).encode() + b"\xff\n")
+    assert path.stat().st_size > 8192
+    with pytest.raises(ParseError, match=r"file\.txt: not UTF-8 text"):
+        read(path)
 
 
 class TestLoadLabels:

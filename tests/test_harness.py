@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, simulation runs, serialization,
 real-data protocol, and the subsample-average procedure."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,11 @@ import pytest
 
 from conftest import BASE_LAMBDA, CONFIG_DIR
 from test_golden import two_class_files
-from vnom.canonical import InfeasibleEnumerationError, conditional_block1_probability
+from vnom.canonical import (
+    InfeasibleEnumerationError,
+    canonical_nominate,
+    conditional_block1_probability,
+)
 from vnom import core, harness, spectral
 from vnom.core import BlockModel, contiguous_assignment, sample_sbm
 from vnom.harness import (
@@ -27,6 +32,8 @@ from vnom.harness import (
     run_subsample_average,
     subsample_table_csv,
 )
+from vnom.likelihood import likelihood_nominate
+from vnom.spectral import spectral_nominate
 
 TINY_CONFIG = {
     "name": "tiny",
@@ -151,6 +158,47 @@ class TestConfigParsing:
         cfg2["model"]["theta"] = 0.0
         model0 = build_model(parse_config(cfg2))
         assert np.allclose(model0.lam, 0.5)
+
+
+# For each scheme function, the Hyperparameters field behind each of its
+# parameters. `vn nominate` calls these functions with their own defaults,
+# and experiments with a default Hyperparameters, so the two must agree.
+# d has no default in either: both take the numerical rank of Lambda.
+SCHEME_PARAMETERS = {
+    likelihood_nominate: {"eps": "eps", "max_iter": "sgm_max_iter", "tol": "sgm_tol",
+                          "restarts": "sgm_restarts"},
+    spectral_nominate: {"restarts": "kmeans_restarts"},
+    spectral.kmeans: {"restarts": "kmeans_restarts"},
+    canonical_nominate: {"guard": "enumeration_guard", "eps": "eps"},
+}
+
+
+@pytest.mark.parametrize("function", SCHEME_PARAMETERS, ids=lambda f: f.__name__)
+def test_hyperparameter_defaults_match_the_scheme_defaults(function):
+    defaults = harness.Hyperparameters()
+    parameters = inspect.signature(function).parameters
+    for name, key in SCHEME_PARAMETERS[function].items():
+        assert parameters[name].default == getattr(defaults, key), (name, key)
+
+
+def test_every_hyperparameter_but_d_has_a_scheme_default():
+    covered = {key for keys in SCHEME_PARAMETERS.values() for key in keys.values()}
+    assert covered == set(harness.Hyperparameters.__dataclass_fields__) - {"d"}
+
+
+@pytest.mark.parametrize("mode", ["simulation", "realdata"])
+def test_config_echo_holds_every_set_field(mode):
+    data = json.loads(json.dumps(TINY_CONFIG))
+    if mode == "realdata":
+        del data["model"]
+        data.update(mode="realdata", data={"edges": "e.txt", "labels": "l.txt", "K": 3})
+    data["hyperparameters"] = {"sgm_restarts": 3}
+    echo = harness._config_echo(parse_config(data))
+    assert echo == {
+        **{k: v for k, v in data.items() if k != "hyperparameters"},
+        "hyperparameters": {**vars(harness.Hyperparameters()), "sgm_restarts": 3},
+    }
+    assert type(echo["schemes"]) is list
 
 
 class TestRunSimulation:
