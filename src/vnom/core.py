@@ -535,12 +535,13 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     Blank lines and comment lines (starting with '#', other than the
     header) are skipped. An error names the first line that has one.
     """
-    declared = num_vertices
+    declared, header = num_vertices, None
     ids = []  # the two ends of each edge, in file order
     for lineno, stripped in _numbered_lines(edges_path):
         if stripped.startswith("#"):
             body = stripped[1:].strip()
             if body.lower().startswith("vertices"):
+                header = lineno
                 try:
                     declared = int(body.split()[1])
                 except (IndexError, ValueError):
@@ -575,10 +576,18 @@ def load_edge_list(edges_path, labels_path=None, num_vertices=None):
     if N == 0:
         raise ParseError(f"{edges_path}: empty graph with no declared vertices")
     # Each edge sets its bit in both rows of the packed adjacency; no N x N
-    # boolean is made.
+    # boolean is made. It is allocated first: then every id, at most N, fits
+    # an intp. Only when it cannot be is the line that set N looked up.
+    try:
+        packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
+    except (MemoryError, ValueError):
+        if header is None and N in ids:
+            edge_lines = [n for n, text in _numbered_lines(edges_path) if text[0] != "#"]
+            header = edge_lines[ids.index(N) // 2]
+        where = "" if header is None else f":{header}"
+        raise ParseError(f"{edges_path}{where}: {N} vertices are too many to allocate") from None
     ends = np.array(ids, dtype=np.intp).reshape(-1, 2) - 1
     rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
-    packed = np.zeros((N, -(-N // 8)), dtype=np.uint8)
     np.bitwise_or.at(packed, (rows, cols // 8), (0x80 >> cols % 8).astype(np.uint8))
     return LabeledGraph(packed=packed, seed_labels=seed_labels)
 

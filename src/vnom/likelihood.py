@@ -132,7 +132,7 @@ def _columns_dot(X, W):
 
 
 def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
-                        restarts=1, rng_seed=0, bhat=None):
+                        restarts=1, rng_seed=0):
     """Two-stage nomination: b-hat from seeded graph matching, then the
     estimated block-1 vertices in increasing order of their geometric-mean
     swap ratio, followed by the rest in decreasing order of theirs.
@@ -145,9 +145,8 @@ def likelihood_nominate(graph, model, eps=PROB_EPS, max_iter=20, tol=1e-6,
     popcount pass over the packed ambiguous rows plus O(n·K); see
     _geo_mean_scores.
     """
-    if bhat is None:
-        bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,
-                                    tol=tol, restarts=restarts, rng_seed=rng_seed)
+    bhat = mle_block_assignment(graph, model, eps=eps, max_iter=max_iter,
+                                tol=tol, restarts=restarts, rng_seed=rng_seed)
     in1, score_in, out1, score_out = _geo_mean_scores(graph, bhat, model, eps=eps)
     order = np.concatenate([rank_with_ties(in1, score_in),
                             rank_with_ties(out1, -score_out)])

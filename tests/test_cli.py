@@ -130,6 +130,24 @@ def test_nominate_non_utf8_file_names_it(option, sampled_files, lambda_file, tmp
     assert f"error: {binary}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("1 2\n3 99999999999999999999\n", 2),
+    ("1 2\n3 1234567890\n", 2),
+    ("1 2\n3 123456789012\n", 2),
+    ("#vertices 99999999999999999999\n1 2\n", 1),
+])
+def test_nominate_too_many_vertices_names_the_line(text, lineno, sampled_files, lambda_file,
+                                                   tmp_path, capsys):
+    # each size is too large to allocate at all, so nothing is granted
+    _, labels = sampled_files
+    graph = tmp_path / "huge.txt"
+    graph.write_text(text, encoding="utf-8")
+    argv = ["nominate", "--scheme", "spectral", "--graph", str(graph), "--labels", labels,
+            "--lambda", lambda_file]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {graph}:{lineno}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("sample", "--seed", "-1"),
     ("spectral", "--rng-seed", "-1"),

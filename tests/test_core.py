@@ -775,6 +775,23 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="vertex 12345678901234567890 referenced but only 2"):
             load_edge_list(edges)
 
+    # Sizes of ten or more digits only, whose packed rows cannot be
+    # allocated at all; a smaller graph might be granted its zeroed pages.
+    @pytest.mark.parametrize("text, num_vertices, where", [
+        ("1 2\n3 99999999999999999999\n", None, ":2"),  # beyond int64
+        ("1 2\n# note\n\n3 1234567890\n", None, ":4"),  # 169 PiB
+        ("1 2\n3 123456789012\n", None, ":2"),  # beyond numpy's array size
+        ("#vertices 99999999999999999999\n1 2\n", None, ":1"),  # the header sets N
+        ("+01234567890 2\n1 1234567890\n", None, ":1"),  # the first edge with id N
+        ("1 2\n", 10**12, ""),  # the caller sets N
+    ])
+    def test_too_many_vertices_rejected_at_the_line_that_sets_them(
+            self, tmp_path, text, num_vertices, where):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(text)
+        with pytest.raises(ParseError, match=rf"edges\.txt{where}: \d+ vertices are too many"):
+            load_edge_list(edges, num_vertices=num_vertices)
+
     @pytest.mark.parametrize("header", ["#vertices -3", "#vertices", "#vertices x"])
     def test_malformed_header_rejected_at_its_line(self, tmp_path, header):
         edges = tmp_path / "edges.txt"

@@ -1,9 +1,12 @@
-"""Import footprint: no run of the program loads SciPy, a one-worker run
-loads no process pool, and a realdata run loads no numpy.ma.
+"""Import footprint: no module of the package imports SciPy, no run of the
+program loads it, a one-worker run loads no process pool, and a realdata
+run loads no numpy.ma.
 
-Each check runs in a fresh interpreter, since this test process may have
-loaded SciPy already (the tests use it as a reference)."""
+The static check reads the sources; each check of a run runs in a fresh
+interpreter, since this test process may have loaded SciPy already (the
+tests use it as a reference)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +16,26 @@ from pathlib import Path
 from test_golden import two_class_files
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_modules(path):
+    """Every module name that an import statement in `path` names, at any
+    depth: in a function body or a branch as well as at the top."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return names
+
+
+def test_no_module_imports_scipy():
+    sources = sorted((ROOT / "src" / "vnom").rglob("*.py"))
+    assert sources
+    found = [(path.name, name) for path in sources for name in _imported_modules(path)
+             if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
 
 
 def _modules_after(code, packages=("scipy",)):

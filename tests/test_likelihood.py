@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE_LAMBDA, random_instance, replicate_graphs
-from vnom import harness
+from vnom import harness, likelihood
 from vnom.canonical import enumerate_partitions
 from vnom.core import (
     BlockAssignment,
@@ -34,6 +34,12 @@ def random_bhat(rng, graph, model):
     labels = np.array(labels)
     rng.shuffle(labels)
     return BlockAssignment(np.concatenate([graph.seed_labels, labels]))
+
+
+def nominate_with(monkeypatch, graph, model, bhat):
+    """likelihood_nominate ranking a fixed b-hat in place of the matcher's."""
+    monkeypatch.setattr(likelihood, "mle_block_assignment", lambda *args, **kwargs: bhat)
+    return likelihood_nominate(graph, model)
 
 
 class TestMleBlockAssignment:
@@ -278,7 +284,7 @@ def test_counts_peak_below_the_packed_rows():
 
 
 class TestTieRule:
-    def test_isolated_vertices_in_id_order(self, rng):
+    def test_isolated_vertices_in_id_order(self, rng, monkeypatch):
         lam = np.array([[0.6, 0.2], [0.2, 0.5]])
         model = BlockModel(m_sizes=(2, 2), n_sizes=(4, 4), lam=lam)
         for seed in range(5):
@@ -292,11 +298,11 @@ class TestTieRule:
             adj[pair, :] = False
             adj[:, pair] = False
             isolated = LabeledGraph(adjacency=adj, seed_labels=graph.seed_labels)
-            order = likelihood_nominate(isolated, model, bhat=bhat).order.tolist()
+            order = nominate_with(monkeypatch, isolated, model, bhat).order.tolist()
             first, second = order.index(pair[0]), order.index(pair[1])
             assert second == first + 1
 
-    def test_symmetric_blocks_in_id_order(self):
+    def test_symmetric_blocks_in_id_order(self, monkeypatch):
         # Lambda and the block sizes are symmetric under swapping blocks 2
         # and 3, and only block-1 vertices have edges, so every estimated
         # block-2 or block-3 vertex has the same score in exact arithmetic.
@@ -315,11 +321,11 @@ class TestTieRule:
                 for b in block1[i + 1:]:
                     adj[a, b] = adj[b, a] = rng.random() < 0.7
             graph = LabeledGraph(adjacency=adj, seed_labels=[1, 1, 2, 3])
-            order = likelihood_nominate(graph, model, bhat=bhat).order.tolist()
+            order = nominate_with(monkeypatch, graph, model, bhat).order.tolist()
             assert order[2:] == [4 + i for i, k in enumerate(ambiguous) if k != 1]
 
     @pytest.mark.parametrize("segment", ["in", "out"])
-    def test_twin_vertices_score_bit_equal(self, segment):
+    def test_twin_vertices_score_bit_equal(self, segment, monkeypatch):
         # Copy one ambiguous vertex's neighbourhood onto another of the same
         # b-hat block, far apart in the vertex order: their scores must be
         # bit-equal, so the tie rule lists them in ascending id.
@@ -340,7 +346,7 @@ class TestTieRule:
             ids, scores = (in1, score_in) if segment == "in" else (out1, score_out)
             where = {int(u): i for i, u in enumerate(ids)}
             assert scores[where[v]] == scores[where[w]]
-            order = likelihood_nominate(twins, model, bhat=bhat).order.tolist()
+            order = nominate_with(monkeypatch, twins, model, bhat).order.tolist()
             assert order.index(v) < order.index(w)
 
 
@@ -384,12 +390,12 @@ class TestLikelihoodNominate:
         monkeypatch.setattr(LabeledGraph, "adjacency", property(unpacked))
         assert np.array_equal(nominate(), want)
 
-    def test_constant_lambda_gives_id_order_within_segments(self):
+    def test_constant_lambda_gives_id_order_within_segments(self, monkeypatch):
         lam = np.full((2, 2), 0.5)
         model = BlockModel(m_sizes=(1, 1), n_sizes=(2, 2), lam=lam)
         graph = sample_sbm(model, contiguous_assignment(model), 9)
         bhat = contiguous_assignment(model)
-        nomination = likelihood_nominate(graph, model, bhat=bhat)
+        nomination = nominate_with(monkeypatch, graph, model, bhat)
         assert nomination.order.tolist() == [2, 3, 4, 5]
 
     def test_all_block_one_uses_id_order(self):
@@ -399,11 +405,11 @@ class TestLikelihoodNominate:
         nomination = likelihood_nominate(graph, model)
         assert nomination.order.tolist() == [2, 3, 4]
 
-    def test_head_holds_estimated_block_one(self, rng):
+    def test_head_holds_estimated_block_one(self, rng, monkeypatch):
         for _ in range(10):
             graph, model = random_instance(rng, max_n=6, max_k=2)
             bhat = mle_block_assignment(graph, model)
-            nomination = likelihood_nominate(graph, model, bhat=bhat)
+            nomination = nominate_with(monkeypatch, graph, model, bhat)
             n1 = model.n_sizes[0]
             head = set(nomination.order[:n1].tolist())
             expected = {
@@ -413,7 +419,7 @@ class TestLikelihoodNominate:
             }
             assert head == expected
 
-    def test_extra_edge_to_block1_seed_never_demotes(self, rng):
+    def test_extra_edge_to_block1_seed_never_demotes(self, rng, monkeypatch):
         # with a fixed assignment and Lambda favoring block-1 affinity,
         # connecting v to a block-1 seed can only improve v's rank
         lam = np.array([[0.8, 0.2], [0.2, 0.6]])
@@ -429,7 +435,7 @@ class TestLikelihoodNominate:
             if not candidates:
                 continue
             v = candidates[0]
-            before = likelihood_nominate(graph, model, bhat=bhat)
+            before = nominate_with(monkeypatch, graph, model, bhat)
             adj = graph.adjacency.copy()
             adj[v, 0] = adj[0, v] = True
             bumped = LabeledGraph(
@@ -437,7 +443,7 @@ class TestLikelihoodNominate:
                 seed_labels=graph.seed_labels,
                 true_labels=graph.true_labels,
             )
-            after = likelihood_nominate(bumped, model, bhat=bhat)
+            after = nominate_with(monkeypatch, bumped, model, bhat)
             rank_before = int(np.where(before.order == v)[0][0])
             rank_after = int(np.where(after.order == v)[0][0])
             assert rank_after <= rank_before

@@ -1,8 +1,7 @@
-"""Seeded graph matching: LAP and transportation exactness, the block-form
+"""Seeded graph matching: transportation exactness, the block-form
 relaxation, ascent quality, and the swap search against its dense
 reference."""
 
-import itertools
 import math
 
 import numpy as np
@@ -32,22 +31,8 @@ from vnom.sgm import (
     _polish,
     _relaxation,
     sgm_match,
-    solve_lap,
     solve_transport,
 )
-
-
-def brute_force_lap(cost, maximize):
-    n = cost.shape[0]
-    best_val = None
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        val = sum(cost[i, perm[i]] for i in range(n))
-        better = best_val is None or (val > best_val if maximize else val < best_val)
-        if better:
-            best_val = val
-            best_perm = perm
-    return np.array(best_perm), best_val
 
 
 def objective(adjacency, L, labels):
@@ -245,38 +230,6 @@ def dense_polish(adjacency, labels, m, L, objective):
 
 def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-class TestSolveLap:
-    def test_identity_dominant(self):
-        cost = np.eye(4) * 10.0
-        col, value = solve_lap(cost, maximize=True)
-        assert col.tolist() == [0, 1, 2, 3]
-        assert value == 40.0
-
-    def test_two_by_two_antidiagonal(self):
-        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        col, value = solve_lap(cost, maximize=True)
-        assert col.tolist() == [1, 0]
-        assert value == 2.0
-
-    def test_matches_brute_force(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            cost = rng.normal(size=(n, n))
-            for maximize in (False, True):
-                col, value = solve_lap(cost, maximize=maximize)
-                _, best_val = brute_force_lap(cost, maximize)
-                assert value == pytest.approx(best_val, abs=1e-9)
-
-    def test_non_finite_rejected(self):
-        cost = np.array([[0.0, np.inf], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            solve_lap(cost)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lap(np.zeros((2, 3)))
 
 
 class TestSolveTransport:
