@@ -351,12 +351,14 @@ def _objectives(d2, labels):
     return d2.reshape(R * K, N)[_cluster_index(labels, K), np.arange(N)].sum(axis=1)
 
 
-def _coinciding(labels):
-    """{i: j} for each row i of the integer labels (R, N) that equals an
-    earlier row, j the first row equal to it. Rows are keyed by their
-    bytes, so equal keys are equal rows."""
+def _coinciding(labels, K):
+    """{i: j} for each row i of the labels (R, N), integers in [0, K), that
+    equals an earlier row, j the first row equal to it. Rows are keyed by
+    their bytes in the least unsigned type that holds K - 1 (a byte a label
+    for K <= 256, against 8 for intp), which is injective on [0, K), so
+    equal keys are equal rows."""
     first, twins = {}, {}
-    for i, row in enumerate(labels):
+    for i, row in enumerate(labels.astype(np.min_scalar_type(K - 1))):
         j = first.setdefault(row.tobytes(), i)
         if j != i:
             twins[i] = j
@@ -421,7 +423,7 @@ def _lloyd(points, centers):
         if step & (step - 1) == 0:
             # step 0 is not checked: restarts were never seen to share its labels
             if step and len(active) > 1:
-                twins = _coinciding(new)
+                twins = _coinciding(new, K)
                 if twins:
                     ids = active.tolist()
                     twin_of.update((ids[i], ids[j]) for i, j in twins.items())

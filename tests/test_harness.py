@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -654,6 +656,65 @@ class TestDatasetCache:
             env=env, check=True, capture_output=True, text=True,
         )
         assert second == fresh.stdout != first
+
+    @staticmethod
+    def set_clock(monkeypatch, now_ns):
+        """Stop harness's wall clock at now_ns. os.utime cannot move a
+        file's ctime back, so tests move the clock forward instead."""
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(
+            perf_counter=time.perf_counter, time_ns=lambda: now_ns))
+
+    @staticmethod
+    def stamps(paths):
+        """Each file's later stamp, max(mtime, ctime), in ns."""
+        return [max(st.st_mtime_ns, st.st_ctime_ns) for st in map(os.stat, paths)]
+
+    def test_hit_on_files_older_than_the_tick_reads_neither_file(self, tmp_path, monkeypatch):
+        config = self.realdata_config(tmp_path, (30, 40))
+        paths = (config.data["labels"], config.data["edges"])
+        stamps, tick = self.stamps(paths), harness._STAMP_TICK_NS
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: (
+            reads.append(str(path)), read_bytes(path))[1])
+        calls = count_calls(monkeypatch, ("load_edge_list",))
+        counts = []
+        # Each digest is taken at the clock of the run that reads its file,
+        # and a hit needs the file stamped more than a tick before that:
+        # not yet at the last instant both files are inside the tick, and
+        # from one ns after both left it.
+        inside, after = min(stamps) + tick, max(stamps) + tick + 1
+        for now in (inside, inside, after, after):
+            self.set_clock(monkeypatch, now)
+            run_realdata(config)
+            counts.append(sorted(reads))
+            reads.clear()
+        assert counts == [sorted(paths)] * 3 + [[]]
+        assert calls == {"load_edge_list": 1}
+
+    def test_rewrite_under_an_unchanged_stat_is_seen_inside_the_tick(self, tmp_path,
+                                                                     monkeypatch):
+        strong = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.7, 0.1], [0.1, 0.7]])
+        null = BlockModel(m_sizes=(0, 0), n_sizes=(30, 30), lam=[[0.3, 0.3], [0.3, 0.3]])
+        paths = write_sbm_dataset(tmp_path, strong, 3)
+        config = parse_config({
+            "name": "restamped", "mode": "realdata", "schemes": ["likelihood"],
+            "replicates": 4, "master_seed": 8,
+            "data": {"edges": paths[0], "labels": paths[1], "K": 2, "seed_counts": [6, 6]},
+        })
+        first_stat = {path: os.stat(path) for path in paths}
+        # the last instant at which both files are inside the tick
+        self.set_clock(monkeypatch, min(self.stamps(paths)) + harness._STAMP_TICK_NS)
+        first = harness._summary_json(run_realdata(config))
+        assert write_sbm_dataset(tmp_path, null, 3) == paths
+        # a filesystem whose stamps did not move with the rewrite
+        stat = os.stat
+        monkeypatch.setattr(harness.os, "stat", lambda path, *args, **kwargs: (
+            first_stat.get(path) or stat(path, *args, **kwargs)))
+        second = harness._summary_json(run_realdata(config))
+        monkeypatch.setattr(harness, "_dataset_cache", {})
+        fresh = harness._summary_json(run_realdata(config))
+        assert second == fresh != first
 
     def test_entry_holds_packed_rows(self, tmp_path):
         run_realdata(self.realdata_config(tmp_path, (30, 43)))

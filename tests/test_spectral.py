@@ -503,11 +503,15 @@ class TestKmeans:
         # Small label alphabets and planted copies make duplicate rows
         # common, and many rows equal two or more earlier rows: each twin
         # must name the first of them.
+        # Alphabets take 0 and K - 1, so a key type too narrow for K - 1
+        # would merge rows that differ by a multiple of 256.
         rng = np.random.default_rng(302)
         twin_count = later_matches = 0
         for trial in range(300):
             R, N = int(rng.integers(1, 11)), int(rng.integers(1, 40))
-            labels = rng.integers(0, int(rng.integers(1, 4)), (R, N))
+            K = int(rng.choice([1, 2, 3, 256, 257, 65536, 65537]))
+            alphabet = np.unique([0, K - 1, int(rng.integers(K))])
+            labels = alphabet[rng.integers(0, len(alphabet), (R, N))]
             for _ in range(int(rng.integers(0, R + 1))):
                 labels[rng.integers(R)] = labels[rng.integers(R)]
             twins = {}
@@ -516,7 +520,7 @@ class TestKmeans:
                 if equal:
                     twins[i] = equal[0]
                     later_matches += len(equal) > 1
-            assert spectral._coinciding(labels) == twins
+            assert spectral._coinciding(labels, K) == twins
             twin_count += len(twins)
         assert twin_count and later_matches
 
